@@ -75,7 +75,6 @@ from .enumerator import (
     hall_search,
 )
 from .families import (
-    CircleSpec,
     GluingSpec,
     OrbitCertificate,
     admissible_primes,

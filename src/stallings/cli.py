@@ -47,9 +47,16 @@ def _load_subgroup(path: str, pres: Presentation) -> SubgroupGraph:
     return subgroup_from_graph(g, pres)
 
 
-def _write_dot(args, graph: BasedXGraph) -> None:
+def _emit(args, graph: BasedXGraph) -> None:
+    """Print the graph file; write the DOT file too if ``--dot`` was given."""
+    print(fileio.serialize_graph(graph), end="")
     if getattr(args, "dot", None):
         Path(args.dot).write_text(fileio.export_dot(graph))
+
+
+def _answer(flag: bool, yes: str, no: str) -> int:
+    print(yes if flag else no)
+    return EXIT_OK if flag else EXIT_NEGATIVE
 
 
 def _fmt(pres: Presentation, w: Word) -> str:
@@ -59,8 +66,7 @@ def _fmt(pres: Presentation, w: Word) -> str:
 def cmd_build(args, pres):
     gens = [pres.word(t) for t in args.generators]
     sg = coset_enumerate(pres, gens, max_cosets=args.max_cosets)
-    print(fileio.serialize_graph(sg.graph), end="")
-    _write_dot(args, sg.graph)
+    _emit(args, sg.graph)
     return EXIT_OK
 
 
@@ -88,11 +94,7 @@ def cmd_cosets(args, pres):
 
 def cmd_membership(args, pres):
     sg = _load_subgroup(args.graphfile, pres)
-    if sg.contains(pres.word(args.word)):
-        print("member")
-        return EXIT_OK
-    print("not a member")
-    return EXIT_NEGATIVE
+    return _answer(sg.contains(pres.word(args.word)), "member", "not a member")
 
 
 def cmd_basis(args, pres):
@@ -115,11 +117,7 @@ def cmd_conjugate(args, pres):
 
 def cmd_normal(args, pres):
     sg = _load_subgroup(args.graphfile, pres)
-    if sg.is_normal():
-        print("normal")
-        return EXIT_OK
-    print("not normal")
-    return EXIT_NEGATIVE
+    return _answer(sg.is_normal(), "normal", "not normal")
 
 
 def cmd_normalizer(args, pres):
@@ -129,8 +127,7 @@ def cmd_normalizer(args, pres):
     for rep in reps:
         print(f"  {_fmt(pres, rep)}")
     print(f"normalizer index: {nsg.index()}")
-    print(fileio.serialize_graph(nsg.graph), end="")
-    _write_dot(args, nsg.graph)
+    _emit(args, nsg.graph)
     return EXIT_OK
 
 
@@ -138,8 +135,7 @@ def cmd_intersect(args, pres):
     sg1 = _load_subgroup(args.graphfile1, pres)
     sg2 = _load_subgroup(args.graphfile2, pres)
     meet = intersect(sg1, sg2)
-    print(fileio.serialize_graph(meet.graph), end="")
-    _write_dot(args, meet.graph)
+    _emit(args, meet.graph)
     return EXIT_OK
 
 
@@ -157,11 +153,7 @@ def cmd_coset_meet(args, pres):
 
 def cmd_malnormal(args, pres):
     sg = _load_subgroup(args.graphfile, pres)
-    if is_malnormal(sg, args.order):
-        print("malnormal")
-        return EXIT_OK
-    print("not malnormal")
-    return EXIT_NEGATIVE
+    return _answer(is_malnormal(sg, args.order), "malnormal", "not malnormal")
 
 
 def cmd_hall(args, pres):
@@ -169,8 +161,7 @@ def cmd_hall(args, pres):
     if witness is None:
         print("no Hall subgroup of that order")
         return EXIT_NEGATIVE
-    print(fileio.serialize_graph(witness.graph), end="")
-    _write_dot(args, witness.graph)
+    _emit(args, witness.graph)
     return EXIT_OK
 
 
@@ -180,7 +171,7 @@ def cmd_enumerate(args, pres):
     print(f"{len(found)} {args.mode} classes with {args.n} vertices")
     for i, sg in enumerate(found):
         print(f"# class {i}")
-        print(fileio.serialize_graph(sg.graph), end="")
+        _emit(args, sg.graph)
     return EXIT_OK
 
 
@@ -188,10 +179,19 @@ def _print_certificate(pres_out: Presentation, cert) -> None:
     print(f"vertices: {cert.vertex_count}")
     print(f"word: {pres_out.alphabet.format_word(cert.word)}")
     print(f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
-    print(fileio.serialize_graph(cert.graph.graph), end="")
+
+
+# The options each gamma family needs; argparse cannot tie them to a choice.
+GLUING_OPTIONS = "left_pres left_graph left_word right_pres right_graph right_word pairs"
+GAMMA_OPTIONS = {"type1": "letter p", "artin": "p", "type2": "a k b l pairs",
+                 "glued": GLUING_OPTIONS, "amalgam": GLUING_OPTIONS}
 
 
 def cmd_gamma(args, pres):
+    missing = [name for name in GAMMA_OPTIONS[args.family].split()
+               if getattr(args, name) is None]
+    if missing:
+        raise ParseError(f"gamma {args.family} needs --{missing[0].replace('_', '-')}")
     if args.family == "type1":
         cert = families.build_type1(pres, pres.alphabet.index(args.letter), args.p)
     elif args.family == "artin":
@@ -225,22 +225,16 @@ def cmd_gamma(args, pres):
                 pairs.append((left_pres.word(d_text), right_pres.word(psi_text)))
             cert = families.build_amalgam(spec, pairs)
     _print_certificate(cert.presentation(), cert)
-    _write_dot(args, cert.graph.graph)
+    _emit(args, cert.graph.graph)
     return EXIT_OK
 
 
 def cmd_certify(args, pres):
-    g = fileio.parse_graph(Path(args.graphfile).read_text(), pres.alphabet)
-    sg = subgroup_from_graph(g, pres)
-    w = pres.word(args.word)
-    ok, orbit = families.verify_reachability(sg.graph, w)
-    if not ok:
-        print("reachability fails", file=sys.stderr)
+    cert = families.certify(_load_subgroup(args.graphfile, pres), pres.word(args.word))
+    if args.prime is not None and cert.vertex_count != args.prime:
+        print(f"vertex count {cert.vertex_count} != {args.prime}", file=sys.stderr)
         return EXIT_NEGATIVE
-    if args.prime is not None and sg.index() != args.prime:
-        print(f"vertex count {sg.index()} != {args.prime}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    print(f"certificate ok: {sg.index()} vertices, orbit {list(orbit)}")
+    print(f"certificate ok: {cert.vertex_count} vertices, orbit {list(cert.orbit)}")
     return EXIT_OK
 
 
@@ -343,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    except ValueError as e:  # a malformed STALLINGS_MAX_COSETS
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         pres = _load_presentation(args.presentation)
         return args.fn(args, pres)

@@ -4,8 +4,9 @@ The search extends a coset table slot by slot in scan order (lowest vertex,
 lowest letter, positive column before inverse).  New vertex ids are handed
 out in order of first appearance, so every complete table is in canonical
 (BFS) form: complete canonical tables correspond one-to-one to based
-isomorphism classes.  Unbased classes keep only the table that is
-lexicographically least among its re-based canonical forms.
+isomorphism classes, and each is handed to SubgroupGraph as it stands.
+Unbased classes keep only the table that is lexicographically least, row
+by row, among its canonical forms from every base.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from math import gcd
 from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
-from .words import Presentation, Word
-from .subgroup import SubgroupGraph, subgroup_from_graph
-from .xgraph import BasedXGraph, XGraph
+from .words import Presentation
+from .subgroup import SubgroupGraph, _canonical_rows
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -75,9 +75,6 @@ class _Search:
                     return (v, c)
         return None
 
-    def solutions(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        yield from self._extend()
-
     def _extend(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         slot = self._first_slot()
         if slot is None:
@@ -106,36 +103,17 @@ class _Search:
                 self.used -= 1
 
 
-def _rebase(table: tuple[tuple[int, ...], ...], base: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical (scan-order) renumbering of a complete table from a new base."""
-    n = len(table)
-    ncols = len(table[0])
-    old_of_new = [base]
-    new_of_old = {base: 0}
-    i = 0
-    while i < len(old_of_new):
-        v = old_of_new[i]
-        i += 1
-        for c in range(ncols):
-            t = table[v][c]
-            if t not in new_of_old:
-                new_of_old[t] = len(old_of_new)
-                old_of_new.append(t)
-    return tuple(
-        tuple(new_of_old[table[old_of_new[v]][c]] for c in range(ncols))
-        for v in range(n)
-    )
-
-
-def _table_to_graph(presentation: Presentation,
-                    table: tuple[tuple[int, ...], ...]) -> BasedXGraph:
-    k = len(presentation.alphabet)
-    edges = [
-        (v, li, table[v][2 * li])
-        for v in range(len(table))
-        for li in range(k)
-    ]
-    return BasedXGraph(XGraph(presentation.alphabet, len(table), edges), 0)
+def _least_from_base(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff no other base renumbers the canonical table ``rows`` into a
+    lexicographically smaller table."""
+    cols = list(zip(*rows))
+    for v in range(1, len(rows)):
+        for a, b in zip(_canonical_rows(cols, v), rows):
+            if a != b:
+                if a < b:
+                    return False
+                break
+    return True
 
 
 def enumerate_graphs(
@@ -146,13 +124,10 @@ def enumerate_graphs(
     in canonical order."""
     search = _Search(task.presentation, task.vertex_count, node_budget)
     out = []
-    for table in search.solutions():
-        if task.mode == "unbased":
-            least = min(_rebase(table, v) for v in range(len(table)))
-            if table != least:
-                continue
-        out.append(subgroup_from_graph(_table_to_graph(task.presentation, table),
-                                       task.presentation))
+    for rows in search._extend():
+        if task.mode == "unbased" and not _least_from_base(rows):
+            continue
+        out.append(SubgroupGraph(task.presentation, list(zip(*rows))[0::2]))
     return out
 
 

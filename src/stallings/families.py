@@ -10,10 +10,11 @@ the word and the verified checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
-from .errors import FulfillmentFailed, GluingInvalid
+from .errors import GluingInvalid
 from .words import (
     Alphabet,
     Presentation,
@@ -23,18 +24,8 @@ from .words import (
     shift_word,
 )
 from .xgraph import BasedXGraph, XGraph, trace
-from .subgroup import SubgroupGraph, fulfillment_violation, subgroup_from_graph
+from .subgroup import SubgroupGraph, subgroup_from_graph
 from .products import ProductGraph
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    letter: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("circle length must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,38 +62,39 @@ class GluingSpec:
             raise ValueError("pair count must be positive")
 
 
+def _sweep(trace_from, w: Word, base: int, n: int) -> tuple[bool, list[int]]:
+    """Trace ``w`` n times from ``base`` with ``trace_from(vertex, word)``:
+    the flag says the first n vertices visited are distinct and the n-th
+    trace returns to the base."""
+    w = free_reduce(w)
+    orbit = [base]
+    v = base
+    for _ in range(n):
+        v = trace_from(v, w)
+        if v is None:
+            return False, orbit
+        orbit.append(v)
+    ok = len(set(orbit[:n])) == n and orbit[n] == base
+    return ok, orbit[:n]
+
+
 def verify_reachability(g: BasedXGraph, w: Word) -> tuple[bool, list[int]]:
     """Check that the first |V| power-of-``w`` translates of the base are
     pairwise distinct and the |V|-th returns to the base.
 
     Returns the flag and the orbit actually visited.
     """
-    w = free_reduce(w)
-    n = g.vertex_count
-    orbit = [g.base]
-    v = g.base
-    for _ in range(n):
-        v = trace(g.graph, v, w)
-        if v is None:
-            return False, orbit
-        orbit.append(v)
-    ok = len(set(orbit[:n])) == n and orbit[n] == g.base
-    return ok, orbit[:n]
+    return _sweep(partial(trace, g.graph), w, g.base, g.vertex_count)
 
 
-def _certify(graph: BasedXGraph, presentation: Presentation, w: Word) -> OrbitCertificate:
-    violation = fulfillment_violation(graph.graph, presentation)
-    if violation is not None:
-        raise FulfillmentFailed(*violation)
-    ok, orbit = verify_reachability(graph, w)
+def certify(sg: SubgroupGraph, w: Word) -> OrbitCertificate:
+    """The certificate that the powers of ``w`` sweep the vertices of
+    ``sg`` from the base; raises GluingInvalid if they do not."""
+    ok, orbit = _sweep(sg.trace, w, sg.base, sg.index())
     if not ok:
         raise GluingInvalid(
             "powers of the word do not sweep the vertices from the base"
         )
-    sg = subgroup_from_graph(graph, presentation)
-    # renumbering keeps the base at 0; recompute the orbit on canonical ids
-    ok, orbit = verify_reachability(sg.graph, w)
-    assert ok
     return OrbitCertificate(sg, free_reduce(w), sg.index(), tuple(orbit))
 
 
@@ -114,10 +106,8 @@ def build_type1(presentation: Presentation, letter: int, p: int) -> OrbitCertifi
     k = len(presentation.alphabet)
     if not 0 <= letter < k:
         raise ValueError("letter index out of range")
-    edges = [(i, letter, (i + 1) % p) for i in range(p)]
-    edges += [(i, li, i) for i in range(p) for li in range(k) if li != letter]
-    graph = BasedXGraph(XGraph(presentation.alphabet, p, edges), 0)
-    return _certify(graph, presentation, Word([letter + 1]))
+    forward = [[(i + 1) % p if li == letter else i for i in range(p)] for li in range(k)]
+    return certify(SubgroupGraph(presentation, forward), Word([letter + 1]))
 
 
 def build_parallel_circles(
@@ -131,10 +121,8 @@ def build_parallel_circles(
     """
     if p < 1:
         raise ValueError("circle length must be positive")
-    k = len(presentation.alphabet)
-    edges = [(i, li, (i + 1) % p) for i in range(p) for li in range(k)]
-    graph = BasedXGraph(XGraph(presentation.alphabet, p, edges), 0)
-    return _certify(graph, presentation, Word([word_letter + 1]))
+    forward = [[(i + 1) % p for i in range(p)]] * len(presentation.alphabet)
+    return certify(SubgroupGraph(presentation, forward), Word([word_letter + 1]))
 
 
 def build_type2(
@@ -171,10 +159,11 @@ def build_type2(
     for _ in range(pair_count):
         glue = add_circle(entry, a, k)
         entry = add_circle(glue, b, l)
-    assert fresh == m
+    if fresh != m:
+        raise RuntimeError(f"type 2 chain numbered {fresh} vertices, expected {m}")
     _complete_with_loops(edges, m, nletters)
     graph = BasedXGraph(XGraph(presentation.alphabet, m, edges), 0)
-    return _certify(graph, presentation, Word([a + 1, b + 1]))
+    return certify(subgroup_from_graph(graph, presentation), Word([a + 1, b + 1]))
 
 
 def _complete_with_loops(edges: list, n: int, nletters: int) -> None:
@@ -201,18 +190,14 @@ def extend_with_loops(
     old = cert.presentation()
     alphabet = merge_alphabets(old.alphabet, Alphabet(extra_letters))
     presentation = Presentation(alphabet, list(old.relators) + list(new_relators))
-    g = cert.graph.graph
-    n = g.vertex_count
-    edges = list(g.graph.edges)
-    for li in range(len(old.alphabet), len(alphabet)):
-        edges += [(v, li, v) for v in range(n)]
-    graph = BasedXGraph(XGraph(alphabet, n, edges), g.base)
-    return _certify(graph, presentation, cert.word)
+    loops = [range(cert.vertex_count)] * len(extra_letters)
+    forward = list(cert.graph.coset_table().permutations) + loops
+    return certify(SubgroupGraph(presentation, forward), cert.word)
 
 
 def _check_coset_cycle(sg: SubgroupGraph, w: Word, side: str) -> None:
     """The powers of ``w`` from the base must visit all vertices and return."""
-    ok, _ = verify_reachability(sg.graph, w)
+    ok, _ = _sweep(sg.trace, w, sg.base, sg.index())
     if not ok:
         raise GluingInvalid(
             f"powers of the {side} word are not a full set of coset "
@@ -243,22 +228,21 @@ def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
         """Glue a copy of the factor at ``entry`` (identified with the factor
         base); return the global id of the base's one-step w-translate."""
         nonlocal fresh
-        g = sg.graph.graph
         gmap = {sg.base: entry}
-        for v in range(g.vertex_count):
+        for v in range(sg.index()):
             if v != sg.base:
                 gmap[v] = fresh
                 fresh += 1
-        for (u, li, v) in g.edges:
-            edges.append((gmap[u], li + shift, gmap[v]))
-        exit_vertex = trace(g, sg.base, free_reduce(w))
-        return gmap[exit_vertex]
+        for li, col in enumerate(sg.coset_table().permutations):
+            edges.extend((gmap[u], li + shift, gmap[v]) for u, v in enumerate(col))
+        return gmap[sg.trace(sg.base, w)]
 
     entry = 0
     for _ in range(c):
         glue = add_copy(left, spec.left_word, entry, 0)
         entry = add_copy(right, spec.right_word, glue, offset)
-    assert fresh == m
+    if fresh != m:
+        raise RuntimeError(f"glued chain numbered {fresh} vertices, expected {m}")
     _complete_with_loops(edges, m, len(alphabet))
     graph = BasedXGraph(XGraph(alphabet, m, edges), 0)
     w = free_reduce(spec.left_word) * shift_word(free_reduce(spec.right_word), offset)
@@ -274,7 +258,7 @@ def build_glued(spec: GluingSpec) -> OrbitCertificate:
     the contractibility hypotheses for the free product.
     """
     graph, presentation, w = _assemble_glued(spec)
-    return _certify(graph, presentation, w)
+    return certify(subgroup_from_graph(graph, presentation), w)
 
 
 def build_amalgam(
@@ -299,7 +283,7 @@ def build_amalgam(
             )
         extra.append(free_reduce(d * shift_word(psi_d, offset).inverse()))
     graph, presentation, w = _assemble_glued(spec, extra)
-    return _certify(graph, presentation, w)
+    return certify(subgroup_from_graph(graph, presentation), w)
 
 
 def verify_coprime_certificate(

@@ -16,7 +16,7 @@ byte-identically on canonical files.
 from __future__ import annotations
 
 from .errors import ParseError
-from .words import Alphabet, Presentation, Word
+from .words import Alphabet, Presentation
 from .xgraph import BasedXGraph, XGraph, canonicalize, is_folded
 
 
@@ -64,23 +64,28 @@ def serialize_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(text: str, message: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{message}: {text.strip()!r}", lineno) from None
+
+
 def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
     vertices = None
     base = None
     edges = []
     for lineno, line in _content_lines(text):
         if line.startswith("vertices:"):
-            vertices = int(line[len("vertices:"):])
+            vertices = _parse_int(line[len("vertices:"):], "bad vertex count", lineno)
         elif line.startswith("base:"):
-            base = int(line[len("base:"):])
+            base = _parse_int(line[len("base:"):], "bad base vertex", lineno)
         elif line.startswith("edge:"):
             parts = line[len("edge:"):].split()
             if len(parts) != 3:
                 raise ParseError("edge needs origin, letter, terminus", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[2])
-            except ValueError:
-                raise ParseError("bad vertex id", lineno) from None
+            u = _parse_int(parts[0], "bad vertex id", lineno)
+            v = _parse_int(parts[2], "bad vertex id", lineno)
             try:
                 li = alphabet.index(parts[1])
             except ValueError as e:

@@ -1,47 +1,86 @@
 """Product graphs: intersections, coset intersections, malnormality.
 
 The product of two subgroup graphs has vertex set V1 x V2 and a same-label
-edge wherever both factors have one.  Pair vertices are encoded row-major:
-``left_id * |V2| + right_id``.
+edge wherever both factors have one.  Its components are the orbits of
+pairs under the generators, explored from the factors' coset tables; the
+orbit of the base pair is the intersection.  Pair vertices are encoded
+row-major: ``left_id * |V2| + right_id``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .words import Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _UnionFind, _bfs
-from .subgroup import SubgroupGraph, subgroup_from_graph
+from .words import Word
+from .xgraph import XGraph
+from .subgroup import SubgroupGraph
+
+
+def _orbit(left: SubgroupGraph, right: SubgroupGraph, start: int) -> list[int]:
+    """The pairs reachable from pair ``start``, in BFS order, scanning the
+    columns in the order that numbers a subgroup graph canonically."""
+    n2 = right.index()
+    cols = list(zip(left._table.values(), right._table.values()))
+    order = [start]
+    seen = {start}
+    for p in order:
+        a, b = divmod(p, n2)
+        for lc, rc in cols:
+            q = lc[a] * n2 + rc[b]
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+    return order
+
+
+def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[dict, SubgroupGraph]:
+    """The intersection, and the vertex of it that each pair of the base
+    orbit is: the orbit's BFS order is already canonical."""
+    left._check_presentation(right)
+    vertex = {p: i for i, p in enumerate(_orbit(left, right, 0))}
+    n2 = right.index()
+    forward = [[vertex[lc[p // n2] * n2 + rc[p % n2]] for p in vertex]
+               for lc, rc in zip(left.coset_table().permutations,
+                                 right.coset_table().permutations)]
+    return vertex, SubgroupGraph(left.presentation, forward)
 
 
 class ProductGraph:
-    """The full product of two subgroup graphs, with component labels."""
+    """The product of two subgroup graphs, as component labels of all pairs.
 
-    __slots__ = ("left", "right", "graph", "component", "base_component")
+    ``component[p]`` is the least pair id in the component of pair ``p``;
+    ``graph`` is the whole product as an XGraph, built on first use.
+    """
+
+    __slots__ = ("left", "right", "component", "base_component", "_graph")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
         self.left = left
         self.right = right
-        g1, g2 = left.graph.graph, right.graph.graph
-        n2 = g2.vertex_count
-        n = g1.vertex_count * n2
-        uf = _UnionFind(n)
-        edges = []
-        for (u1, li, v1) in g1.edges:
-            for u2 in range(n2):
-                targets = g2.out_targets(u2, li)
-                if targets:
-                    a = u1 * n2 + u2
-                    b = v1 * n2 + targets[0]
-                    edges.append((a, li, b))
-                    uf.union(a, b)
-        self.graph = XGraph(g1.alphabet, n, edges)
-        self.component = tuple(uf.find(v) for v in range(n))
+        component = [-1] * (left.index() * right.index())
+        for p in range(len(component)):
+            if component[p] < 0:
+                for q in _orbit(left, right, p):
+                    component[q] = p
+        self.component = tuple(component)
         self.base_component = self.component[self.pair_id(left.base, right.base)]
+        self._graph = None
+
+    @property
+    def graph(self) -> XGraph:
+        if self._graph is None:
+            n1, n2 = self.left.index(), self.right.index()
+            factors = zip(self.left.coset_table().permutations,
+                          self.right.coset_table().permutations)
+            edges = [(a * n2 + b, li, lc[a] * n2 + rc[b])
+                     for li, (lc, rc) in enumerate(factors)
+                     for a in range(n1) for b in range(n2)]
+            self._graph = XGraph(self.left.presentation.alphabet, n1 * n2, edges)
+        return self._graph
 
     def pair_id(self, v_left: int, v_right: int) -> int:
-        return v_left * self.right.graph.vertex_count + v_right
+        return v_left * self.right.index() + v_right
 
     def in_base_component(self, v_left: int, v_right: int) -> bool:
         return self.component[self.pair_id(v_left, v_right)] == self.base_component
@@ -52,25 +91,14 @@ class ProductGraph:
             sizes[c] = sizes.get(c, 0) + 1
         return sizes
 
-    def base_component_graph(self) -> BasedXGraph:
-        """The component of base x base as a standalone based graph."""
-        members = [v for v in range(self.graph.vertex_count)
-                   if self.component[v] == self.base_component]
-        renum = {v: i for i, v in enumerate(members)}
-        edges = [(renum[u], li, renum[v]) for (u, li, v) in self.graph.edges
-                 if self.component[u] == self.base_component]
-        base = renum[self.pair_id(self.left.base, self.right.base)]
-        return BasedXGraph(XGraph(self.graph.alphabet, len(members), edges), base)
-
 
 def product(sg1: SubgroupGraph, sg2: SubgroupGraph) -> ProductGraph:
     return ProductGraph(sg1, sg2)
 
 
 def intersect(sg1: SubgroupGraph, sg2: SubgroupGraph) -> SubgroupGraph:
-    """The subgroup graph of the intersection: the component of base x base."""
-    pg = ProductGraph(sg1, sg2)
-    return subgroup_from_graph(pg.base_component_graph(), sg1.presentation)
+    """The subgroup graph of the intersection: the orbit of base x base."""
+    return _meet(sg1, sg2)[1]
 
 
 def coset_meet(pg: ProductGraph, v_left: int, v_right: int) -> Optional[Word]:
@@ -81,9 +109,8 @@ def coset_meet(pg: ProductGraph, v_left: int, v_right: int) -> Optional[Word]:
     """
     if not pg.in_base_component(v_left, v_right):
         return None
-    base_pair = pg.pair_id(pg.left.base, pg.right.base)
-    _, _, reps = _bfs(BasedXGraph(pg.graph, base_pair))
-    return free_reduce(reps[pg.pair_id(v_left, v_right)])
+    vertex, meet = _meet(pg.left, pg.right)
+    return meet.coset_reps[vertex[pg.pair_id(v_left, v_right)]]
 
 
 def is_malnormal(sg: SubgroupGraph, group_order: int) -> bool:
@@ -98,7 +125,5 @@ def is_malnormal(sg: SubgroupGraph, group_order: int) -> bool:
             f"group order {group_order} is not a multiple of the index {sg.index()}"
         )
     pg = ProductGraph(sg, sg)
-    for comp, size in pg.component_sizes().items():
-        if comp != pg.base_component and size != group_order:
-            return False
-    return True
+    return all(size == group_order for comp, size in pg.component_sizes().items()
+               if comp != pg.base_component)

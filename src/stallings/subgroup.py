@@ -1,15 +1,18 @@
 """Subgroup graphs of finite-index subgroups and their calculus.
 
-A subgroup graph is a connected X-regular graph that fulfills every relator
-of the presentation; its loop language at the base maps onto the subgroup,
-and its vertices are the right cosets.
+A subgroup graph is a connected X-regular graph that fulfills every relator:
+the Schreier coset graph of a finite-index subgroup, whose vertices are the
+right cosets.  It is held as a coset table, a forward and an inverse column
+per generator, numbered by BFS from the base (vertex 0).  Based graphs in
+that form are isomorphic exactly when their tables are equal, so conjugacy,
+normality and isomorphism compare the table renumbered from other bases.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -17,27 +20,80 @@ from .errors import (
     FulfillmentFailed,
     PresentationMismatch,
 )
-from .words import Presentation, Word, free_reduce
-from .xgraph import (
-    BasedXGraph,
-    Morphism,
-    XGraph,
-    canonicalize,
-    coset_rep_words,
-    free_basis as graph_free_basis,
-    is_connected,
-    is_regular,
-    isomorphic_based,
-    isomorphic_unbased,
-    trace,
-)
+from .words import EMPTY_WORD, Presentation, Word, free_reduce
+from .xgraph import BasedXGraph, XGraph, _UnionFind
 
 DEFAULT_MAX_COSETS = 10_000
 
 
 def default_max_cosets() -> int:
+    """STALLINGS_MAX_COSETS if set, else DEFAULT_MAX_COSETS; raises
+    ValueError unless it is a positive integer."""
     value = os.environ.get("STALLINGS_MAX_COSETS")
-    return int(value) if value else DEFAULT_MAX_COSETS
+    if not value:
+        return DEFAULT_MAX_COSETS
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ValueError(f"STALLINGS_MAX_COSETS must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _table(forward: Sequence[Sequence[int]], n: int) -> dict:
+    """The columns of a coset table keyed by signed letter, in scan order
+    (generator i, then its inverse), from the forward columns.  Raises
+    ValueError unless each is a permutation of range(n)."""
+    vertices = set(range(n))
+    if any(len(col) != n or set(col) != vertices for col in forward):
+        raise ValueError("graph is not X-regular")
+    table = {}
+    for i, col in enumerate(forward):
+        table[i + 1] = col
+        table[-i - 1] = sorted(range(n), key=col.__getitem__)  # the inverse
+    return table
+
+
+def _forward_columns(g: XGraph) -> list[list[int]]:
+    """``forward[i][v]`` is the end of the edge labeled i out of v, or -1
+    where there is none.  Raises ValueError if there are too many edges or
+    too few for an X-regular graph."""
+    if len(g.edges) != g.vertex_count * len(g.alphabet):
+        raise ValueError("graph is not X-regular")
+    forward = [[-1] * g.vertex_count for _ in g.alphabet.names]
+    for (u, li, v) in g.edges:
+        forward[li][u] = v
+    return forward
+
+
+def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]:
+    """The first (vertex, relator, terminus), relators outer and vertices
+    inner, where a relator traced through the table does not close."""
+    identity = list(range(len(table[1])))
+    for r in relators:
+        ends = identity
+        for lt in r:
+            ends = list(map(table[lt].__getitem__, ends))
+        if ends != identity:
+            v = next(v for v, t in enumerate(ends) if t != v)
+            return (v, r, ends[v])
+    return None
+
+
+def _canonical_rows(cols: Iterable[Sequence[int]], base: int) -> Iterator[tuple[int, ...]]:
+    """The rows of the table with these columns, in scan order, renumbered
+    by BFS from ``base``, one per reached vertex: vertices are numbered in
+    order of first appearance, reading the rows of reached vertices."""
+    cols = list(cols)
+    new = [-1] * len(cols[0])
+    new[base] = 0
+    order = [base]
+    for v in order:
+        row = []
+        for col in cols:
+            t = col[v]
+            if new[t] < 0:
+                new[t] = len(order)
+                order.append(t)
+            row.append(new[t])
+        yield tuple(row)
 
 
 def fulfillment_violation(
@@ -50,14 +106,8 @@ def fulfillment_violation(
     """
     if g.alphabet != presentation.alphabet:
         raise AlphabetMismatch("graph and presentation alphabets differ")
-    if not is_regular(g):
-        raise ValueError("fulfillment is only defined for X-regular graphs")
-    for r in presentation.relators:
-        for v in range(g.vertex_count):
-            t = trace(g, v, r)
-            if t != v:
-                return (v, r, t)
-    return None
+    table = _table(_forward_columns(g), g.vertex_count)
+    return _relator_violation(table, presentation.relators)
 
 
 def fulfills(g: XGraph, presentation: Presentation) -> bool:
@@ -74,86 +124,117 @@ class CosetTable:
 
 
 class SubgroupGraph:
-    """A finite-index subgroup, represented by its subgroup graph.
+    """A finite-index subgroup, held as the coset table of its subgroup graph.
 
     Vertices are numbered canonically (BFS from the base), the base is
     vertex 0 and ``coset_reps[v]`` is the label of the spanning-tree path
-    from the base to ``v``.
+    from the base to ``v``.  ``graph`` is the same graph as a BasedXGraph,
+    built on first use for output.
     """
 
-    __slots__ = ("presentation", "graph", "coset_reps")
+    __slots__ = ("presentation", "coset_reps", "_table", "_graph")
 
-    def __init__(self, presentation: Presentation, graph: BasedXGraph,
-                 coset_reps: Sequence[Word]):
+    def __init__(self, presentation: Presentation,
+                 forward: Sequence[Sequence[int]], base: int = 0):
+        """Check and renumber canonically a table in which generator i takes
+        vertex v to ``forward[i][v]``.  Raises ValueError unless every column
+        is a permutation and BFS from ``base`` reaches every vertex, and
+        FulfillmentFailed, in the given numbering, if a relator fails."""
+        n = len(forward[0])
+        table = _table(forward, n)
+        if len(forward) != len(presentation.alphabet):
+            raise ValueError("graph is not X-regular")
+        rows = list(_canonical_rows(table.values(), base))
+        if len(rows) != n:
+            raise ValueError("graph is not connected")
+        violation = _relator_violation(table, presentation.relators)
+        if violation is not None:
+            raise FulfillmentFailed(*violation)
+        reps = [EMPTY_WORD]
+        for i, row in enumerate(rows):
+            for lt, t in zip(table, row):
+                if t == len(reps):  # first appearance: a spanning-tree edge
+                    reps.append(Word(reps[i].letters + (lt,)))
         self.presentation = presentation
-        self.graph = graph
-        self.coset_reps = tuple(coset_reps)
+        self.coset_reps = tuple(reps)
+        self._table = dict(zip(table, zip(*rows)))
+        self._graph = None
 
     @property
     def base(self) -> int:
-        return self.graph.base
+        return 0
+
+    @property
+    def graph(self) -> BasedXGraph:
+        if self._graph is None:
+            edges = [(v, li, t) for li, col in enumerate(self.coset_table().permutations)
+                     for v, t in enumerate(col)]
+            self._graph = BasedXGraph(
+                XGraph(self.presentation.alphabet, self.index(), edges), 0)
+        return self._graph
 
     def index(self) -> int:
         """The index of the subgroup: the number of vertices."""
-        return self.graph.vertex_count
+        return len(self._table[1])
 
     def trace(self, start: int, w: Word) -> int:
-        t = trace(self.graph.graph, start, free_reduce(w))
-        assert t is not None  # X-regular: traces are total
-        return t
+        table = self._table
+        v = start
+        try:
+            for lt in free_reduce(w).letters:
+                v = table[lt][v]
+        except KeyError:
+            raise AlphabetMismatch("word uses letters outside the alphabet") from None
+        return v
 
     def contains(self, w: Word) -> bool:
         """Membership of the image of ``w`` in the subgroup."""
-        if free_reduce(w).max_index() >= len(self.presentation.alphabet):
-            raise AlphabetMismatch("word uses letters outside the alphabet")
-        return self.trace(self.base, w) == self.base
+        return self.trace(0, w) == 0
 
     def contains_coset(self, w: Word, v: int) -> bool:
         """True iff the image of ``w`` lies in the coset carried by vertex ``v``."""
-        return self.trace(self.base, w) == v
+        return self.trace(0, w) == v
 
     def coset_table(self) -> CosetTable:
-        g = self.graph.graph
-        perms = []
-        for li in range(len(self.presentation.alphabet)):
-            perms.append(tuple(g.out_targets(v, li)[0] for v in range(g.vertex_count)))
-        return CosetTable(tuple(perms))
+        return CosetTable(tuple(self._table.values())[0::2])
 
     def free_basis(self) -> list[Word]:
-        """A free basis of the loop language at the base, from the
-        deterministic spanning tree."""
-        return graph_free_basis(self.graph)
+        """A free basis of the loop language at the base: the loops closed
+        by the edges outside the spanning tree, by origin, then label."""
+        reps, perms = self.coset_reps, self.coset_table().permutations
+        basis = []
+        for u, ru in enumerate(reps):
+            for li, col in enumerate(perms):
+                rv, x = reps[col[u]], li + 1
+                if rv.letters[-1:] != (x,) and ru.letters[-1:] != (-x,):  # not a tree edge
+                    basis.append(free_reduce(ru * Word([x]) * rv.inverse()))
+        return basis
 
     def generators(self) -> list[Word]:
         """Words whose images generate the subgroup of G."""
         return self.free_basis()
+
+    def _rebased_is(self, base: int, other: "SubgroupGraph") -> bool:
+        """True iff this graph based at ``base`` is isomorphic to ``other``
+        (of the same index): the canonical tables agree row by row."""
+        return all(a == b for a, b in zip(_canonical_rows(self._table.values(), base),
+                                          zip(*other._table.values())))
 
     def conjugate(self, other: "SubgroupGraph") -> Optional[Word]:
         """A word g with H = g K g^-1 if the subgroups are conjugate, else None."""
         self._check_presentation(other)
         if self.index() != other.index():
             return None
-        for v in range(self.graph.vertex_count):
-            if isomorphic_based(BasedXGraph(self.graph.graph, v), other.graph):
-                return self.coset_reps[v]
-        return None
+        return next((self.coset_reps[v] for v in range(self.index())
+                     if self._rebased_is(v, other)), None)
 
     def is_normal(self) -> bool:
         """Normality: the based graph looks the same from every vertex."""
-        g = self.graph
-        return all(
-            isomorphic_based(g, BasedXGraph(g.graph, v)) is not None
-            for v in range(g.vertex_count)
-        )
+        return all(self._rebased_is(v, self) for v in range(self.index()))
 
     def normalizer(self) -> tuple[list[Word], "SubgroupGraph"]:
         """Coset representatives of N_G(H) over H, and its subgroup graph."""
-        g = self.graph
-        symmetric = [
-            v for v in range(g.vertex_count)
-            if isomorphic_based(g, BasedXGraph(g.graph, v)) is not None
-        ]
-        reps = [self.coset_reps[v] for v in symmetric]
+        reps = [rep for v, rep in enumerate(self.coset_reps) if self._rebased_is(v, self)]
         gens = self.generators() + reps
         normalizer_graph = coset_enumerate(self.presentation, gens,
                                            max_cosets=self.index())
@@ -163,11 +244,18 @@ class SubgroupGraph:
         if self.presentation != other.presentation:
             raise PresentationMismatch("subgroup graphs over different presentations")
 
+    def _check_alphabet(self, other: "SubgroupGraph") -> None:
+        if self.presentation.alphabet != other.presentation.alphabet:
+            raise AlphabetMismatch("graphs live over different alphabets")
+
     def isomorphic_based_to(self, other: "SubgroupGraph") -> bool:
-        return isomorphic_based(self.graph, other.graph) is not None
+        self._check_alphabet(other)
+        return self._table == other._table
 
     def isomorphic_unbased_to(self, other: "SubgroupGraph") -> bool:
-        return isomorphic_unbased(self.graph.graph, other.graph.graph) is not None
+        self._check_alphabet(other)
+        return self.index() == other.index() and any(
+            other._rebased_is(v, self) for v in range(other.index()))
 
     def __repr__(self) -> str:
         return f"SubgroupGraph(index={self.index()}, over {self.presentation!r})"
@@ -181,24 +269,7 @@ def subgroup_from_graph(g: BasedXGraph, presentation: Presentation) -> SubgroupG
     """
     if g.alphabet != presentation.alphabet:
         raise AlphabetMismatch("graph and presentation alphabets differ")
-    if not is_connected(g.graph):
-        raise ValueError("graph is not connected")
-    if not is_regular(g.graph):
-        raise ValueError("graph is not X-regular")
-    violation = fulfillment_violation(g.graph, presentation)
-    if violation is not None:
-        raise FulfillmentFailed(*violation)
-    canonical, _ = canonicalize(g)
-    reps = coset_rep_words(canonical)
-    return SubgroupGraph(presentation, canonical, reps)
-
-
-def index(sg: SubgroupGraph) -> int:
-    return sg.index()
-
-
-def contains(sg: SubgroupGraph, w: Word) -> bool:
-    return sg.contains(w)
+    return SubgroupGraph(presentation, _forward_columns(g.graph), g.base)
 
 
 # ---------------------------------------------------------------------------
@@ -209,44 +280,23 @@ class _Enumeration:
     """Relator-tracing coset enumeration over a partial table.
 
     Columns alternate positive and inverse letters: column 2i acts by
-    generator i, column 2i+1 by its inverse.  Coincidences are processed
-    with a merge queue over a union-find of cosets.
+    generator i, column 2i+1 (``2i ^ 1``) by its inverse.  Coincidences are
+    processed with a merge queue over a union-find of cosets.
     """
 
     def __init__(self, presentation: Presentation):
         self.pres = presentation
         self.ncols = 2 * len(presentation.alphabet)
         self.table: list[list[Optional[int]]] = [[None] * self.ncols]
-        self.parent = [0]
+        self.cosets = _UnionFind(1)
+        self.rep = self.cosets.find
         self.alive = 1
-
-    @staticmethod
-    def _col(lt: int) -> int:
-        i = abs(lt) - 1
-        return 2 * i if lt > 0 else 2 * i + 1
-
-    @staticmethod
-    def _inv_col(col: int) -> int:
-        return col ^ 1
-
-    def rep(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
-        if a == b:
-            return
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        self.alive -= 1
-        queue.append(b)
+        if self.cosets.union(a, b):
+            self.alive -= 1
+            queue.append(max(a, b))
 
     def _coincidence(self, a: int, b: int) -> None:
         queue: list[int] = []
@@ -261,21 +311,21 @@ class _Enumeration:
                 row[col] = None
                 # drop the back-reference before re-installing the edge
                 trow = self.table[target]
-                if trow[self._inv_col(col)] == dead:
-                    trow[self._inv_col(col)] = None
+                if trow[col ^ 1] == dead:
+                    trow[col ^ 1] = None
                 mu, nu = self.rep(dead), self.rep(target)
                 if self.table[mu][col] is not None:
                     self._merge(nu, self.rep(self.table[mu][col]), queue)
-                elif self.table[nu][self._inv_col(col)] is not None:
-                    self._merge(mu, self.rep(self.table[nu][self._inv_col(col)]), queue)
+                elif self.table[nu][col ^ 1] is not None:
+                    self._merge(mu, self.rep(self.table[nu][col ^ 1]), queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][self._inv_col(col)] = mu
+                    self.table[nu][col ^ 1] = mu
 
     def _scan(self, alpha: int, word: Word) -> None:
         """Scan ``word`` at coset ``alpha``; fill a length-1 gap as a
         deduction, report a length-0 mismatch as a coincidence."""
-        cols = [self._col(lt) for lt in word]
+        cols = [2 * abs(lt) - 2 + (lt < 0) for lt in word]
         f = alpha
         i = 0
         while i < len(cols):
@@ -291,22 +341,22 @@ class _Enumeration:
         b = alpha
         j = len(cols) - 1
         while j > i:
-            prv = self.table[b][self._inv_col(cols[j])]
+            prv = self.table[b][cols[j] ^ 1]
             if prv is None:
                 return  # gap of length >= 2: leave incomplete
             b = self.rep(prv)
             j -= 1
         # gap of length 1: deduction
-        if self.table[f][cols[i]] is None and self.table[b][self._inv_col(cols[i])] is None:
+        if self.table[f][cols[i]] is None and self.table[b][cols[i] ^ 1] is None:
             self.table[f][cols[i]] = b
-            self.table[b][self._inv_col(cols[i])] = f
+            self.table[b][cols[i] ^ 1] = f
         else:
             # one side got filled by an earlier merge in this pass
             t = self.table[f][cols[i]]
             if t is not None:
                 self._coincidence(self.rep(t), b)
             else:
-                o = self.table[b][self._inv_col(cols[i])]
+                o = self.table[b][cols[i] ^ 1]
                 self._coincidence(self.rep(o), f)
 
     def _live(self) -> list[int]:
@@ -335,15 +385,9 @@ class _Enumeration:
                         continue
                     for r in relators:
                         self._scan(alpha, r)
-            # find the first empty slot in scan order
-            slot = None
-            for alpha in self._live():
-                for col in range(self.ncols):
-                    if self.table[alpha][col] is None:
-                        slot = (alpha, col)
-                        break
-                if slot:
-                    break
+            # the first empty slot in scan order
+            slot = next(((alpha, col) for alpha in self._live() for col in range(self.ncols)
+                         if self.table[alpha][col] is None), None)
             if slot is None:
                 return
             if self.alive >= max_cosets:
@@ -351,22 +395,18 @@ class _Enumeration:
             alpha, col = slot
             beta = len(self.table)
             self.table.append([None] * self.ncols)
-            self.parent.append(beta)
+            self.cosets.parent.append(beta)
             self.alive += 1
             self.table[alpha][col] = beta
-            self.table[beta][self._inv_col(col)] = alpha
+            self.table[beta][col ^ 1] = alpha
 
-    def to_graph(self) -> BasedXGraph:
+    def forward_columns(self) -> list[list[int]]:
+        """The closed table on the live cosets, renumbered in order; coset 0
+        stays first, as merges keep the smaller id."""
         live = self._live()
         renum = {c: i for i, c in enumerate(live)}
-        edges = []
-        for c in live:
-            for li in range(len(self.pres.alphabet)):
-                t = self.table[c][2 * li]
-                edges.append((renum[c], li, renum[self.rep(t)]))
-        return BasedXGraph(
-            XGraph(self.pres.alphabet, len(live), edges), renum[self.rep(0)]
-        )
+        return [[renum[self.rep(self.table[c][2 * li])] for c in live]
+                for li in range(len(self.pres.alphabet))]
 
 
 def coset_enumerate(
@@ -388,19 +428,7 @@ def coset_enumerate(
             raise AlphabetMismatch("subgroup generator outside the alphabet")
     enum = _Enumeration(presentation)
     enum.run(subgens, max_cosets)
-    sg = subgroup_from_graph(enum.to_graph(), presentation)
-    for w in subgens:
-        assert sg.contains(w)
+    sg = SubgroupGraph(presentation, enum.forward_columns())
+    if not all(sg.contains(w) for w in subgens):
+        raise RuntimeError("coset enumeration lost a subgroup generator")
     return sg
-
-
-def conjugate(sg1: SubgroupGraph, sg2: SubgroupGraph) -> Optional[Word]:
-    return sg1.conjugate(sg2)
-
-
-def is_normal(sg: SubgroupGraph) -> bool:
-    return sg.is_normal()
-
-
-def normalizer(sg: SubgroupGraph) -> tuple[list[Word], SubgroupGraph]:
-    return sg.normalizer()

@@ -111,14 +111,6 @@ def cyclic_reduce(w: Word) -> Word:
     return Word(r[i:j])
 
 
-def word_concat(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def word_inverse(w: Word) -> Word:
-    return w.inverse()
-
-
 class Alphabet:
     """An ordered finite set of distinct generator names.
 

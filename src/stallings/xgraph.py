@@ -257,7 +257,8 @@ def _bfs(g: BasedXGraph):
     before inverse.  Returns (order, tree_edges, reps) where ``order`` lists
     vertices in discovery order, ``tree_edges`` is the set of edge triples of
     the spanning tree and ``reps`` maps each vertex to the label of its tree
-    path from the base (freely reduced).
+    path from the base (freely reduced).  Raises ValueError unless the BFS
+    reaches every vertex.
     """
     gr = g.graph
     k = len(gr.alphabet)
@@ -265,10 +266,7 @@ def _bfs(g: BasedXGraph):
     seen = {g.base}
     reps: dict[int, Word] = {g.base: Word()}
     tree: set[tuple[int, int, int]] = set()
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
+    for v in order:
         for li in range(k):
             for t in gr.out_targets(v, li):
                 if t not in seen:
@@ -282,31 +280,26 @@ def _bfs(g: BasedXGraph):
                     order.append(o)
                     tree.add((o, li, v))
                     reps[o] = Word(reps[v].letters + (-(li + 1),))
+    if len(order) != g.vertex_count:
+        raise ValueError("graph is not connected")
     return order, tree, reps
 
 
 def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
     """Deterministic breadth-first spanning tree from the base."""
-    order, tree, _ = _bfs(g)
-    if len(order) != g.vertex_count:
-        raise ValueError("graph is not connected")
-    return tree
+    return _bfs(g)[1]
 
 
 def coset_rep_words(g: BasedXGraph) -> list[Word]:
     """Tree-path label from the base to each vertex; the base gets the
     empty word."""
     order, _, reps = _bfs(g)
-    if len(order) != g.vertex_count:
-        raise ValueError("graph is not connected")
     return [reps[v] for v in range(g.vertex_count)]
 
 
 def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
     """Renumber vertices in BFS discovery order from the base."""
     order, _, _ = _bfs(g)
-    if len(order) != g.vertex_count:
-        raise ValueError("graph is not connected")
     renum = {v: i for i, v in enumerate(order)}
     edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges]
     vmap = tuple(renum[v] for v in range(g.vertex_count))
@@ -320,8 +313,6 @@ def free_basis(g: BasedXGraph) -> list[Word]:
     language at the base; their number is ``|E| - (|V| - 1)``.
     """
     order, tree, reps = _bfs(g)
-    if len(order) != g.vertex_count:
-        raise ValueError("graph is not connected")
     basis = []
     for (u, li, v) in g.graph.edges:
         if (u, li, v) in tree:
