@@ -71,8 +71,9 @@ def cmd_build(args, pres):
 
 
 def cmd_verify(args, pres):
+    g = fileio.parse_graph(Path(args.graphfile).read_text(), pres.alphabet)
     try:
-        sg = _load_subgroup(args.graphfile, pres)
+        sg = subgroup_from_graph(g, pres)
     except (ValueError, FulfillmentFailed) as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -238,8 +239,25 @@ def cmd_certify(args, pres):
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one ``error:`` line, as ``main`` does."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stallings",
         description="Subgroup graphs of finitely presented groups",
     )
@@ -255,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("build", cmd_build, help="coset-enumerate a subgroup")
     p.add_argument("-g", "--generator", dest="generators", action="append",
                    default=[], help="subgroup generator word (repeatable)")
-    p.add_argument("--max-cosets", type=int, default=default_max_cosets())
+    p.add_argument("--max-cosets", type=_positive_int, default=default_max_cosets())
     p.add_argument("--dot")
 
     p = add("verify", cmd_verify, help="check a graph file is a subgroup graph")

@@ -276,12 +276,23 @@ def subgroup_from_graph(g: BasedXGraph, presentation: Presentation) -> SubgroupG
 # Coset enumeration
 # ---------------------------------------------------------------------------
 
+def _columns(w: Word) -> tuple[int, ...]:
+    """The table columns a word reads: 2i for generator i, 2i+1 for its inverse."""
+    return tuple(2 * abs(lt) - 2 + (lt < 0) for lt in w)
+
+
 class _Enumeration:
-    """Relator-tracing coset enumeration over a partial table.
+    """Felsch-style coset enumeration over a partial table.
 
     Columns alternate positive and inverse letters: column 2i acts by
-    generator i, column 2i+1 (``2i ^ 1``) by its inverse.  Coincidences are
-    processed with a merge queue over a union-find of cosets.
+    generator i, column 2i+1 (``2i ^ 1``) by its inverse.  Each definition
+    and each deduction pushes its entry (alpha, col) on a deduction stack.
+    Processing it scans at alpha only the cyclic conjugates of the relators
+    and their inverses that begin with column col, precompiled once per
+    column: every relator cycle through a new entry is one of them.
+    Coincidences are processed with a merge queue over a union-find of
+    cosets; a merge pushes every column of the surviving coset, as its row
+    now carries the scans that ran through the dead one.
     """
 
     def __init__(self, presentation: Presentation):
@@ -291,12 +302,20 @@ class _Enumeration:
         self.cosets = _UnionFind(1)
         self.rep = self.cosets.find
         self.alive = 1
+        self.deductions: list[tuple[int, int]] = []
+        cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
+                               for w in (_columns(r), _columns(r.inverse()))
+                               for k in range(len(w)))
+        self.conjugates = [[w for w in cycles if w[0] == col] for col in range(self.ncols)]
+        # a relator of length one binds a coset before any of its entries exist
+        self.loops = [w for w in cycles if len(w) == 1]
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
         if self.cosets.union(a, b):
             self.alive -= 1
             queue.append(max(a, b))
+            self.deductions.extend((min(a, b), col) for col in range(self.ncols))
 
     def _coincidence(self, a: int, b: int) -> None:
         queue: list[int] = []
@@ -322,14 +341,15 @@ class _Enumeration:
                     self.table[mu][col] = nu
                     self.table[nu][col ^ 1] = mu
 
-    def _scan(self, alpha: int, word: Word) -> None:
-        """Scan ``word`` at coset ``alpha``; fill a length-1 gap as a
-        deduction, report a length-0 mismatch as a coincidence."""
-        cols = [2 * abs(lt) - 2 + (lt < 0) for lt in word]
+    def _scan(self, alpha: int, cols: tuple[int, ...]) -> None:
+        """Scan the word reading ``cols`` at coset ``alpha``; fill a
+        length-1 gap as a deduction, report a length-0 mismatch as a
+        coincidence."""
+        table = self.table
         f = alpha
         i = 0
         while i < len(cols):
-            nxt = self.table[f][cols[i]]
+            nxt = table[f][cols[i]]
             if nxt is None:
                 break
             f = self.rep(nxt)
@@ -341,69 +361,63 @@ class _Enumeration:
         b = alpha
         j = len(cols) - 1
         while j > i:
-            prv = self.table[b][cols[j] ^ 1]
+            prv = table[b][cols[j] ^ 1]
             if prv is None:
                 return  # gap of length >= 2: leave incomplete
             b = self.rep(prv)
             j -= 1
-        # gap of length 1: deduction
-        if self.table[f][cols[i]] is None and self.table[b][cols[i] ^ 1] is None:
-            self.table[f][cols[i]] = b
-            self.table[b][cols[i] ^ 1] = f
+        # gap of length 1: deduction, unless b already has the inverse entry
+        o = table[b][cols[i] ^ 1]
+        if o is None:
+            table[f][cols[i]] = b
+            table[b][cols[i] ^ 1] = f
+            self.deductions.append((f, cols[i]))
         else:
-            # one side got filled by an earlier merge in this pass
-            t = self.table[f][cols[i]]
-            if t is not None:
-                self._coincidence(self.rep(t), b)
-            else:
-                o = self.table[b][cols[i] ^ 1]
-                self._coincidence(self.rep(o), f)
+            self._coincidence(self.rep(o), f)
 
-    def _live(self) -> list[int]:
-        return [c for c in range(len(self.table)) if self.rep(c) == c]
-
-    def _state(self) -> tuple[int, int]:
-        filled = sum(
-            1 for c in self._live() for x in self.table[c] if x is not None
-        )
-        return (self.alive, filled)
+    def _define(self, alpha: int, col: int) -> None:
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.cosets.parent.append(beta)
+        self.alive += 1
+        self.table[alpha][col] = beta
+        self.table[beta][col ^ 1] = alpha
+        self.deductions.append((alpha, col))
+        for w in self.loops:
+            self._scan(beta, w)
 
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
-        subgens = [free_reduce(w) for w in subgens]
-        subgens = [w for w in subgens if not w.is_identity()]
-        relators = self.pres.relators
+        subgens = [w for w in (_columns(free_reduce(w)) for w in subgens) if w]
+        for w in self.loops:
+            self._scan(0, w)
+        first = 0  # every coset below it is dead or complete, and stays so
         while True:
-            # close under relator and subgroup-generator scans
-            prev = None
-            while prev != self._state():
-                prev = self._state()
-                base = self.rep(0)
+            # close under the deductions, then under the subgroup generators
+            # scanned at the base (coset 0, as merges keep the smaller id)
+            while True:
+                while self.deductions:
+                    alpha, col = self.deductions.pop()
+                    for w in self.conjugates[col]:
+                        if self.rep(alpha) != alpha:
+                            break  # its row moved to the survivor, which was pushed
+                        self._scan(alpha, w)
                 for w in subgens:
-                    self._scan(self.rep(base), w)
-                for alpha in self._live():
-                    if self.rep(alpha) != alpha:
-                        continue
-                    for r in relators:
-                        self._scan(alpha, r)
-            # the first empty slot in scan order
-            slot = next(((alpha, col) for alpha in self._live() for col in range(self.ncols)
-                         if self.table[alpha][col] is None), None)
-            if slot is None:
+                    self._scan(0, w)
+                if not self.deductions:
+                    break
+            table = self.table
+            while first < len(table) and (self.rep(first) != first or None not in table[first]):
+                first += 1
+            if first == len(table):
                 return
             if self.alive >= max_cosets:
                 raise CosetLimitExceeded(max_cosets)
-            alpha, col = slot
-            beta = len(self.table)
-            self.table.append([None] * self.ncols)
-            self.cosets.parent.append(beta)
-            self.alive += 1
-            self.table[alpha][col] = beta
-            self.table[beta][col ^ 1] = alpha
+            self._define(first, table[first].index(None))
 
     def forward_columns(self) -> list[list[int]]:
         """The closed table on the live cosets, renumbered in order; coset 0
         stays first, as merges keep the smaller id."""
-        live = self._live()
+        live = [c for c in range(len(self.table)) if self.rep(c) == c]
         renum = {c: i for i, c in enumerate(live)}
         return [[renum[self.rep(self.table[c][2 * li])] for c in live]
                 for li in range(len(self.pres.alphabet))]
@@ -416,8 +430,10 @@ def coset_enumerate(
 ) -> SubgroupGraph:
     """The subgroup graph of the subgroup generated by ``subgens``.
 
-    Deterministic given the fixed definition order (lowest coset id, lowest
-    letter, positive before inverse).  Raises CosetLimitExceeded when the
+    Deterministic: before each definition the table is closed under every
+    consequence of the relators and the generators, and the definition
+    fills the first empty entry (lowest letter, positive before inverse) of
+    the lowest live coset.  Raises CosetLimitExceeded when the
     table does not close within the bound, which signals an index above the
     bound or an infinite one.
     """

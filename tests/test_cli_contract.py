@@ -25,6 +25,9 @@ CASES = {
     "amalgam-without-factors": (None, ["gamma", "amalgam"], "--left-pres"),
     "bad-vertex-count": (None, ["index", "{bad_vertices}"], "line 1: bad vertex count"),
     "bad-base": (None, ["cosets", "{bad_base}"], "line 2: bad base vertex"),
+    "verify-bad-vertex-count": (None, ["verify", "{bad_vertices}"], "line 1: bad vertex count"),
+    "max-cosets-zero": (None, ["build", "-g", "a", "--max-cosets", "0"], "--max-cosets"),
+    "max-cosets-negative": (None, ["build", "--max-cosets", "-2"], "--max-cosets"),
 }
 
 
