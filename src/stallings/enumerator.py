@@ -6,7 +6,9 @@ out in order of first appearance, so every complete table is in canonical
 (BFS) form: complete canonical tables correspond one-to-one to based
 isomorphism classes, and each is handed to SubgroupGraph as it stands.
 Unbased classes keep only the table that is lexicographically least, row
-by row, among its canonical forms from every base.
+by row, among its canonical forms from every base.  Each new edge is checked
+by the relator scans of coset enumeration (``subgroup._scan``), run only
+over the relator cycles through that edge.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
 from .words import Presentation
-from .subgroup import SubgroupGraph, _canonical_rows
+from .subgroup import SubgroupGraph, _canonical_rows, _relator_cycles, _scan
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -36,42 +38,29 @@ class EnumerationTask:
 
 
 class _Search:
+    """Depth-first search over partial coset tables on ``n`` vertices, rows
+    of columns as in coset enumeration, None for an empty entry.
+
+    After the tentative edge (v, c) -> t it scans at v, with the kernel
+    ``_scan`` of coset enumeration, the relator cycles that begin with
+    column c; every relator cycle through the new edge is one of them.  The
+    vertices are distinct cosets, so an edge after which two of them must
+    coincide has no completion and is rejected.
+    """
+
     def __init__(self, presentation: Presentation, n: int, budget: int):
-        self.pres = presentation
         self.n = n
-        self.k = len(presentation.alphabet)
-        self.ncols = 2 * self.k
-        self.table = [[-1] * self.ncols for _ in range(n)]
+        self.ncols = 2 * len(presentation.alphabet)
+        self.table = [[None] * self.ncols for _ in range(n)]
         self.used = 1
         self.budget = budget
         self.nodes = 0
-        self.relator_cols = [
-            [2 * (abs(lt) - 1) + (0 if lt > 0 else 1) for lt in r]
-            for r in presentation.relators
-        ]
-
-    def _scan_ok(self, alpha: int) -> bool:
-        """Relator scans at ``alpha``: no completed scan may miss its start."""
-        for cols in self.relator_cols:
-            v = alpha
-            for c in cols:
-                v = self.table[v][c]
-                if v < 0:
-                    break
-            else:
-                if v != alpha:
-                    return False
-        return True
-
-    def _check_after(self, touched: tuple[int, int]) -> bool:
-        # a completed relator cycle through the new edge can start at any
-        # vertex; used counts are small, so rescan all used vertices
-        return all(self._scan_ok(v) for v in range(self.used))
+        self.conjugates = _relator_cycles(presentation)
 
     def _first_slot(self) -> Optional[tuple[int, int]]:
         for v in range(self.used):
             for c in range(self.ncols):
-                if self.table[v][c] < 0:
+                if self.table[v][c] is None:
                     return (v, c)
         return None
 
@@ -83,24 +72,21 @@ class _Search:
             return
         v, c = slot
         inv = c ^ 1
-        limit = self.used + 1 if self.used < self.n else self.used
-        for t in range(limit):
-            if t < self.used and self.table[t][inv] >= 0:
+        used = self.used
+        for t in range(min(used + 1, self.n)):  # a used vertex, or the next new one
+            if t < used and self.table[t][inv] is not None:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(self.budget)
-            grew = t == self.used
-            if grew:
-                self.used += 1
+            self.used = max(used, t + 1)
             self.table[v][c] = t
             self.table[t][inv] = v
-            if self._check_after((v, c)):
+            if all(len(_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
                 yield from self._extend()
-            self.table[t][inv] = -1
-            self.table[v][c] = -1
-            if grew:
-                self.used -= 1
+            self.table[t][inv] = None
+            self.table[v][c] = None
+        self.used = used
 
 
 def _least_from_base(rows: tuple[tuple[int, ...], ...]) -> bool:
@@ -139,6 +125,8 @@ def hall_search(
 ) -> Optional[SubgroupGraph]:
     """A subgroup of order ``d`` whose order is coprime to its index, found
     by enumerating graphs on ``group_order / d`` vertices; None if none exists."""
+    if d < 1 or group_order < 1:
+        raise ValueError(f"group order {group_order} and subgroup order {d} must be positive")
     if group_order % d != 0:
         raise ValueError(f"{d} does not divide the group order {group_order}")
     if gcd(d, group_order // d) != 1:

@@ -80,6 +80,8 @@ class ProductGraph:
         return self._graph
 
     def pair_id(self, v_left: int, v_right: int) -> int:
+        if not (0 <= v_left < self.left.index() and 0 <= v_right < self.right.index()):
+            raise ValueError(f"no vertex pair ({v_left}, {v_right}) in the product")
         return v_left * self.right.index() + v_right
 
     def in_base_component(self, v_left: int, v_right: int) -> bool:
@@ -120,6 +122,8 @@ def is_malnormal(sg: SubgroupGraph, group_order: int) -> bool:
     component has exactly ``group_order`` vertices, so its language maps
     onto the trivial subgroup.
     """
+    if group_order < 1:
+        raise ValueError(f"group order must be positive, got {group_order}")
     if group_order % sg.index() != 0:
         raise ValueError(
             f"group order {group_order} is not a multiple of the index {sg.index()}"

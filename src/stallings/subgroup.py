@@ -281,34 +281,64 @@ def _columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * abs(lt) - 2 + (lt < 0) for lt in w)
 
 
+def _relator_cycles(presentation: Presentation) -> list[list[tuple[int, ...]]]:
+    """Per column, the cyclic conjugates of every relator and its inverse
+    that begin with it, without repeats: each relator cycle through an entry
+    (alpha, col) is one of these read at alpha."""
+    cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
+                           for w in (_columns(r), _columns(r.inverse()))
+                           for k in range(len(w)))
+    return [[w for w in cycles if w[0] == col]
+            for col in range(2 * len(presentation.alphabet))]
+
+
+def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cols: tuple[int, ...]) -> tuple:
+    """Scan the word reading ``cols`` at ``alpha``, forward and then backward,
+    in a partial coset table (rows of columns, None for an empty entry),
+    which it only reads.  Returns () if the scan closes or leaves a gap of
+    two or more entries, (f, col, b) if its one-entry gap forces the entry
+    f --col--> b, and (a, b) for two distinct rows that must coincide."""
+    f = alpha
+    for i, col in enumerate(cols):
+        nxt = table[f][col]
+        if nxt is None:
+            break
+        f = nxt
+    else:
+        return () if f == alpha else (f, alpha)
+    b = alpha
+    for c in reversed(cols[i + 1:]):
+        b = table[b][c ^ 1]
+        if b is None:
+            return ()
+    # b already has the inverse entry when its cycle cannot close through f
+    o = table[b][col ^ 1]
+    return (f, col, b) if o is None else (o, f)
+
+
 class _Enumeration:
     """Felsch-style coset enumeration over a partial table.
 
-    Columns alternate positive and inverse letters: column 2i acts by
-    generator i, column 2i+1 (``2i ^ 1``) by its inverse.  Each definition
-    and each deduction pushes its entry (alpha, col) on a deduction stack.
-    Processing it scans at alpha only the cyclic conjugates of the relators
-    and their inverses that begin with column col, precompiled once per
-    column: every relator cycle through a new entry is one of them.
-    Coincidences are processed with a merge queue over a union-find of
-    cosets; a merge pushes every column of the surviving coset, as its row
-    now carries the scans that ran through the dead one.
+    Each definition and each deduction pushes its entry (alpha, col) on a
+    deduction stack.  Processing it runs the kernel ``_scan`` at alpha over
+    the relator cycles that begin with col, and a forced entry it reports
+    is a deduction.  Coincidences are processed with a merge queue over a
+    union-find of cosets; once it is empty no live row references a dead
+    coset, so the kernel reads the table as it stands.  A merge pushes every
+    column of the surviving coset, as its row now carries the scans that ran
+    through the dead one.
     """
 
     def __init__(self, presentation: Presentation):
-        self.pres = presentation
         self.ncols = 2 * len(presentation.alphabet)
         self.table: list[list[Optional[int]]] = [[None] * self.ncols]
         self.cosets = _UnionFind(1)
         self.rep = self.cosets.find
         self.alive = 1
         self.deductions: list[tuple[int, int]] = []
-        cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
-                               for w in (_columns(r), _columns(r.inverse()))
-                               for k in range(len(w)))
-        self.conjugates = [[w for w in cycles if w[0] == col] for col in range(self.ncols)]
+        self.conjugates = _relator_cycles(presentation)
         # a relator of length one binds a coset before any of its entries exist
-        self.loops = [w for w in cycles if len(w) == 1]
+        self.loops = [w for ws in self.conjugates for w in ws if len(w) == 1]
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -341,39 +371,17 @@ class _Enumeration:
                     self.table[mu][col] = nu
                     self.table[nu][col ^ 1] = mu
 
-    def _scan(self, alpha: int, cols: tuple[int, ...]) -> None:
-        """Scan the word reading ``cols`` at coset ``alpha``; fill a
-        length-1 gap as a deduction, report a length-0 mismatch as a
-        coincidence."""
-        table = self.table
-        f = alpha
-        i = 0
-        while i < len(cols):
-            nxt = table[f][cols[i]]
-            if nxt is None:
-                break
-            f = self.rep(nxt)
-            i += 1
-        else:
-            if f != alpha:
-                self._coincidence(f, alpha)
-            return
-        b = alpha
-        j = len(cols) - 1
-        while j > i:
-            prv = table[b][cols[j] ^ 1]
-            if prv is None:
-                return  # gap of length >= 2: leave incomplete
-            b = self.rep(prv)
-            j -= 1
-        # gap of length 1: deduction, unless b already has the inverse entry
-        o = table[b][cols[i] ^ 1]
-        if o is None:
-            table[f][cols[i]] = b
-            table[b][cols[i] ^ 1] = f
-            self.deductions.append((f, cols[i]))
-        else:
-            self._coincidence(self.rep(o), f)
+    def _apply(self, alpha: int, cols: tuple[int, ...]) -> None:
+        """Scan ``cols`` at coset ``alpha``, then fill the entry it forces as
+        a deduction or process the coincidence it finds."""
+        found = _scan(self.table, alpha, cols)
+        if len(found) == 2:
+            self._coincidence(*found)
+        elif found:
+            f, col, b = found
+            self.table[f][col] = b
+            self.table[b][col ^ 1] = f
+            self.deductions.append((f, col))
 
     def _define(self, alpha: int, col: int) -> None:
         beta = len(self.table)
@@ -384,12 +392,12 @@ class _Enumeration:
         self.table[beta][col ^ 1] = alpha
         self.deductions.append((alpha, col))
         for w in self.loops:
-            self._scan(beta, w)
+            self._apply(beta, w)
 
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
         subgens = [w for w in (_columns(free_reduce(w)) for w in subgens) if w]
         for w in self.loops:
-            self._scan(0, w)
+            self._apply(0, w)
         first = 0  # every coset below it is dead or complete, and stays so
         while True:
             # close under the deductions, then under the subgroup generators
@@ -400,9 +408,9 @@ class _Enumeration:
                     for w in self.conjugates[col]:
                         if self.rep(alpha) != alpha:
                             break  # its row moved to the survivor, which was pushed
-                        self._scan(alpha, w)
+                        self._apply(alpha, w)
                 for w in subgens:
-                    self._scan(0, w)
+                    self._apply(0, w)
                 if not self.deductions:
                     break
             table = self.table
@@ -419,8 +427,8 @@ class _Enumeration:
         stays first, as merges keep the smaller id."""
         live = [c for c in range(len(self.table)) if self.rep(c) == c]
         renum = {c: i for i, c in enumerate(live)}
-        return [[renum[self.rep(self.table[c][2 * li])] for c in live]
-                for li in range(len(self.pres.alphabet))]
+        return [[renum[self.table[c][col]] for c in live]
+                for col in range(0, self.ncols, 2)]
 
 
 def coset_enumerate(

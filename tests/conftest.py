@@ -34,3 +34,21 @@ def delta333():
 def q8():
     # quaternion group of order 8
     return Presentation.parse(["a", "b"], ["a a a a", "a a b^-1 b^-1", "b^-1 a b a"])
+
+
+@pytest.fixture
+def random_presentation():
+    """Seeded small presentations over the first k of a, b, c: one to three
+    freely reduced relators of length 1-6, so some have relators of length
+    one or relators that are not cyclically reduced."""
+    def make(rng, k):
+        names = ["a", "b", "c"][:k]
+        while True:
+            relators = [" ".join(rng.choice(names) + rng.choice(["", "^-1"])
+                                 for _ in range(rng.randint(1, 6)))
+                        for _ in range(rng.randint(1, 3))]
+            try:
+                return Presentation.parse(names, relators)
+            except ValueError:  # a relator reduced to the empty word
+                continue
+    return make

@@ -10,6 +10,8 @@ FILES = {
     "graph": "vertices: 1\nbase: 0\nedge: 0 a 0\nedge: 0 b 0\n",
     "bad_vertices": "vertices: x\nbase: 0\n",
     "bad_base": "vertices: 1\nbase: x\nedge: 0 a 0\nedge: 0 b 0\n",
+    # the index-2 subgroup of F(a, b) containing a
+    "index2": "vertices: 2\nbase: 0\nedge: 0 a 0\nedge: 0 b 1\nedge: 1 a 1\nedge: 1 b 0\n",
 }
 
 CASES = {
@@ -28,6 +30,16 @@ CASES = {
     "verify-bad-vertex-count": (None, ["verify", "{bad_vertices}"], "line 1: bad vertex count"),
     "max-cosets-zero": (None, ["build", "-g", "a", "--max-cosets", "0"], "--max-cosets"),
     "max-cosets-negative": (None, ["build", "--max-cosets", "-2"], "--max-cosets"),
+    "hall-zero-order": (None, ["hall", "--order", "0", "--d", "0"], "must be positive"),
+    "hall-zero-d": (None, ["hall", "--order", "6", "--d", "0"], "must be positive"),
+    "malnormal-zero-order": (None, ["malnormal", "{graph}", "--order", "0"], "group order"),
+    "malnormal-negative-order": (None, ["malnormal", "{index2}", "--order", "-4"], "group order"),
+    "coset-meet-vertex-too-large": (None, ["coset-meet", "{index2}", "{index2}", "0", "5"],
+                                    "no vertex pair (0, 5)"),
+    "coset-meet-negative-vertex": (None, ["coset-meet", "{index2}", "{index2}", "0", "-1"],
+                                   "no vertex pair (0, -1)"),
+    "coset-meet-negative-wraps": (None, ["coset-meet", "{index2}", "{index2}", "1", "-1"],
+                                  "no vertex pair (1, -1)"),
 }
 
 

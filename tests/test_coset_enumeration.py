@@ -9,11 +9,12 @@ cosets at each definition, and ``normalizer`` enumerates with the index of
 H as its bound.
 """
 
+import random
 from itertools import permutations
 
 import pytest
 
-from stallings import CosetLimitExceeded, Presentation, coset_enumerate
+from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate
 from stallings.subgroup import _Enumeration
 
 
@@ -166,3 +167,35 @@ def test_normalizer_in_s5(gens):
     assert n.index() == len(conjugates)
     assert len(reps) == h.index() // n.index()
     assert all(n.contains(w) for w in reps + h.generators())
+
+
+def test_no_live_row_references_a_dead_coset(monkeypatch, random_presentation):
+    """The scan kernel reads the table without union-find lookups, which is
+    sound only if a coincidence leaves no live row pointing at a dead coset."""
+    checks = []
+    coincidence = _Enumeration._coincidence
+
+    def checked(self, a, b):
+        coincidence(self, a, b)
+        live = [row for c, row in enumerate(self.table) if self.rep(c) == c]
+        assert all(t is None or self.rep(t) == t for row in live for t in row)
+        checks.append((a, b))
+
+    monkeypatch.setattr(_Enumeration, "_coincidence", checked)
+    jobs = [(GROUPS["S5"], [], 10_000)]
+    jobs += [(GROUPS[g], [GROUPS[g].word(w) for w in gens], 10_000)
+             for g, gens, _, _ in DEFINED if g in ("B3", "Z4")]
+    jobs += [(A2, [A2.word(w) for w in gens], 200) for gens in ["ab", "bc", "ac"]]
+    rng = random.Random(7)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        pres = random_presentation(rng, k)
+        gens = [Word(rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 2))]
+        jobs.append((pres, gens, 200))
+    for pres, gens, max_cosets in jobs:
+        try:
+            _Enumeration(pres).run(gens, max_cosets)
+        except CosetLimitExceeded:
+            pass
+    assert len(checks) > 1000

@@ -86,3 +86,21 @@ def test_component_sizes_partition(h_and_k):
     h, k = h_and_k
     pg = ProductGraph(h, k)
     assert sum(pg.component_sizes().values()) == pg.graph.vertex_count
+
+
+def test_vertices_outside_a_factor_are_rejected(f2):
+    h = coset_enumerate(f2, [f2.word("a"), f2.word("b a b^-1"), f2.word("b b")])
+    pg = product(h, h)
+    for v_left, v_right in [(0, 2), (0, -1), (1, -1), (2, 0), (-1, 1)]:
+        with pytest.raises(ValueError):
+            pg.pair_id(v_left, v_right)
+        with pytest.raises(ValueError):
+            pg.in_base_component(v_left, v_right)
+        with pytest.raises(ValueError):
+            coset_meet(pg, v_left, v_right)
+
+
+@pytest.mark.parametrize("order", [0, -4])
+def test_malnormality_needs_a_positive_group_order(f2, order):
+    with pytest.raises(ValueError):
+        is_malnormal(coset_enumerate(f2, [f2.word("a"), f2.word("b")]), order)
