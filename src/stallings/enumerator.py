@@ -57,20 +57,16 @@ class _Search:
         self.nodes = 0
         self.conjugates = _relator_cycles(presentation)
 
-    def _first_slot(self) -> Optional[tuple[int, int]]:
-        for v in range(self.used):
-            for c in range(self.ncols):
-                if self.table[v][c] is None:
-                    return (v, c)
-        return None
-
-    def _extend(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        slot = self._first_slot()
-        if slot is None:
+    def _extend(self, v: int = 0, c: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Complete the table from its first empty entry, at or after the
+        entry (v, c) filled last: the inverse entry filled with it lands later."""
+        while v < self.used and None not in self.table[v][c:]:
+            v, c = v + 1, 0
+        if v == self.used:
             if self.used == self.n:
                 yield tuple(tuple(row) for row in self.table)
             return
-        v, c = slot
+        c = self.table[v].index(None, c)
         inv = c ^ 1
         used = self.used
         for t in range(min(used + 1, self.n)):  # a used vertex, or the next new one
@@ -83,7 +79,7 @@ class _Search:
             self.table[v][c] = t
             self.table[t][inv] = v
             if all(len(_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
-                yield from self._extend()
+                yield from self._extend(v, c)
             self.table[t][inv] = None
             self.table[v][c] = None
         self.used = used

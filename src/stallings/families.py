@@ -23,8 +23,8 @@ from .words import (
     merge_alphabets,
     shift_word,
 )
-from .xgraph import BasedXGraph, XGraph, trace
-from .subgroup import SubgroupGraph, subgroup_from_graph
+from .xgraph import BasedXGraph, trace
+from .subgroup import SubgroupGraph
 from .products import ProductGraph
 
 
@@ -143,7 +143,7 @@ def build_type2(
     if not (0 <= a < nletters and 0 <= b < nletters):
         raise ValueError("letter index out of range")
     m = (k + l - 2) * pair_count + 1
-    edges = []
+    forward = [list(range(m)) for _ in range(nletters)]  # a loop until a circle passes
     fresh = 1
 
     def add_circle(entry: int, letter: int, length: int) -> int:
@@ -152,7 +152,7 @@ def build_type2(
         ring = [entry] + list(range(fresh, fresh + length - 1))
         fresh += length - 1
         for i in range(length):
-            edges.append((ring[i], letter, ring[(i + 1) % length]))
+            forward[letter][ring[i]] = ring[(i + 1) % length]
         return ring[1]
 
     entry = 0
@@ -161,18 +161,7 @@ def build_type2(
         entry = add_circle(glue, b, l)
     if fresh != m:
         raise RuntimeError(f"type 2 chain numbered {fresh} vertices, expected {m}")
-    _complete_with_loops(edges, m, nletters)
-    graph = BasedXGraph(XGraph(presentation.alphabet, m, edges), 0)
-    return certify(subgroup_from_graph(graph, presentation), Word([a + 1, b + 1]))
-
-
-def _complete_with_loops(edges: list, n: int, nletters: int) -> None:
-    """Add a loop at every vertex for every letter with no incident edge."""
-    touched = {(u, li) for (u, li, _) in edges} | {(v, li) for (_, li, v) in edges}
-    for v in range(n):
-        for li in range(nletters):
-            if (v, li) not in touched:
-                edges.append((v, li, v))
+    return certify(SubgroupGraph(presentation, forward), Word([a + 1, b + 1]))
 
 
 def extend_with_loops(
@@ -221,20 +210,18 @@ def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
 
     c = spec.pair_count
     m = (n1 + n2 - 2) * c + 1
-    edges: list[tuple[int, int, int]] = []
+    forward = [list(range(m)) for _ in alphabet.names]  # a loop until a copy passes
     fresh = 1
 
     def add_copy(sg: SubgroupGraph, w: Word, entry: int, shift: int) -> int:
         """Glue a copy of the factor at ``entry`` (identified with the factor
         base); return the global id of the base's one-step w-translate."""
         nonlocal fresh
-        gmap = {sg.base: entry}
-        for v in range(sg.index()):
-            if v != sg.base:
-                gmap[v] = fresh
-                fresh += 1
+        gmap = [entry] + list(range(fresh, fresh + sg.index() - 1))  # the base is 0
+        fresh += sg.index() - 1
         for li, col in enumerate(sg.coset_table().permutations):
-            edges.extend((gmap[u], li + shift, gmap[v]) for u, v in enumerate(col))
+            for u, v in enumerate(col):
+                forward[li + shift][gmap[u]] = gmap[v]
         return gmap[sg.trace(sg.base, w)]
 
     entry = 0
@@ -243,10 +230,8 @@ def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
         entry = add_copy(right, spec.right_word, glue, offset)
     if fresh != m:
         raise RuntimeError(f"glued chain numbered {fresh} vertices, expected {m}")
-    _complete_with_loops(edges, m, len(alphabet))
-    graph = BasedXGraph(XGraph(alphabet, m, edges), 0)
     w = free_reduce(spec.left_word) * shift_word(free_reduce(spec.right_word), offset)
-    return graph, presentation, w
+    return SubgroupGraph(presentation, forward), w
 
 
 def build_glued(spec: GluingSpec) -> OrbitCertificate:
@@ -257,8 +242,7 @@ def build_glued(spec: GluingSpec) -> OrbitCertificate:
     of the concatenated words; when the vertex count is prime it witnesses
     the contractibility hypotheses for the free product.
     """
-    graph, presentation, w = _assemble_glued(spec)
-    return certify(subgroup_from_graph(graph, presentation), w)
+    return certify(*_assemble_glued(spec))
 
 
 def build_amalgam(
@@ -282,8 +266,7 @@ def build_amalgam(
                 "identification image is not in the right factor subgroup"
             )
         extra.append(free_reduce(d * shift_word(psi_d, offset).inverse()))
-    graph, presentation, w = _assemble_glued(spec, extra)
-    return certify(subgroup_from_graph(graph, presentation), w)
+    return certify(*_assemble_glued(spec, extra))
 
 
 def verify_coprime_certificate(

@@ -21,7 +21,7 @@ from .errors import (
     PresentationMismatch,
 )
 from .words import EMPTY_WORD, Presentation, Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _UnionFind
+from .xgraph import BasedXGraph, XGraph, _PartialTable
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -316,60 +316,32 @@ def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cols: tuple[int,
     return (f, col, b) if o is None else (o, f)
 
 
-class _Enumeration:
+class _Enumeration(_PartialTable):
     """Felsch-style coset enumeration over a partial table.
 
     Each definition and each deduction pushes its entry (alpha, col) on a
     deduction stack.  Processing it runs the kernel ``_scan`` at alpha over
     the relator cycles that begin with col, and a forced entry it reports
-    is a deduction.  Coincidences are processed with a merge queue over a
-    union-find of cosets; once it is empty no live row references a dead
-    coset, so the kernel reads the table as it stands.  A merge pushes every
-    column of the surviving coset, as its row now carries the scans that ran
-    through the dead one.
+    is a deduction.  Coincidences are processed by the partial table, the
+    same routine that folds graphs; once it is done no live row references
+    a dead coset, so the kernel reads the table as it stands.  A merge
+    pushes every column of the surviving coset, as its row now carries the
+    scans that ran through the dead one.
     """
 
     def __init__(self, presentation: Presentation):
-        self.ncols = 2 * len(presentation.alphabet)
-        self.table: list[list[Optional[int]]] = [[None] * self.ncols]
-        self.cosets = _UnionFind(1)
-        self.rep = self.cosets.find
-        self.alive = 1
+        super().__init__(2 * len(presentation.alphabet), 1)
         self.deductions: list[tuple[int, int]] = []
         self.conjugates = _relator_cycles(presentation)
         # a relator of length one binds a coset before any of its entries exist
         self.loops = [w for ws in self.conjugates for w in ws if len(w) == 1]
 
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if self.cosets.union(a, b):
-            self.alive -= 1
-            queue.append(max(a, b))
-            self.deductions.extend((min(a, b), col) for col in range(self.ncols))
-
-    def _coincidence(self, a: int, b: int) -> None:
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        while queue:
-            dead = queue.pop()
-            row = self.table[dead]
-            for col in range(self.ncols):
-                target = row[col]
-                if target is None:
-                    continue
-                row[col] = None
-                # drop the back-reference before re-installing the edge
-                trow = self.table[target]
-                if trow[col ^ 1] == dead:
-                    trow[col ^ 1] = None
-                mu, nu = self.rep(dead), self.rep(target)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.rep(self.table[mu][col]), queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.rep(self.table[nu][col ^ 1]), queue)
-                else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+    def _merge(self, a: int, b: int) -> bool:
+        merged = super()._merge(a, b)
+        if merged:
+            survivor = self.rep(a)
+            self.deductions.extend((survivor, col) for col in range(self.ncols))
+        return merged
 
     def _apply(self, alpha: int, cols: tuple[int, ...]) -> None:
         """Scan ``cols`` at coset ``alpha``, then fill the entry it forces as
@@ -379,17 +351,15 @@ class _Enumeration:
             self._coincidence(*found)
         elif found:
             f, col, b = found
-            self.table[f][col] = b
-            self.table[b][col ^ 1] = f
+            self._install(f, col, b)
             self.deductions.append((f, col))
 
     def _define(self, alpha: int, col: int) -> None:
         beta = len(self.table)
         self.table.append([None] * self.ncols)
-        self.cosets.parent.append(beta)
+        self.parent.append(beta)
         self.alive += 1
-        self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        self._install(alpha, col, beta)
         self.deductions.append((alpha, col))
         for w in self.loops:
             self._apply(beta, w)

@@ -3,6 +3,10 @@
 Edges carry positive labels only; the formal inverse of an edge is a view:
 a positive edge ``(u, x, v)`` is traversable backwards under the label
 ``x^-1``.  All graphs are immutable after construction.
+
+Stallings folding is the coincidence processing of Todd-Coxeter coset
+enumeration, run in the free group: ``_PartialTable`` holds the one
+merge routine, and ``fold`` and ``subgroup._Enumeration`` both use it.
 """
 
 from __future__ import annotations
@@ -149,13 +153,20 @@ def _component(g: XGraph, start: int) -> set[int]:
     return seen
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+class _PartialTable:
+    """A partial coset table: rows of 2k columns, 2i for letter i and 2i+1
+    for its inverse, None for an empty entry (an entry and its inverse are
+    set and cleared together); a union-find over the rows that keeps the
+    least id as representative; and the queue of merged rows to process."""
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+    def __init__(self, ncols: int, rows: int):
+        self.ncols = ncols
+        self.table: list[list[Optional[int]]] = [[None] * ncols for _ in range(rows)]
+        self.parent = list(range(rows))
+        self.alive = rows
+        self.queue: list[int] = []
 
-    def find(self, x: int) -> int:
+    def rep(self, x: int) -> int:
         p = self.parent
         root = x
         while p[root] != root:
@@ -164,46 +175,69 @@ class _UnionFind:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+    def _merge(self, a: int, b: int) -> bool:
+        """Union the classes of a and b, queueing the one that dies."""
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
             return False
-        # keep the smaller id as representative, for determinism
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        self.alive -= 1
+        self.queue.append(b)
         return True
+
+    def _install(self, mu: int, col: int, nu: int) -> None:
+        """Set the entry mu --col--> nu of two live rows, or merge with the
+        entry already set at either end."""
+        table = self.table
+        if table[mu][col] is not None:
+            self._merge(nu, table[mu][col])
+        elif table[nu][col ^ 1] is not None:
+            self._merge(mu, table[nu][col ^ 1])
+        else:
+            table[mu][col] = nu
+            table[nu][col ^ 1] = mu
+
+    def _process(self) -> None:
+        """Move the entries of every queued row onto its representative;
+        afterwards no live row references a dead one."""
+        table, queue = self.table, self.queue
+        while queue:
+            dead = queue.pop()
+            row = table[dead]
+            for col in range(self.ncols):
+                target = row[col]
+                if target is None:
+                    continue
+                row[col] = None
+                # drop the back-reference before re-installing the edge
+                trow = table[target]
+                if trow[col ^ 1] == dead:
+                    trow[col ^ 1] = None
+                self._install(self.rep(dead), col, self.rep(target))
+
+    def _coincidence(self, a: int, b: int) -> None:
+        self._merge(a, b)
+        self._process()
 
 
 def fold(g: XGraph) -> tuple[XGraph, Morphism]:
     """Identify edges with equal origin (or terminus) and label to a fixed point.
 
-    Returns the folded graph and the quotient morphism.  The subgroup of loop
-    labels at any vertex is preserved under the quotient.
+    Each edge is installed in a partial table with a row per vertex, and
+    where an entry is already set the two ends merge, as in a coincidence
+    of coset enumeration.  Returns the folded graph, its vertices numbered
+    by least member, and the quotient morphism, which preserves the
+    subgroup of loop labels at any vertex.
     """
-    uf = _UnionFind(g.vertex_count)
-    changed = True
-    while changed:
-        changed = False
-        by_out: dict[tuple[int, int], int] = {}
-        by_in: dict[tuple[int, int], int] = {}
-        for (u, li, v) in g.edges:
-            ru, rv = uf.find(u), uf.find(v)
-            prev = by_out.get((ru, li))
-            if prev is None:
-                by_out[(ru, li)] = rv
-            elif uf.find(prev) != rv:
-                uf.union(prev, rv)
-                changed = True
-            prev = by_in.get((rv, li))
-            if prev is None:
-                by_in[(rv, li)] = ru
-            elif uf.find(prev) != ru:
-                uf.union(prev, ru)
-                changed = True
-    roots = sorted({uf.find(v) for v in range(g.vertex_count)})
+    t = _PartialTable(2 * len(g.alphabet), g.vertex_count)
+    for (u, li, v) in g.edges:
+        t._install(t.rep(u), 2 * li, t.rep(v))
+    t._process()
+    roots = [v for v in range(g.vertex_count) if t.rep(v) == v]
     renum = {r: i for i, r in enumerate(roots)}
-    vmap = tuple(renum[uf.find(v)] for v in range(g.vertex_count))
+    vmap = tuple(renum[t.rep(v)] for v in range(g.vertex_count))
     edges = {(vmap[u], li, vmap[v]) for (u, li, v) in g.edges}
     return XGraph(g.alphabet, len(roots), edges), Morphism(vmap)
 
@@ -212,24 +246,32 @@ def core(g: BasedXGraph) -> BasedXGraph:
     """The union of all reduced loops at the base of a folded graph.
 
     Computed as the base's connected component with every degree-1 vertex
-    other than the base deleted iteratively.
+    other than the base deleted iteratively, from a worklist of vertices
+    whose degree has dropped to one or less.
     """
-    comp = _component(g.graph, g.base)
-    alive = set(comp)
-    edges = [e for e in g.graph.edges if e[0] in alive and e[2] in alive]
-    while True:
-        deg: dict[int, int] = {v: 0 for v in alive}
-        for (u, _, v) in edges:
+    alive = _component(g.graph, g.base)
+    out, inc = g.graph._adjacency()
+    deg = dict.fromkeys(alive, 0)
+    for (u, _, v) in g.graph.edges:
+        if u in alive:  # then so is v
             deg[u] += 1
             deg[v] += 1
-        drop = {v for v in alive if v != g.base and deg[v] <= 1}
-        if not drop:
-            break
-        alive -= drop
-        edges = [e for e in edges if e[0] in alive and e[2] in alive]
+    stack = [v for v in alive if v != g.base and deg[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if v not in alive:
+            continue
+        alive.remove(v)
+        for ends in (*out[v].values(), *inc[v].values()):
+            for w in ends:
+                if w in alive:
+                    deg[w] -= 1
+                    if deg[w] <= 1 and w != g.base:
+                        stack.append(w)
     order = sorted(alive)
     renum = {v: i for i, v in enumerate(order)}
-    new_edges = [(renum[u], li, renum[v]) for (u, li, v) in edges]
+    new_edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges
+                 if u in alive and v in alive]
     return BasedXGraph(XGraph(g.alphabet, len(order), new_edges), renum[g.base])
 
 

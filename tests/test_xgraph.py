@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -207,3 +209,98 @@ def test_free_subgroup_graph_properties(gens):
     # the basis generates the same loops: every basis word closes at base
     for w in free_basis(g):
         assert trace(g.graph, g.base, w) == g.base
+
+
+def rescan_fold(g):
+    """Reference fold: rescan every edge, merging ends that share an origin
+    (or terminus) and label, until a whole pass merges nothing."""
+    parent = list(range(g.vertex_count))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    changed = True
+    while changed:
+        changed = False
+        by_out, by_in = {}, {}
+        for (u, li, v) in g.edges:
+            for key, end, seen in (((find(u), li), v, by_out), ((find(v), li), u, by_in)):
+                a, b = find(seen.setdefault(key, end)), find(end)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+                    changed = True
+    roots = sorted({find(v) for v in range(g.vertex_count)})
+    vmap = tuple(roots.index(find(v)) for v in range(g.vertex_count))
+    return XGraph(g.alphabet, len(roots), {(vmap[u], li, vmap[v]) for (u, li, v) in g.edges}), vmap
+
+
+def pruned_core(g):
+    """Reference core: recount every degree in the base component and drop
+    the non-base vertices of degree at most one, until none is left."""
+    alive, frontier = {g.base}, [g.base]  # the base component
+    while frontier:
+        v = frontier.pop()
+        for (a, _, b) in g.graph.edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y not in alive:
+                    alive.add(y)
+                    frontier.append(y)
+    while True:
+        edges = [e for e in g.graph.edges if e[0] in alive and e[2] in alive]
+        deg = {v: sum((u == v) + (w == v) for (u, _, w) in edges) for v in alive}
+        drop = {v for v in alive if v != g.base and deg[v] <= 1}
+        if not drop:
+            break
+        alive -= drop
+    order = sorted(alive)
+    edges = [(order.index(u), li, order.index(v)) for (u, li, v) in g.graph.edges
+             if u in alive and v in alive]
+    return BasedXGraph(XGraph(g.alphabet, len(order), edges), order.index(g.base))
+
+
+def random_multigraph(rng):
+    alphabet = [Alphabet(["a"]), AB, Alphabet(["a", "b", "c"])][rng.randrange(3)]
+    n = rng.randint(1, 20)
+    edges = [(rng.randrange(n), rng.randrange(len(alphabet)), rng.randrange(n))
+             for _ in range(rng.randint(0, 3 * n))]
+    return XGraph(alphabet, n, edges)
+
+
+def test_fold_matches_rescan_reference():
+    rng = random.Random(2002)
+    for _ in range(1000):
+        g = random_multigraph(rng)
+        folded, m = fold(g)
+        assert (folded, m.vertex_map) == rescan_fold(g)
+        assert is_folded(folded)
+
+
+def test_fold_cascades_backwards_through_in_edges():
+    # the y x^2000 loop folds onto the x^2000 circle from its far end
+    x2000 = Word([1] * 2000)
+    wedge = wedge_of_words(XY, [x2000, Word([2]) * x2000])
+    folded, m = fold(wedge.graph)
+    assert folded.vertex_count == 2000
+    assert len(folded.edges) == 2001
+    assert (m(wedge.base), 1, m(wedge.base)) in folded.edges
+    assert is_folded(folded)
+
+
+def test_core_matches_pruning_reference():
+    rng = random.Random(2016)
+    for _ in range(500):
+        g = random_multigraph(rng)
+        for h in (g, fold(g)[0]):
+            based = BasedXGraph(h, rng.randrange(h.vertex_count))
+            assert core(based) == pruned_core(based)
+
+
+def test_core_prunes_a_long_hanging_path():
+    path = [(i, 0, i + 1) for i in range(2000)]
+    c = core(BasedXGraph(XGraph(XY, 2001, [(0, 1, 0)] + path), 0))
+    assert c == BasedXGraph(XGraph(XY, 1, [(0, 1, 0)]), 0)
+    # a base of degree one stays, and so does the path to the loop
+    lollipop = BasedXGraph(XGraph(XY, 2001, [(2000, 1, 2000)] + path), 0)
+    assert core(lollipop) == lollipop
