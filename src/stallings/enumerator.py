@@ -90,7 +90,7 @@ def _least_from_base(rows: tuple[tuple[int, ...], ...]) -> bool:
     lexicographically smaller table."""
     cols = list(zip(*rows))
     for v in range(1, len(rows)):
-        for a, b in zip(_canonical_rows(cols, v), rows):
+        for a, b in zip(_canonical_rows(cols, [v]), rows):
             if a != b:
                 if a < b:
                     return False

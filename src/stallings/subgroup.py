@@ -4,8 +4,9 @@ A subgroup graph is a connected X-regular graph that fulfills every relator:
 the Schreier coset graph of a finite-index subgroup, whose vertices are the
 right cosets.  It is held as a coset table, a forward and an inverse column
 per generator, numbered by BFS from the base (vertex 0).  Based graphs in
-that form are isomorphic exactly when their tables are equal, so conjugacy,
-normality and isomorphism compare the table renumbered from other bases.
+that form are isomorphic exactly when their tables are equal, so conjugacy
+and isomorphism compare the table renumbered from other bases; normality and
+the normalizer come from the table's automorphism group, N_G(H)/H.
 """
 
 from __future__ import annotations
@@ -77,14 +78,13 @@ def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]
     return None
 
 
-def _canonical_rows(cols: Iterable[Sequence[int]], base: int) -> Iterator[tuple[int, ...]]:
+def _canonical_rows(cols: Iterable[Sequence[int]], order: list[int]) -> Iterator[tuple[int, ...]]:
     """The rows of the table with these columns, in scan order, renumbered
-    by BFS from ``base``, one per reached vertex: vertices are numbered in
-    order of first appearance, reading the rows of reached vertices."""
+    by BFS from ``order == [base]``, one per reached vertex: vertices are
+    numbered, and appended to ``order``, in order of first appearance."""
     cols = list(cols)
     new = [-1] * len(cols[0])
-    new[base] = 0
-    order = [base]
+    new[order[0]] = 0
     for v in order:
         row = []
         for col in cols:
@@ -144,7 +144,7 @@ class SubgroupGraph:
         table = _table(forward, n)
         if len(forward) != len(presentation.alphabet):
             raise ValueError("graph is not X-regular")
-        rows = list(_canonical_rows(table.values(), base))
+        rows = list(_canonical_rows(table.values(), [base]))
         if len(rows) != n:
             raise ValueError("graph is not connected")
         violation = _relator_violation(table, presentation.relators)
@@ -214,11 +214,14 @@ class SubgroupGraph:
         """Words whose images generate the subgroup of G."""
         return self.free_basis()
 
-    def _rebased_is(self, base: int, other: "SubgroupGraph") -> bool:
-        """True iff this graph based at ``base`` is isomorphic to ``other``
-        (of the same index): the canonical tables agree row by row."""
-        return all(a == b for a, b in zip(_canonical_rows(self._table.values(), base),
-                                          zip(*other._table.values())))
+    def _rebased_map(self, base: int, other: "SubgroupGraph") -> Optional[list[int]]:
+        """The vertices in BFS order from ``base`` if, so renumbered, the table
+        equals ``other``'s (of the same index), else None as soon as a row
+        differs.  Vertex i of ``other`` goes to ``order[i]`` by an isomorphism."""
+        order = [base]
+        rows = _canonical_rows(self._table.values(), order)
+        same = all(a == b for a, b in zip(rows, zip(*other._table.values())))
+        return order if same else None
 
     def conjugate(self, other: "SubgroupGraph") -> Optional[Word]:
         """A word g with H = g K g^-1 if the subgroups are conjugate, else None."""
@@ -226,19 +229,44 @@ class SubgroupGraph:
         if self.index() != other.index():
             return None
         return next((self.coset_reps[v] for v in range(self.index())
-                     if self._rebased_is(v, other)), None)
+                     if self._rebased_map(v, other) is not None), None)
+
+    def _in_normalizer(self) -> Iterator[bool]:
+        """Per vertex v in order, whether base -> v extends to an automorphism,
+        that is whether v carries a coset of N_G(H).  The automorphisms act
+        regularly on those vertices, so the base's orbit under those found so
+        far needs no test, and each one found at least doubles it."""
+        in_orbit = [True] + [False] * (self.index() - 1)
+        orbit, maps = [0], []
+        for v in range(self.index()):
+            if not in_orbit[v] and (found := self._rebased_map(v, self)) is not None:
+                maps.append(found)
+                for u in orbit:  # close the orbit under every map found
+                    for m in maps:
+                        if not in_orbit[m[u]]:
+                            in_orbit[m[u]] = True
+                            orbit.append(m[u])
+            yield in_orbit[v]
 
     def is_normal(self) -> bool:
         """Normality: the based graph looks the same from every vertex."""
-        return all(self._rebased_is(v, self) for v in range(self.index()))
+        return all(self._in_normalizer())
 
     def normalizer(self) -> tuple[list[Word], "SubgroupGraph"]:
-        """Coset representatives of N_G(H) over H, and its subgroup graph."""
-        reps = [rep for v, rep in enumerate(self.coset_reps) if self._rebased_is(v, self)]
-        gens = self.generators() + reps
-        normalizer_graph = coset_enumerate(self.presentation, gens,
-                                           max_cosets=self.index())
-        return reps, normalizer_graph
+        """Coset representatives of N_G(H) over H, and its subgroup graph:
+        the quotient by the orbits of the automorphisms, the blocks N_G(H) g,
+        each the image of the base's block under g."""
+        normal = [v for v, yes in enumerate(self._in_normalizer()) if yes]
+        block, blocks = dict.fromkeys(normal, 0), [normal]
+        perms = self.coset_table().permutations
+        for members in blocks:
+            for col in perms:
+                image = [col[v] for v in members]
+                if image[0] not in block:
+                    block.update(dict.fromkeys(image, len(blocks)))
+                    blocks.append(image)
+        forward = [[block[col[b[0]]] for b in blocks] for col in perms]
+        return [self.coset_reps[v] for v in normal], SubgroupGraph(self.presentation, forward)
 
     def _check_presentation(self, other: "SubgroupGraph") -> None:
         if self.presentation != other.presentation:
@@ -255,7 +283,7 @@ class SubgroupGraph:
     def isomorphic_unbased_to(self, other: "SubgroupGraph") -> bool:
         self._check_alphabet(other)
         return self.index() == other.index() and any(
-            other._rebased_is(v, self) for v in range(other.index()))
+            other._rebased_map(v, self) is not None for v in range(other.index()))
 
     def __repr__(self) -> str:
         return f"SubgroupGraph(index={self.index()}, over {self.presentation!r})"

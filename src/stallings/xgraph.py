@@ -296,52 +296,53 @@ def _bfs(g: BasedXGraph):
     """Deterministic BFS from the base.
 
     Edges at a vertex are visited in (letter-index, sign) order with positive
-    before inverse.  Returns (order, tree_edges, reps) where ``order`` lists
-    vertices in discovery order, ``tree_edges`` is the set of edge triples of
-    the spanning tree and ``reps`` maps each vertex to the label of its tree
-    path from the base (freely reduced).  Raises ValueError unless the BFS
-    reaches every vertex.
+    before inverse.  Returns (order, parent) where ``order`` lists vertices
+    in discovery order and ``parent`` (a Schreier vector) maps the base to
+    None and every other vertex to the vertex it was discovered from and the
+    signed letter read from there.  Raises ValueError unless the BFS reaches
+    every vertex.
     """
     gr = g.graph
-    k = len(gr.alphabet)
     order = [g.base]
-    seen = {g.base}
-    reps: dict[int, Word] = {g.base: Word()}
-    tree: set[tuple[int, int, int]] = set()
+    parent: dict[int, Optional[tuple[int, int]]] = {g.base: None}
     for v in order:
-        for li in range(k):
-            for t in gr.out_targets(v, li):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    tree.add((v, li, t))
-                    reps[t] = Word(reps[v].letters + (li + 1,))
-            for o in gr.in_origins(v, li):
-                if o not in seen:
-                    seen.add(o)
-                    order.append(o)
-                    tree.add((o, li, v))
-                    reps[o] = Word(reps[v].letters + (-(li + 1),))
+        for li in range(len(gr.alphabet)):
+            for lt, ends in ((li + 1, gr.out_targets(v, li)), (-li - 1, gr.in_origins(v, li))):
+                for t in ends:
+                    if t not in parent:
+                        parent[t] = (v, lt)
+                        order.append(t)
     if len(order) != g.vertex_count:
         raise ValueError("graph is not connected")
-    return order, tree, reps
+    return order, parent
+
+
+def _tree_words(order: list[int], parent: dict) -> dict[int, Word]:
+    """The label of the tree path from the base to each vertex."""
+    reps = {order[0]: Word()}
+    for t in order[1:]:
+        v, lt = parent[t]
+        reps[t] = Word(reps[v].letters + (lt,))
+    return reps
 
 
 def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
     """Deterministic breadth-first spanning tree from the base."""
-    return _bfs(g)[1]
+    order, parent = _bfs(g)
+    return {(v, lt - 1, t) if lt > 0 else (t, -lt - 1, v)
+            for t in order[1:] for v, lt in [parent[t]]}
 
 
 def coset_rep_words(g: BasedXGraph) -> list[Word]:
     """Tree-path label from the base to each vertex; the base gets the
     empty word."""
-    order, _, reps = _bfs(g)
+    reps = _tree_words(*_bfs(g))
     return [reps[v] for v in range(g.vertex_count)]
 
 
 def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
     """Renumber vertices in BFS discovery order from the base."""
-    order, _, _ = _bfs(g)
+    order, _ = _bfs(g)
     renum = {v: i for i, v in enumerate(order)}
     edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges]
     vmap = tuple(renum[v] for v in range(g.vertex_count))
@@ -354,11 +355,12 @@ def free_basis(g: BasedXGraph) -> list[Word]:
     For a folded connected graph these words are a free basis of the loop
     language at the base; their number is ``|E| - (|V| - 1)``.
     """
-    order, tree, reps = _bfs(g)
+    order, parent = _bfs(g)
+    reps = _tree_words(order, parent)
     basis = []
     for (u, li, v) in g.graph.edges:
-        if (u, li, v) in tree:
-            continue
+        if parent[v] == (u, li + 1) or parent[u] == (v, -li - 1):
+            continue  # a tree edge
         w = reps[u] * Word([li + 1]) * reps[v].inverse()
         basis.append(free_reduce(w))
     return basis

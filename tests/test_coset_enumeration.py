@@ -5,8 +5,7 @@ The counts below were recorded from the earlier engine, which rescanned
 every relator at every live coset until nothing changed.  The deduction
 stack closes the table under the same consequences before each definition,
 so it must define the same cosets: the budget ``max_cosets`` bounds live
-cosets at each definition, and ``normalizer`` enumerates with the index of
-H as its bound.
+cosets at each definition.
 """
 
 import random

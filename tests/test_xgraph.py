@@ -304,3 +304,41 @@ def test_core_prunes_a_long_hanging_path():
     # a base of degree one stays, and so does the path to the loop
     lollipop = BasedXGraph(XGraph(XY, 2001, [(2000, 1, 2000)] + path), 0)
     assert core(lollipop) == lollipop
+
+
+def word_bfs(g):
+    """Reference BFS that builds the tree-path word of each vertex as it
+    discovers it: (order, tree edges, words)."""
+    gr = g.graph
+    order, tree, reps = [g.base], set(), {g.base: Word()}
+    for v in order:
+        for li in range(len(gr.alphabet)):
+            for t in gr.out_targets(v, li):
+                if t not in reps:
+                    order.append(t)
+                    tree.add((v, li, t))
+                    reps[t] = Word(reps[v].letters + (li + 1,))
+            for o in gr.in_origins(v, li):
+                if o not in reps:
+                    order.append(o)
+                    tree.add((o, li, v))
+                    reps[o] = Word(reps[v].letters + (-(li + 1),))
+    return order, tree, reps
+
+
+def test_bfs_outputs_match_word_building_reference():
+    rng = random.Random(1603)
+    checked = 0
+    for _ in range(1000):
+        g = random_multigraph(rng)
+        if not is_connected(g):
+            continue
+        based = BasedXGraph(g, rng.randrange(g.vertex_count))
+        order, tree, reps = word_bfs(based)
+        assert spanning_tree(based) == tree
+        assert coset_rep_words(based) == [reps[v] for v in range(g.vertex_count)]
+        assert canonicalize(based)[1].vertex_map == tuple(map(order.index, range(g.vertex_count)))
+        assert free_basis(based) == [free_reduce(reps[u] * Word([li + 1]) * reps[v].inverse())
+                                     for (u, li, v) in g.edges if (u, li, v) not in tree]
+        checked += 1
+    assert checked > 100
