@@ -1,9 +1,10 @@
 """Record a BENCH_<tag>.json: the benchmark on a parent commit and on the working tree.
 
-Runs ``perfbench/run.py --trace 0`` for each workload and seed twice, once
-in a checkout of the parent commit (made with ``git archive`` in a
-temporary directory) and once in the working tree, alternating which side
-runs first from one pair to the next.  Writes the machine (CPU model,
+Runs ``perfbench/run.py --trace 0`` for each seed and each workload that
+``BENCHMARK.json`` lists, for the run length it sets, twice: once in a
+checkout of the parent commit (made with ``git archive`` in a temporary
+directory) and once in the working tree, alternating which side runs first
+from one pair to the next.  Writes the machine (CPU model,
 ``nproc``, Python version), the seeds, every run's end-to-end metrics and,
 per workload and metric, each side's median and quartiles and how many
 pairs the change won:
@@ -27,7 +28,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("coset-enum", "low-index", "products", "certify-io")
 
 
 def export(rev: str, dest: Path) -> None:
@@ -88,21 +88,20 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="the commit to compare against")
     p.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     p.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair per seed")
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    p.add_argument("--seconds", type=int, default=20)
     args = p.parse_args(argv)
     if len(args.seeds) < 2:
         p.error("quartiles need at least two seeds")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    seconds = contract["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         export(args.parent, Path(tmp))
         parent = Path(tmp) / "tree"
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
         workloads, machine = {}, None
-        for workload in args.workloads:
+        for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
                 sides = [("before", parent), ("after", ROOT)]
@@ -110,7 +109,7 @@ def main(argv=None) -> int:
                     sides.reverse()
                 pair = {"seed": seed, "first": sides[0][0]}
                 for side, checkout in sides:
-                    pair[side] = run(checkout, workload, seed, args.seconds)
+                    pair[side] = run(checkout, workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: "
                           f"wall_s {pair[side]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
                 pairs.append(pair)
@@ -127,7 +126,7 @@ def main(argv=None) -> int:
     record = {
         "parent": args.parent,
         "machine": machine,
-        "command": f"perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": args.seeds,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
         "workloads": workloads,
