@@ -67,7 +67,6 @@ from .products import (
     coset_meet,
     intersect,
     is_malnormal,
-    product,
 )
 from .enumerator import (
     EnumerationTask,

@@ -142,6 +142,8 @@ def build_type2(
     nletters = len(presentation.alphabet)
     if not (0 <= a < nletters and 0 <= b < nletters):
         raise ValueError("letter index out of range")
+    if pair_count < 1:
+        raise ValueError("pair count must be positive")
     m = (k + l - 2) * pair_count + 1
     forward = [list(range(m)) for _ in range(nletters)]  # a loop until a circle passes
     fresh = 1

@@ -94,10 +94,6 @@ class ProductGraph:
         return sizes
 
 
-def product(sg1: SubgroupGraph, sg2: SubgroupGraph) -> ProductGraph:
-    return ProductGraph(sg1, sg2)
-
-
 def intersect(sg1: SubgroupGraph, sg2: SubgroupGraph) -> SubgroupGraph:
     """The subgroup graph of the intersection: the orbit of base x base."""
     return _meet(sg1, sg2)[1]

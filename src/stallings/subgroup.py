@@ -3,10 +3,12 @@
 A subgroup graph is a connected X-regular graph that fulfills every relator:
 the Schreier coset graph of a finite-index subgroup, whose vertices are the
 right cosets.  It is held as a coset table, a forward and an inverse column
-per generator, numbered by BFS from the base (vertex 0).  Based graphs in
-that form are isomorphic exactly when their tables are equal, so conjugacy
-and isomorphism compare the table renumbered from other bases; normality and
-the normalizer come from the table's automorphism group, N_G(H)/H.
+per generator, numbered by BFS from the base (vertex 0), and the Schreier
+vector of that BFS, which yields the coset representatives on first use.
+Based graphs in that form are isomorphic exactly when their tables are
+equal, so conjugacy and isomorphism compare the table renumbered from other
+bases; normality and the normalizer come from the table's automorphism
+group, N_G(H)/H.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .errors import (
     FulfillmentFailed,
     PresentationMismatch,
 )
-from .words import EMPTY_WORD, Presentation, Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _PartialTable
+from .words import Presentation, Word, free_reduce
+from .xgraph import BasedXGraph, XGraph, _PartialTable, _tree_words, is_regular
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -53,15 +55,11 @@ def _table(forward: Sequence[Sequence[int]], n: int) -> dict:
 
 
 def _forward_columns(g: XGraph) -> list[list[int]]:
-    """``forward[i][v]`` is the end of the edge labeled i out of v, or -1
-    where there is none.  Raises ValueError if there are too many edges or
-    too few for an X-regular graph."""
-    if len(g.edges) != g.vertex_count * len(g.alphabet):
+    """``forward[i][v]`` is the end of the edge labeled i out of v, arc 2i of
+    its full table row in an X-regular graph; raises ValueError otherwise."""
+    if not is_regular(g):
         raise ValueError("graph is not X-regular")
-    forward = [[-1] * g.vertex_count for _ in g.alphabet.names]
-    for (u, li, v) in g.edges:
-        forward[li][u] = v
-    return forward
+    return [[arcs[2 * i][1] for arcs in g._arc_list()] for i in range(len(g.alphabet))]
 
 
 def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]:
@@ -127,12 +125,13 @@ class SubgroupGraph:
     """A finite-index subgroup, held as the coset table of its subgroup graph.
 
     Vertices are numbered canonically (BFS from the base), the base is
-    vertex 0 and ``coset_reps[v]`` is the label of the spanning-tree path
-    from the base to ``v``.  ``graph`` is the same graph as a BasedXGraph,
-    built on first use for output.
+    vertex 0 and ``_parent`` is the Schreier vector of the BFS: per vertex,
+    its tree parent and the signed letter read from there.  ``coset_reps[v]``,
+    the label of the tree path from the base to ``v``, and ``graph``, the
+    same graph as a BasedXGraph, are built on first use.
     """
 
-    __slots__ = ("presentation", "coset_reps", "_table", "_graph")
+    __slots__ = ("presentation", "_parent", "_coset_reps", "_table", "_graph")
 
     def __init__(self, presentation: Presentation,
                  forward: Sequence[Sequence[int]], base: int = 0):
@@ -150,19 +149,26 @@ class SubgroupGraph:
         violation = _relator_violation(table, presentation.relators)
         if violation is not None:
             raise FulfillmentFailed(*violation)
-        reps = [EMPTY_WORD]
+        parent = [None]
         for i, row in enumerate(rows):
             for lt, t in zip(table, row):
-                if t == len(reps):  # first appearance: a spanning-tree edge
-                    reps.append(Word(reps[i].letters + (lt,)))
+                if t == len(parent):  # first appearance: a spanning-tree edge
+                    parent.append((i, lt))
         self.presentation = presentation
-        self.coset_reps = tuple(reps)
+        self._parent = parent
+        self._coset_reps = None
         self._table = dict(zip(table, zip(*rows)))
         self._graph = None
 
     @property
     def base(self) -> int:
         return 0
+
+    @property
+    def coset_reps(self) -> tuple[Word, ...]:
+        if self._coset_reps is None:
+            self._coset_reps = tuple(_tree_words(range(self.index()), self._parent))
+        return self._coset_reps
 
     @property
     def graph(self) -> BasedXGraph:
@@ -178,6 +184,8 @@ class SubgroupGraph:
         return len(self._table[1])
 
     def trace(self, start: int, w: Word) -> int:
+        if not 0 <= start < self.index():
+            raise ValueError(f"start vertex {start} out of range")
         table = self._table
         v = start
         try:
@@ -201,13 +209,13 @@ class SubgroupGraph:
     def free_basis(self) -> list[Word]:
         """A free basis of the loop language at the base: the loops closed
         by the edges outside the spanning tree, by origin, then label."""
-        reps, perms = self.coset_reps, self.coset_table().permutations
+        reps, perms, parent = self.coset_reps, self.coset_table().permutations, self._parent
         basis = []
         for u, ru in enumerate(reps):
             for li, col in enumerate(perms):
-                rv, x = reps[col[u]], li + 1
-                if rv.letters[-1:] != (x,) and ru.letters[-1:] != (-x,):  # not a tree edge
-                    basis.append(free_reduce(ru * Word([x]) * rv.inverse()))
+                v, x = col[u], li + 1
+                if parent[v] != (u, x) and parent[u] != (v, -x):  # not a tree edge
+                    basis.append(free_reduce(ru * Word([x]) * reps[v].inverse()))
         return basis
 
     def generators(self) -> list[Word]:

@@ -4,6 +4,11 @@ Edges carry positive labels only; the formal inverse of an edge is a view:
 a positive edge ``(u, x, v)`` is traversable backwards under the label
 ``x^-1``.  All graphs are immutable after construction.
 
+Every reader walks one arc list per vertex in partial-table column order:
+an arc ``(2i, v)`` follows an edge labeled i forwards and ``(2i+1, u)``
+one backwards, so a folded graph's arc list at a vertex is its coset-table
+row without the empty entries.
+
 Stallings folding is the coincidence processing of Todd-Coxeter coset
 enumeration, run in the free group: ``_PartialTable`` holds the one
 merge routine, and ``fold`` and ``subgroup._Enumeration`` both use it.
@@ -21,7 +26,7 @@ from .words import Alphabet, Word, free_reduce, letter_index
 class XGraph:
     """A finite directed multigraph with alphabet-labeled edges."""
 
-    __slots__ = ("alphabet", "vertex_count", "edges", "_out", "_in")
+    __slots__ = ("alphabet", "vertex_count", "edges", "_arcs")
 
     def __init__(self, alphabet: Alphabet, vertex_count: int,
                  edges: Iterable[tuple[int, int, int]]):
@@ -35,29 +40,33 @@ class XGraph:
             if not 0 <= li < k:
                 raise ValueError(f"edge label index {li} out of range")
         self.edges = edges
-        self._out = None
-        self._in = None
+        self._arcs = None
 
-    def _adjacency(self):
-        if self._out is None:
-            out = [dict() for _ in range(self.vertex_count)]
-            inc = [dict() for _ in range(self.vertex_count)]
+    def _arc_list(self) -> list[list[tuple[int, int]]]:
+        """Per vertex, its ``(column, end)`` arcs sorted by column; a loop
+        gives two.  Within a column, ends ascend as the sorted edges do."""
+        if self._arcs is None:
+            arcs = [[] for _ in range(self.vertex_count)]
             for (u, li, v) in self.edges:
-                out[u].setdefault(li, []).append(v)
-                inc[v].setdefault(li, []).append(u)
-            self._out, self._in = out, inc
-        return self._out, self._in
+                arcs[u].append((2 * li, v))
+                arcs[v].append((2 * li + 1, u))
+            for row in arcs:
+                row.sort()
+            self._arcs = arcs
+        return self._arcs
+
+    def _ends(self, v: int, col: int) -> list[int]:
+        return [t for c, t in self._arc_list()[v] if c == col]
 
     def out_targets(self, v: int, li: int) -> list[int]:
-        return self._adjacency()[0][v].get(li, [])
+        return self._ends(v, 2 * li)
 
     def in_origins(self, v: int, li: int) -> list[int]:
-        return self._adjacency()[1][v].get(li, [])
+        return self._ends(v, 2 * li + 1)
 
     def degree(self, v: int) -> int:
         """Number of edge endpoints at ``v``; a loop counts twice."""
-        out, inc = self._adjacency()
-        return sum(len(t) for t in out[v].values()) + sum(len(o) for o in inc[v].values())
+        return len(self._arc_list()[v])
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,24 +117,13 @@ class Morphism:
 
 def is_folded(g: XGraph) -> bool:
     """Per vertex and letter: at most one out-edge and one in-edge."""
-    out, inc = g._adjacency()
-    for v in range(g.vertex_count):
-        if any(len(t) > 1 for t in out[v].values()):
-            return False
-        if any(len(o) > 1 for o in inc[v].values()):
-            return False
-    return True
+    return all(len(dict(arcs)) == len(arcs) for arcs in g._arc_list())
 
 
 def is_regular(g: XGraph) -> bool:
     """Per vertex and letter: exactly one out-edge and one in-edge."""
-    out, inc = g._adjacency()
-    k = len(g.alphabet)
-    for v in range(g.vertex_count):
-        for li in range(k):
-            if len(out[v].get(li, ())) != 1 or len(inc[v].get(li, ())) != 1:
-                return False
-    return True
+    cols = list(range(2 * len(g.alphabet)))
+    return all([c for c, _ in arcs] == cols for arcs in g._arc_list())
 
 
 def is_connected(g: XGraph) -> bool:
@@ -135,21 +133,15 @@ def is_connected(g: XGraph) -> bool:
 
 
 def _component(g: XGraph, start: int) -> set[int]:
-    out, inc = g._adjacency()
+    arcs = g._arc_list()
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
-        for targets in out[v].values():
-            for t in targets:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        for origins in inc[v].values():
-            for o in origins:
-                if o not in seen:
-                    seen.add(o)
-                    stack.append(o)
+        for _, t in arcs[v]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
     return seen
 
 
@@ -250,24 +242,19 @@ def core(g: BasedXGraph) -> BasedXGraph:
     whose degree has dropped to one or less.
     """
     alive = _component(g.graph, g.base)
-    out, inc = g.graph._adjacency()
-    deg = dict.fromkeys(alive, 0)
-    for (u, _, v) in g.graph.edges:
-        if u in alive:  # then so is v
-            deg[u] += 1
-            deg[v] += 1
+    arcs = g.graph._arc_list()
+    deg = {v: len(arcs[v]) for v in alive}
     stack = [v for v in alive if v != g.base and deg[v] <= 1]
     while stack:
         v = stack.pop()
         if v not in alive:
             continue
         alive.remove(v)
-        for ends in (*out[v].values(), *inc[v].values()):
-            for w in ends:
-                if w in alive:
-                    deg[w] -= 1
-                    if deg[w] <= 1 and w != g.base:
-                        stack.append(w)
+        for _, w in arcs[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] <= 1 and w != g.base:
+                    stack.append(w)
     order = sorted(alive)
     renum = {v: i for i, v in enumerate(order)}
     new_edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges
@@ -280,12 +267,13 @@ def trace(g: XGraph, start: int, w: Word) -> Optional[int]:
 
     Inverse letters traverse positive edges backwards.  Returns the terminus,
     or None if at some step no edge exists.  In an X-regular graph the result
-    always exists.
+    always exists.  Raises ValueError unless ``start`` is a vertex.
     """
+    if not 0 <= start < g.vertex_count:
+        raise ValueError(f"start vertex {start} out of range")
     v = start
     for lt in w:
-        li = letter_index(lt)
-        step = g.out_targets(v, li) if lt > 0 else g.in_origins(v, li)
+        step = g._ends(v, 2 * letter_index(lt) + (lt < 0))
         if not step:
             return None
         v = step[0]
@@ -293,33 +281,29 @@ def trace(g: XGraph, start: int, w: Word) -> Optional[int]:
 
 
 def _bfs(g: BasedXGraph):
-    """Deterministic BFS from the base.
-
-    Edges at a vertex are visited in (letter-index, sign) order with positive
-    before inverse.  Returns (order, parent) where ``order`` lists vertices
-    in discovery order and ``parent`` (a Schreier vector) maps the base to
-    None and every other vertex to the vertex it was discovered from and the
-    signed letter read from there.  Raises ValueError unless the BFS reaches
-    every vertex.
-    """
-    gr = g.graph
+    """Deterministic BFS from the base along the arcs at each vertex in
+    order (by letter, positive before inverse).  Returns (order, parent):
+    the vertices in discovery order, and the Schreier vector that maps the
+    base to None and every other vertex to the vertex it was discovered
+    from and the signed letter read from there.  Raises ValueError unless
+    the BFS reaches every vertex."""
+    arcs = g.graph._arc_list()
     order = [g.base]
     parent: dict[int, Optional[tuple[int, int]]] = {g.base: None}
     for v in order:
-        for li in range(len(gr.alphabet)):
-            for lt, ends in ((li + 1, gr.out_targets(v, li)), (-li - 1, gr.in_origins(v, li))):
-                for t in ends:
-                    if t not in parent:
-                        parent[t] = (v, lt)
-                        order.append(t)
+        for col, t in arcs[v]:
+            if t not in parent:
+                parent[t] = (v, -(col // 2 + 1) if col & 1 else col // 2 + 1)
+                order.append(t)
     if len(order) != g.vertex_count:
         raise ValueError("graph is not connected")
     return order, parent
 
 
-def _tree_words(order: list[int], parent: dict) -> dict[int, Word]:
-    """The label of the tree path from the base to each vertex."""
-    reps = {order[0]: Word()}
+def _tree_words(order: Sequence[int], parent) -> list[Word]:
+    """Per vertex, the label of its tree path from the base, read off a BFS
+    ``order`` of every vertex and its Schreier vector ``parent``."""
+    reps = [Word()] * len(order)
     for t in order[1:]:
         v, lt = parent[t]
         reps[t] = Word(reps[v].letters + (lt,))
@@ -336,8 +320,7 @@ def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
 def coset_rep_words(g: BasedXGraph) -> list[Word]:
     """Tree-path label from the base to each vertex; the base gets the
     empty word."""
-    reps = _tree_words(*_bfs(g))
-    return [reps[v] for v in range(g.vertex_count)]
+    return _tree_words(*_bfs(g))
 
 
 def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
@@ -373,48 +356,35 @@ def _check_same_alphabet(g1: XGraph, g2: XGraph) -> None:
 
 def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int,
                bijective: bool) -> Optional[tuple[int, ...]]:
-    """Propagate v1 -> v2 through edges of folded graphs.
+    """Propagate v1 -> v2 along the arcs of folded graphs.
 
     Returns the total vertex map on g1's component of ``v1``, or None on
-    conflict.  With ``bijective`` the map must be injective and every g2
-    edge must be hit (graph isomorphism); otherwise a mere morphism check
-    is performed.
+    conflict.  With ``bijective`` the map must be injective, which makes it
+    an isomorphism between graphs of equal vertex and edge counts (the
+    callers check both); otherwise a mere morphism check is performed.
     """
-    k = len(g1.alphabet)
     fmap: dict[int, int] = {v1: v2}
     queue = [v1]
     while queue:
         u = queue.pop()
-        for li in range(k):
-            for (mine, theirs) in (
-                (g1.out_targets(u, li), g2.out_targets(fmap[u], li)),
-                (g1.in_origins(u, li), g2.in_origins(fmap[u], li)),
-            ):
-                if not mine:
-                    continue
-                if len(mine) > 1 or len(theirs) > 1:
-                    raise ValueError("graphs must be folded")
-                if not theirs:
+        for col, t in g1._arc_list()[u]:
+            theirs = g2._ends(fmap[u], col)
+            if len(theirs) > 1 or len(g1._ends(u, col)) > 1:
+                raise ValueError("graphs must be folded")
+            if not theirs:
+                return None
+            if t in fmap:
+                if fmap[t] != theirs[0]:
                     return None
-                t = mine[0]
-                if t in fmap:
-                    if fmap[t] != theirs[0]:
-                        return None
-                else:
-                    fmap[t] = theirs[0]
-                    queue.append(t)
+            else:
+                fmap[t] = theirs[0]
+                queue.append(t)
     if len(fmap) != g1.vertex_count:
         return None  # g1 not connected from v1
-    if bijective:
-        if len(set(fmap.values())) != g1.vertex_count:
-            return None
-        if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
-            return None
-    vmap = tuple(fmap[v] for v in range(g1.vertex_count))
-    for (u, li, v) in g1.edges:
-        if vmap[v] not in g2.out_targets(vmap[u], li):
-            return None
-    return vmap
+    if bijective and len(set(fmap.values())) != g1.vertex_count:
+        return None
+    # every vertex is mapped, so every arc of g1 was matched at its image
+    return tuple(fmap[v] for v in range(g1.vertex_count))
 
 
 def isomorphic_based(g1: BasedXGraph, g2: BasedXGraph) -> Optional[Morphism]:

@@ -13,6 +13,7 @@ from stallings import (
     EnumerationTask,
     GluingSpec,
     Presentation,
+    ProductGraph,
     Word,
     build_glued,
     build_parallel_circles,
@@ -30,7 +31,6 @@ from stallings import (
     is_malnormal,
     is_prime,
     is_regular,
-    product,
     subgroup_from_graph,
     trace,
     verify_coprime_certificate,
@@ -102,7 +102,7 @@ def test_criterion_4_delta333_intersection(delta333):
     assert meet.index() == 6
     assert meet.is_normal()
 
-    pg = product(h, k)
+    pg = ProductGraph(h, k)
     a, b, c = p.word("a"), p.word("b"), p.word("c")
     hb, hc = h.trace(0, b), h.trace(0, c)
     kc, ka = k.trace(0, c), k.trace(0, a)

@@ -23,6 +23,10 @@ CASES = {
     "artin-without-p": (None, ["gamma", "artin"], "--p"),
     "type2-without-lengths": (None, ["gamma", "type2", "--a", "a", "--b", "b",
                                      "--pairs", "1"], "--k"),
+    "type2-zero-pairs": (None, ["gamma", "type2", "--a", "a", "--k", "2", "--b", "b",
+                                "--l", "3", "--pairs", "0"], "pair count must be positive"),
+    "type2-negative-pairs": (None, ["gamma", "type2", "--a", "a", "--k", "2", "--b", "b",
+                                    "--l", "3", "--pairs", "-1"], "pair count must be positive"),
     "glued-without-factors": (None, ["gamma", "glued", "--pairs", "2"], "--left-pres"),
     "amalgam-without-factors": (None, ["gamma", "amalgam"], "--left-pres"),
     "bad-vertex-count": (None, ["index", "{bad_vertices}"], "line 1: bad vertex count"),

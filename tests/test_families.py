@@ -98,6 +98,8 @@ class TestType2:
             build_type2(f2, 0, 1, 1, 2, 2)
         with pytest.raises(ValueError):
             build_type2(f2, 0, 2, 0, 2, 2)
+        with pytest.raises(ValueError, match="pair count must be positive"):
+            build_type2(f2, 0, 2, 1, 3, 0)
 
 
 class TestExtendWithLoops:

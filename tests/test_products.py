@@ -7,7 +7,6 @@ from stallings import (
     free_reduce,
     intersect,
     is_malnormal,
-    product,
 )
 
 
@@ -19,7 +18,7 @@ def h_and_k(s3):
 
 def test_product_vertex_and_edge_counts(h_and_k):
     h, k = h_and_k
-    pg = product(h, k)
+    pg = ProductGraph(h, k)
     assert pg.graph.vertex_count == h.index() * k.index()
     # both factors regular: one edge per pair vertex per letter
     assert len(pg.graph.edges) == pg.graph.vertex_count * 2
@@ -90,7 +89,7 @@ def test_component_sizes_partition(h_and_k):
 
 def test_vertices_outside_a_factor_are_rejected(f2):
     h = coset_enumerate(f2, [f2.word("a"), f2.word("b a b^-1"), f2.word("b b")])
-    pg = product(h, h)
+    pg = ProductGraph(h, h)
     for v_left, v_right in [(0, 2), (0, -1), (1, -1), (2, 0), (-1, 1)]:
         with pytest.raises(ValueError):
             pg.pair_id(v_left, v_right)

@@ -122,6 +122,13 @@ class TestSubgroupCalculus:
         assert not sg.contains(s3.word("s2"))
         assert not sg.contains(s3.word("s2 s1 s2"))
 
+    def test_trace_rejects_a_start_outside_the_graph(self, s3):
+        sg = coset_enumerate(s3, [s3.word("s1")])
+        assert sg.trace(sg.index() - 1, Word()) == sg.index() - 1
+        for start in (-1, sg.index()):
+            with pytest.raises(ValueError, match="out of range"):
+                sg.trace(start, s3.word("s2"))
+
     def test_membership_reduces_first(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])
         assert sg.contains(s3.word("s2 s2^-1 s1"))

@@ -14,9 +14,13 @@ from hypothesis import given, settings, strategies as hs
 from stallings import (
     BasedXGraph,
     EnumerationTask,
+    GluingSpec,
     Presentation,
     ProductGraph,
     Word,
+    build_glued,
+    build_type1,
+    build_type2,
     coset_enumerate,
     coset_meet,
     coset_rep_words,
@@ -70,8 +74,20 @@ def test_coset_enumeration_rebuilds_every_class(classes):
         assert rebuilt.coset_reps == sg.coset_reps
 
 
-def test_spanning_tree_matches_reference(classes):
-    for sg in classes:
+@pytest.fixture(scope="module")
+def certificates():
+    """Certificate graphs of about 2000 vertices, whose spanning trees are
+    1001 to 1332 edges deep."""
+    f2, z1, z2 = (free_presentation(names) for names in (["a", "b"], ["x"], ["d"]))
+    spec = GluingSpec(coset_enumerate(z1, [z1.word("x x x")]), z1.word("x"),
+                      coset_enumerate(z2, [z2.word("d d")]), z2.word("d"), 666)
+    certs = [build_type1(f2, 0, 2003), build_type2(f2, 0, 2, 1, 3, 666), build_glued(spec)]
+    assert [c.vertex_count for c in certs] == [2003, 1999, 1999]
+    return [c.graph for c in certs]
+
+
+def test_spanning_tree_matches_reference(classes, certificates):
+    for sg in classes + certificates:
         assert list(sg.coset_reps) == coset_rep_words(sg.graph)
         assert sg.free_basis() == free_basis(sg.graph)
 

@@ -84,6 +84,9 @@ def test_trace_follows_inverse_edges():
     # a non-regular graph can run out of edges
     g = XGraph(AB, 2, [(0, 0, 1)])
     assert trace(g, 1, Word([1])) is None
+    for start in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            trace(g, start, Word())
 
 
 def test_fold_identifies_equal_labels():
