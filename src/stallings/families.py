@@ -5,6 +5,9 @@ whose powers sweep every vertex from the base.  Such a graph on p vertices
 witnesses that every coset of any subgroup containing a power of the word
 coprime to p meets the graph's subgroup; the certificate records the graph,
 the word and the verified checks.
+
+Type 2, glued and amalgam graphs are chains of circles or factor graphs
+glued at single vertices; the one chain builder, ``_chain``, builds them all.
 """
 
 from __future__ import annotations
@@ -98,6 +101,34 @@ def certify(sg: SubgroupGraph, w: Word) -> OrbitCertificate:
     return OrbitCertificate(sg, free_reduce(w), sg.index(), tuple(orbit))
 
 
+def _circle(n: int) -> list[int]:
+    """The forward column of one circle through vertices 0, 1, ..., n-1."""
+    return [(i + 1) % n for i in range(n)]
+
+
+def _chain(ncols: int, links: Sequence[tuple[dict, int]], pair_count: int) -> list[list[int]]:
+    """The forward columns of ``pair_count`` periods of a chain of pieces,
+    each glued at one vertex to the one before.  A link of the period is a
+    piece's forward columns keyed by table column and the piece vertex at
+    which the next piece is glued on.  A piece's vertex 0 is the one it is
+    glued on at, and its other vertices get fresh ids in order; every
+    column is a loop where no piece passes."""
+    m = sum(len(next(iter(cols.values()))) - 1 for cols, _ in links) * pair_count + 1
+    forward = [list(range(m)) for _ in range(ncols)]
+    fresh, entry = 1, 0
+    for cols, glue in list(links) * pair_count:
+        n = len(next(iter(cols.values())))
+        ids = [entry, *range(fresh, fresh + n - 1)]
+        fresh += n - 1
+        for c, col in cols.items():
+            for u, v in enumerate(col):
+                forward[c][ids[u]] = ids[v]
+        entry = ids[glue]
+    if fresh != m:
+        raise RuntimeError(f"chain numbered {fresh} vertices, expected {m}")
+    return forward
+
+
 def build_type1(presentation: Presentation, letter: int, p: int) -> OrbitCertificate:
     """A one-letter circle of length ``p`` with a loop for every other
     generator at every vertex."""
@@ -106,7 +137,7 @@ def build_type1(presentation: Presentation, letter: int, p: int) -> OrbitCertifi
     k = len(presentation.alphabet)
     if not 0 <= letter < k:
         raise ValueError("letter index out of range")
-    forward = [[(i + 1) % p if li == letter else i for i in range(p)] for li in range(k)]
+    forward = [_circle(p) if li == letter else range(p) for li in range(k)]
     return certify(SubgroupGraph(presentation, forward), Word([letter + 1]))
 
 
@@ -121,7 +152,7 @@ def build_parallel_circles(
     """
     if p < 1:
         raise ValueError("circle length must be positive")
-    forward = [[(i + 1) % p for i in range(p)]] * len(presentation.alphabet)
+    forward = [_circle(p)] * len(presentation.alphabet)
     return certify(SubgroupGraph(presentation, forward), Word([word_letter + 1]))
 
 
@@ -144,25 +175,8 @@ def build_type2(
         raise ValueError("letter index out of range")
     if pair_count < 1:
         raise ValueError("pair count must be positive")
-    m = (k + l - 2) * pair_count + 1
-    forward = [list(range(m)) for _ in range(nletters)]  # a loop until a circle passes
-    fresh = 1
-
-    def add_circle(entry: int, letter: int, length: int) -> int:
-        """Attach a circle at ``entry``; return the one-step successor."""
-        nonlocal fresh
-        ring = [entry] + list(range(fresh, fresh + length - 1))
-        fresh += length - 1
-        for i in range(length):
-            forward[letter][ring[i]] = ring[(i + 1) % length]
-        return ring[1]
-
-    entry = 0
-    for _ in range(pair_count):
-        glue = add_circle(entry, a, k)
-        entry = add_circle(glue, b, l)
-    if fresh != m:
-        raise RuntimeError(f"type 2 chain numbered {fresh} vertices, expected {m}")
+    links = [({a: _circle(k)}, 1), ({b: _circle(l)}, 1)]
+    forward = _chain(nletters, links, pair_count)
     return certify(SubgroupGraph(presentation, forward), Word([a + 1, b + 1]))
 
 
@@ -198,8 +212,7 @@ def _check_coset_cycle(sg: SubgroupGraph, w: Word, side: str) -> None:
 
 def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
     left, right = spec.left, spec.right
-    n1, n2 = left.index(), right.index()
-    if n1 < 2 or n2 < 2:
+    if left.index() < 2 or right.index() < 2:
         raise GluingInvalid("factor subgroups must be proper")
     _check_coset_cycle(left, spec.left_word, "left")
     _check_coset_cycle(right, spec.right_word, "right")
@@ -210,28 +223,11 @@ def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
     relators += list(extra_relators)
     presentation = Presentation(alphabet, relators)
 
-    c = spec.pair_count
-    m = (n1 + n2 - 2) * c + 1
-    forward = [list(range(m)) for _ in alphabet.names]  # a loop until a copy passes
-    fresh = 1
-
-    def add_copy(sg: SubgroupGraph, w: Word, entry: int, shift: int) -> int:
-        """Glue a copy of the factor at ``entry`` (identified with the factor
-        base); return the global id of the base's one-step w-translate."""
-        nonlocal fresh
-        gmap = [entry] + list(range(fresh, fresh + sg.index() - 1))  # the base is 0
-        fresh += sg.index() - 1
-        for li, col in enumerate(sg.coset_table().permutations):
-            for u, v in enumerate(col):
-                forward[li + shift][gmap[u]] = gmap[v]
-        return gmap[sg.trace(sg.base, w)]
-
-    entry = 0
-    for _ in range(c):
-        glue = add_copy(left, spec.left_word, entry, 0)
-        entry = add_copy(right, spec.right_word, glue, offset)
-    if fresh != m:
-        raise RuntimeError(f"glued chain numbered {fresh} vertices, expected {m}")
+    links = []  # a copy of each factor, glued on at its base's w-translate
+    for sg, w, shift in ((left, spec.left_word, 0), (right, spec.right_word, offset)):
+        cols = {li + shift: col for li, col in enumerate(sg.coset_table().permutations)}
+        links.append((cols, sg.trace(sg.base, w)))
+    forward = _chain(len(alphabet), links, spec.pair_count)
     w = free_reduce(spec.left_word) * shift_word(free_reduce(spec.right_word), offset)
     return SubgroupGraph(presentation, forward), w
 
@@ -324,10 +320,10 @@ def chain_primes(step: int, count: int, minimum: int = 2) -> Iterator[tuple[int,
     if step < 1:
         raise ValueError("step must be positive")
     found = 0
-    c = 1
+    c = max(1, -(-(minimum - 1) // step))  # the least c with step*c + 1 >= minimum
     while found < count:
         m = step * c + 1
-        if m >= minimum and is_prime(m):
+        if is_prime(m):
             yield c, m
             found += 1
         c += 1
@@ -336,12 +332,4 @@ def chain_primes(step: int, count: int, minimum: int = 2) -> Iterator[tuple[int,
 def admissible_primes(step: int, count: int, minimum: int = 2) -> list[int]:
     """The first ``count`` primes of the form step*c + 1 at or above
     ``minimum``; with step = 1 this is simply consecutive primes."""
-    if step == 1:
-        out = []
-        n = max(2, minimum)
-        while len(out) < count:
-            if is_prime(n):
-                out.append(n)
-            n += 1
-        return out
     return [m for _, m in chain_primes(step, count, minimum)]

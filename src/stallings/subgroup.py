@@ -24,7 +24,7 @@ from .errors import (
     PresentationMismatch,
 )
 from .words import Presentation, Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _PartialTable, _tree_words, is_regular
+from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words, is_regular
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -49,8 +49,11 @@ def _table(forward: Sequence[Sequence[int]], n: int) -> dict:
         raise ValueError("graph is not X-regular")
     table = {}
     for i, col in enumerate(forward):
+        inverse = [0] * n
+        for v, t in enumerate(col):
+            inverse[t] = v
         table[i + 1] = col
-        table[-i - 1] = sorted(range(n), key=col.__getitem__)  # the inverse
+        table[-i - 1] = inverse
     return table
 
 
@@ -201,6 +204,8 @@ class SubgroupGraph:
 
     def contains_coset(self, w: Word, v: int) -> bool:
         """True iff the image of ``w`` lies in the coset carried by vertex ``v``."""
+        if not 0 <= v < self.index():
+            raise ValueError(f"vertex {v} out of range")
         return self.trace(0, w) == v
 
     def coset_table(self) -> CosetTable:
@@ -209,14 +214,9 @@ class SubgroupGraph:
     def free_basis(self) -> list[Word]:
         """A free basis of the loop language at the base: the loops closed
         by the edges outside the spanning tree, by origin, then label."""
-        reps, perms, parent = self.coset_reps, self.coset_table().permutations, self._parent
-        basis = []
-        for u, ru in enumerate(reps):
-            for li, col in enumerate(perms):
-                v, x = col[u], li + 1
-                if parent[v] != (u, x) and parent[u] != (v, -x):  # not a tree edge
-                    basis.append(free_reduce(ru * Word([x]) * reps[v].inverse()))
-        return basis
+        perms = self.coset_table().permutations
+        edges = [(u, li, col[u]) for u in range(self.index()) for li, col in enumerate(perms)]
+        return _loop_words(edges, self._parent, self.coset_reps)
 
     def generators(self) -> list[Word]:
         """Words whose images generate the subgroup of G."""

@@ -30,6 +30,8 @@ class XGraph:
 
     def __init__(self, alphabet: Alphabet, vertex_count: int,
                  edges: Iterable[tuple[int, int, int]]):
+        if vertex_count < 0:
+            raise ValueError(f"vertex count {vertex_count} is negative")
         self.alphabet = alphabet
         self.vertex_count = vertex_count
         k = len(alphabet)
@@ -310,6 +312,15 @@ def _tree_words(order: Sequence[int], parent) -> list[Word]:
     return reps
 
 
+def _loop_words(edges: Iterable[tuple[int, int, int]], parent, reps: Sequence[Word]) -> list[Word]:
+    """The freely reduced labels of the loops closed by the ``edges``
+    ``(u, li, v)`` outside the tree of the Schreier vector ``parent``, whose
+    tree words are ``reps``, in edge order."""
+    return [free_reduce(reps[u] * Word([li + 1]) * reps[v].inverse())
+            for (u, li, v) in edges
+            if parent[v] != (u, li + 1) and parent[u] != (v, -li - 1)]
+
+
 def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
     """Deterministic breadth-first spanning tree from the base."""
     order, parent = _bfs(g)
@@ -339,14 +350,7 @@ def free_basis(g: BasedXGraph) -> list[Word]:
     language at the base; their number is ``|E| - (|V| - 1)``.
     """
     order, parent = _bfs(g)
-    reps = _tree_words(order, parent)
-    basis = []
-    for (u, li, v) in g.graph.edges:
-        if parent[v] == (u, li + 1) or parent[u] == (v, -li - 1):
-            continue  # a tree edge
-        w = reps[u] * Word([li + 1]) * reps[v].inverse()
-        basis.append(free_reduce(w))
-    return basis
+    return _loop_words(g.graph.edges, parent, _tree_words(order, parent))
 
 
 def _check_same_alphabet(g1: XGraph, g2: XGraph) -> None:

@@ -208,6 +208,55 @@ class TestAmalgam:
             build_amalgam(spec, [(h1.presentation.word("x"), h2.presentation.word("d d"))])
 
 
+def _wiring_cases():
+    f2 = free_presentation(["a", "b"])
+    b3 = Presentation.parse(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
+    psl = Presentation.parse(["a", "b"], ["a a", "b b b"])
+    za, zd = free_presentation(["x"]), free_presentation(["d"])
+    h1 = subgroup_from_graph(free_subgroup_graph(za.alphabet, [za.word("x x x")]), za)
+    h2 = subgroup_from_graph(free_subgroup_graph(zd.alphabet, [zd.word("d d")]), zd)
+    h5 = subgroup_from_graph(free_subgroup_graph(zd.alphabet, [zd.word("d d d d d")]), zd)
+    pa = Presentation.parse(["a"], ["a a a a"])
+    pb = Presentation.parse(["b"], ["b b b b"])
+    ha = coset_enumerate(pa, [pa.word("a a")])
+    hb = coset_enumerate(pb, [pb.word("b b")])
+    amalgam = GluingSpec(ha, pa.word("a"), hb, pb.word("b"), 2)
+    return {
+        "type1-1": lambda: build_type1(f2, 0, 1),
+        "type1-5": lambda: build_type1(f2, 0, 5),
+        "parallel-1": lambda: build_parallel_circles(b3, 1),
+        "parallel-5": lambda: build_parallel_circles(b3, 5),
+        "type2-psl": lambda: build_type2(psl, 0, 2, 1, 3, 2),
+        "glued-z3-z2": lambda: build_glued(GluingSpec(h1, za.word("x"), h2, zd.word("d"), 2)),
+        # x^2 and d^2 glue each next copy on at factor vertex 2, not 1
+        "glued-z3-z5-squares": lambda: build_glued(
+            GluingSpec(h1, za.word("x x"), h5, zd.word("d d"), 2)),
+        "amalgam-z4-z4": lambda: build_amalgam(amalgam, [(pa.word("a a"), pb.word("b b"))]),
+    }
+
+
+# Literal tables and orbits: they pin where each circle or factor copy is
+# glued on, which the regularity, fulfillment and sweep checks above do not.
+WIRING = {
+    "type1-1": (((0,), (0,)), (0,)),
+    "type1-5": (((1, 3, 0, 4, 2), (0, 1, 2, 3, 4)), (0, 1, 3, 4, 2)),
+    "parallel-1": (((0,), (0,)), (0,)),
+    "parallel-5": (((1, 3, 0, 4, 2), (1, 3, 0, 4, 2)), (0, 1, 3, 4, 2)),
+    "type2-psl": (((1, 0, 4, 3, 2, 5, 6), (0, 2, 3, 1, 5, 6, 4)), (0, 2, 5, 6, 4, 3, 1)),
+    "glued-z3-z2": (((1, 2, 0, 4, 5, 3, 6), (0, 3, 2, 1, 6, 5, 4)), (0, 3, 6, 4, 5, 1, 2)),
+    "glued-z3-z5-squares": (((1, 2, 0, 3, 4, 7, 6, 8, 5, 9, 10, 11, 12),
+                             (0, 1, 3, 5, 2, 6, 4, 7, 9, 11, 8, 12, 10)),
+                            (0, 5, 11, 10, 9, 12, 8, 7, 4, 3, 6, 2, 1)),
+    "amalgam-z4-z4": (((1, 0, 3, 2, 4), (0, 2, 1, 4, 3)), (0, 2, 4, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRING))
+def test_chain_wiring_is_pinned(name):
+    cert = _wiring_cases()[name]()
+    assert (cert.graph.coset_table().permutations, cert.orbit) == WIRING[name]
+
+
 class TestVerifyReachability:
     def test_circle(self, f2):
         cert = build_type1(f2, 0, 5)

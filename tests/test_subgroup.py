@@ -129,6 +129,13 @@ class TestSubgroupCalculus:
             with pytest.raises(ValueError, match="out of range"):
                 sg.trace(start, s3.word("s2"))
 
+    def test_contains_coset_rejects_a_vertex_outside_the_graph(self, s3):
+        sg = coset_enumerate(s3, [s3.word("s1")])
+        assert sg.contains_coset(Word(), 0)
+        for v in (-2, -1, sg.index(), 7):
+            with pytest.raises(ValueError, match="out of range"):
+                sg.contains_coset(s3.word("s2"), v)
+
     def test_membership_reduces_first(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])
         assert sg.contains(s3.word("s2 s2^-1 s1"))

@@ -50,6 +50,9 @@ def test_xgraph_validation():
         XGraph(AB, 1, [(0, 2, 0)])
     with pytest.raises(ValueError):
         BasedXGraph(XGraph(AB, 2, []), 2)
+    with pytest.raises(ValueError, match="negative"):
+        XGraph(AB, -1, [])
+    assert XGraph(AB, 0, []).vertex_count == 0
 
 
 def test_edges_are_deduplicated_and_sorted():
