@@ -57,7 +57,6 @@ from .subgroup import (
     CosetTable,
     SubgroupGraph,
     coset_enumerate,
-    default_max_cosets,
     fulfillment_violation,
     fulfills,
     subgroup_from_graph,

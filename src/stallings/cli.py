@@ -23,9 +23,9 @@ from .errors import (
 from .words import Presentation, Word
 from .xgraph import BasedXGraph
 from .subgroup import (
+    DEFAULT_MAX_COSETS,
     SubgroupGraph,
     coset_enumerate,
-    default_max_cosets,
     subgroup_from_graph,
 )
 from .products import ProductGraph, coset_meet, intersect, is_malnormal
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("build", cmd_build, help="coset-enumerate a subgroup")
     p.add_argument("-g", "--generator", dest="generators", action="append",
                    default=[], help="subgroup generator word (repeatable)")
-    p.add_argument("--max-cosets", type=_positive_int, default=default_max_cosets())
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--dot")
 
     p = add("verify", cmd_verify, help="check a graph file is a subgroup graph")
@@ -359,9 +359,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    except ValueError as e:  # a malformed STALLINGS_MAX_COSETS
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         pres = _load_presentation(args.presentation)
         return args.fn(args, pres)

@@ -77,8 +77,12 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
     edges = []
     for lineno, line in _content_lines(text):
         if line.startswith("vertices:"):
+            if vertices is not None:
+                raise ParseError("duplicate vertices line", lineno)
             vertices = _parse_int(line[len("vertices:"):], "bad vertex count", lineno)
         elif line.startswith("base:"):
+            if base is not None:
+                raise ParseError("duplicate base line", lineno)
             base = _parse_int(line[len("base:"):], "bad base vertex", lineno)
         elif line.startswith("edge:"):
             parts = line[len("edge:"):].split()

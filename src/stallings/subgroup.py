@@ -13,7 +13,6 @@ group, N_G(H)/H.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -27,17 +26,6 @@ from .words import Presentation, Word, free_reduce
 from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words, is_regular
 
 DEFAULT_MAX_COSETS = 10_000
-
-
-def default_max_cosets() -> int:
-    """STALLINGS_MAX_COSETS if set, else DEFAULT_MAX_COSETS; raises
-    ValueError unless it is a positive integer."""
-    value = os.environ.get("STALLINGS_MAX_COSETS")
-    if not value:
-        return DEFAULT_MAX_COSETS
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ValueError(f"STALLINGS_MAX_COSETS must be a positive integer, got {value!r}")
-    return int(value)
 
 
 def _table(forward: Sequence[Sequence[int]], n: int) -> dict:
@@ -440,7 +428,7 @@ class _Enumeration(_PartialTable):
 def coset_enumerate(
     presentation: Presentation,
     subgens: Sequence[Word] = (),
-    max_cosets: Optional[int] = None,
+    max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> SubgroupGraph:
     """The subgroup graph of the subgroup generated by ``subgens``.
 
@@ -451,8 +439,6 @@ def coset_enumerate(
     table does not close within the bound, which signals an index above the
     bound or an infinite one.
     """
-    if max_cosets is None:
-        max_cosets = default_max_cosets()
     for w in subgens:
         if free_reduce(w).max_index() >= len(presentation.alphabet):
             raise AlphabetMismatch("subgroup generator outside the alphabet")

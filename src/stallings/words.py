@@ -157,9 +157,9 @@ class Alphabet:
 
     def parse_word(self, text: str) -> Word:
         """Parse either spaced tokens (``a b^-1 a``) or, for single-lowercase
-        alphabets, compact form (``aBa``)."""
+        alphabets, compact form (``aBa``); ``1`` or blank text is the identity."""
         text = text.strip()
-        if not text or text in ("1", "e"):
+        if not text or text == "1":
             return EMPTY_WORD
         if " " in text or "^" in text or text in self._index:
             return self._parse_spaced(text)
@@ -176,7 +176,10 @@ class Alphabet:
             idx = self.index(m.group(1))
             exp = int(m.group(2)) if m.group(2) else 1
             lt = letter(idx, 1 if exp >= 0 else -1)
-            out.extend([lt] * abs(exp))
+            try:
+                out.extend([lt] * abs(exp))
+            except OverflowError:
+                raise ParseError(f"exponent too large: {token!r}") from None
         return Word(out)
 
     def _parse_compact(self, text: str) -> Word:

@@ -124,6 +124,8 @@ def is_folded(g: XGraph) -> bool:
 
 def is_regular(g: XGraph) -> bool:
     """Per vertex and letter: exactly one out-edge and one in-edge."""
+    if len(g.edges) != len(g.alphabet) * g.vertex_count:
+        return False
     cols = list(range(2 * len(g.alphabet)))
     return all([c for c, _ in arcs] == cols for arcs in g._arc_list())
 

@@ -21,6 +21,10 @@ rel: s2 s2
 rel: s1 s2 s1 s2 s1 s2
 """
 
+EF_TEXT = "gens: e f\nrel: e e\nrel: f f\n"
+# the index-2 subgroup <f, e f e>: e swaps the two cosets
+EF_SWAP_GRAPH = "vertices: 2\nbase: 0\nedge: 0 e 1\nedge: 0 f 0\nedge: 1 e 0\nedge: 1 f 1\n"
+
 
 class TestPresentationFiles:
     def test_parse(self, s3):
@@ -169,6 +173,25 @@ class TestCli:
                      "--dot", str(dot)]) == 0
         capsys.readouterr()
         assert "digraph" in dot.read_text()
+
+    def test_e_is_a_generator_not_the_identity(self, tmp_path, capsys):
+        pres, graph = tmp_path / "ef.pres", tmp_path / "swap.graph"
+        pres.write_text(EF_TEXT)
+        graph.write_text(EF_SWAP_GRAPH)
+        codes = [main(["-p", str(pres), "membership", str(graph), w])
+                 for w in ("e", "e e e", "e e", "1")]
+        assert codes == [1, 1, 0, 0]
+        assert capsys.readouterr().out.splitlines() == [
+            "not a member", "not a member", "member", "member"]
+
+    def test_the_environment_does_not_bound_coset_enumeration(
+            self, s3, s3_file, monkeypatch, capsys):
+        # a variable named after the option bounds nothing: the bound comes
+        # from max_cosets= and --max-cosets alone
+        monkeypatch.setenv("STALLINGS_" + "max-cosets".replace("-", "_").upper(), "1")
+        assert coset_enumerate(s3).index() == 6
+        assert main(["-p", s3_file, "build"]) == 0
+        assert capsys.readouterr().out.startswith("vertices: 6\n")
 
     def test_usage_errors(self, tmp_path, s3_file):
         assert main(["-p", str(tmp_path / "nope.pres"), "enumerate",

@@ -10,7 +10,6 @@ from stallings import (
     Word,
     XGraph,
     coset_enumerate,
-    default_max_cosets,
     free_presentation,
     fulfillment_violation,
     fulfills,
@@ -108,10 +107,6 @@ class TestCosetEnumeration:
     def test_foreign_generator_rejected(self, s3):
         with pytest.raises(AlphabetMismatch):
             coset_enumerate(s3, [Word([5])])
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("STALLINGS_MAX_COSETS", "123")
-        assert default_max_cosets() == 123
 
 
 class TestSubgroupCalculus:

@@ -135,6 +135,17 @@ class TestAlphabet:
         with pytest.raises(AlphabetMismatch):
             ab.parse_word("c")
 
+    def test_e_is_a_generator_name(self):
+        assert Alphabet(["e", "f"]).parse_word("e") == Word([1])
+        with pytest.raises(AlphabetMismatch):
+            Alphabet(["a", "b"]).parse_word("e")
+
+    def test_huge_exponent_is_a_parse_error(self):
+        ab = Alphabet(["a", "b"])
+        for text in ("a^9223372036854775808", "b^-99999999999999999999"):
+            with pytest.raises(ParseError):
+                ab.parse_word(text)
+
     def test_format_round_trip(self):
         ab = Alphabet(["a", "b"])
         for text in ("a b^-1 a", "b b", "1"):
