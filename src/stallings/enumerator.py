@@ -1,14 +1,16 @@
 """Exhaustive enumeration of connected X-regular fulfilling graphs.
 
-The search extends a coset table slot by slot in scan order (lowest vertex,
-lowest letter, positive column before inverse).  New vertex ids are handed
-out in order of first appearance, so every complete table is in canonical
-(BFS) form: complete canonical tables correspond one-to-one to based
-isomorphism classes, and each is handed to SubgroupGraph as it stands.
-Unbased classes keep only the table that is lexicographically least, row
-by row, among its canonical forms from every base.  Each new edge is checked
-by the relator scans of coset enumeration (``subgroup._scan``), run only
-over the relator cycles through that edge.
+The search (Sims 1994, ch. 5) fills a coset table in scan order (lowest
+vertex, lowest letter, positive column before inverse), branching at the
+first empty entry over the used vertices and the next new one, so every
+complete table is in canonical (BFS) form, one per based isomorphism class.
+Relator scans of coset enumeration (``subgroup._scan``) over the cycles
+through each new edge reject it on a coincidence; an entry they force is
+filled on an undo trail and scanned in turn.  Forced entries point at used
+vertices and lie after the first empty entry, so the tables and their order
+stay those of branching at every entry.  An unbased class keeps its least
+canonical form over all bases: a partial table that another base already
+renumbers into a smaller one is cut.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
 from .words import Presentation
-from .subgroup import SubgroupGraph, _canonical_rows, _relator_cycles, _scan
+from .subgroup import SubgroupGraph, _relator_cycles, _scan
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -38,64 +40,109 @@ class EnumerationTask:
 
 
 class _Search:
-    """Depth-first search over partial coset tables on ``n`` vertices, rows
-    of columns as in coset enumeration, None for an empty entry.
+    """Depth-first search over partial coset tables on at most ``n`` vertices:
+    rows of columns as in coset enumeration, one per used vertex, None for
+    an empty entry.  ``nodes`` counts tentative edges, ``forced`` the entries
+    filled by scans, which are not nodes, and ``pruned`` the partial tables
+    cut in unbased mode, where every used vertex u >= 1 is a base."""
 
-    After the tentative edge (v, c) -> t it scans at v, with the kernel
-    ``_scan`` of coset enumeration, the relator cycles that begin with
-    column c; every relator cycle through the new edge is one of them.  The
-    vertices are distinct cosets, so an edge after which two of them must
-    coincide has no completion and is rejected.
-    """
-
-    def __init__(self, presentation: Presentation, n: int, budget: int):
+    def __init__(self, presentation: Presentation, n: int, budget: int, unbased: bool = False):
         self.n = n
         self.ncols = 2 * len(presentation.alphabet)
-        self.table = [[None] * self.ncols for _ in range(n)]
-        self.used = 1
+        self.table = [[None] * self.ncols]
+        self.unbased = unbased
         self.budget = budget
-        self.nodes = 0
+        self.nodes = self.forced = self.pruned = 0
         self.conjugates = _relator_cycles(presentation)
 
-    def _extend(self, v: int = 0, c: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def _extend(self, v: int = 0, c: int = 0, bases: tuple = ()
+                ) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Complete the table from its first empty entry, at or after the
-        entry (v, c) filled last: the inverse entry filled with it lands later."""
-        while v < self.used and None not in self.table[v][c:]:
+        entry (v, c) filled last, comparing it with its renumberings from
+        ``bases``, those not yet found larger."""
+        table = self.table
+        used = len(table)
+        while v < used and None not in table[v][c:]:
             v, c = v + 1, 0
-        if v == self.used:
-            if self.used == self.n:
-                yield tuple(tuple(row) for row in self.table)
+        if v == used:
+            if used == self.n:
+                yield tuple(tuple(row) for row in table)
             return
-        c = self.table[v].index(None, c)
-        inv = c ^ 1
-        used = self.used
+        c = table[v].index(None, c)
         for t in range(min(used + 1, self.n)):  # a used vertex, or the next new one
-            if t < used and self.table[t][inv] is not None:
+            if t < used and table[t][c ^ 1] is not None:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(self.budget)
-            self.used = max(used, t + 1)
-            self.table[v][c] = t
-            self.table[t][inv] = v
-            if all(len(_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
-                yield from self._extend(v, c)
-            self.table[t][inv] = None
-            self.table[v][c] = None
-        self.used = used
+            if t == used:
+                table.append([None] * self.ncols)
+            table[v][c], table[t][c ^ 1] = t, v
+            trail = [(v, c, t)]
+            if self._deduce(trail):
+                below = self._not_larger(bases + (t,) if t == used and self.unbased else bases)
+                if below is not None:
+                    yield from self._extend(v, c, below)
+            for f, col, b in reversed(trail):
+                table[f][col] = table[b][col ^ 1] = None
+            if t == used:
+                table.pop()
 
-
-def _least_from_base(rows: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff no other base renumbers the canonical table ``rows`` into a
-    lexicographically smaller table."""
-    cols = list(zip(*rows))
-    for v in range(1, len(rows)):
-        for a, b in zip(_canonical_rows(cols, [v]), rows):
-            if a != b:
-                if a < b:
+    def _deduce(self, trail: list[tuple[int, int, int]]) -> bool:
+        """Scan the relator cycles through each filled entry on ``trail``,
+        filling every entry they force and appending it to ``trail``; False
+        as soon as a scan finds two vertices that must coincide."""
+        for f, col, _ in trail:
+            for w in self.conjugates[col]:
+                found = _scan(self.table, f, w)
+                if len(found) == 2:
                     return False
-                break
-    return True
+                if found:
+                    g, d, h = found
+                    self.table[g][d], self.table[h][d ^ 1] = h, g
+                    trail.append(found)
+                    self.forced += 1
+        return True
+
+    def _not_larger(self, bases: tuple) -> Optional[tuple]:
+        """The bases that do not renumber the table into a larger one, which
+        they would do in every completion; None if one makes it smaller."""
+        keep = []
+        for u in bases:
+            sign = _renumbered_minus_table(self.table, u)
+            if sign < 0:
+                self.pruned += 1
+                return None
+            if sign == 0:
+                keep.append(u)
+        return tuple(keep)
+
+
+def _renumbered_minus_table(table: list, u: int) -> int:
+    """The first nonzero difference, entry by entry in scan order, between
+    the partial table renumbered by BFS from vertex u and the table itself,
+    up to the first entry empty on either side; else 0."""
+    new = [-1] * len(table)
+    new[u] = 0
+    order = [u]
+    for row, x in zip(table, order):
+        for s, t in zip(row, table[x]):
+            if s is None or t is None:
+                return 0
+            if new[t] < 0:
+                new[t] = len(order)
+                order.append(t)
+            if new[t] != s:
+                return new[t] - s
+    return 0
+
+
+def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
+    """The classes of ``task`` one at a time, in canonical order."""
+    search = _Search(task.presentation, task.vertex_count, node_budget,
+                     unbased=task.mode == "unbased")
+    for rows in search._extend():
+        yield SubgroupGraph(task.presentation, list(zip(*rows))[0::2])
 
 
 def enumerate_graphs(
@@ -104,13 +151,7 @@ def enumerate_graphs(
     """All connected X-regular graphs on exactly ``vertex_count`` vertices
     fulfilling the relators, one per isomorphism class in the chosen mode,
     in canonical order."""
-    search = _Search(task.presentation, task.vertex_count, node_budget)
-    out = []
-    for rows in search._extend():
-        if task.mode == "unbased" and not _least_from_base(rows):
-            continue
-        out.append(SubgroupGraph(task.presentation, list(zip(*rows))[0::2]))
-    return out
+    return list(_graphs(task, node_budget))
 
 
 def hall_search(
@@ -130,5 +171,4 @@ def hall_search(
             f"order {d} and index {group_order // d} are not coprime"
         )
     task = EnumerationTask(presentation, group_order // d, mode="based")
-    found = enumerate_graphs(task, node_budget)
-    return found[0] if found else None
+    return next(_graphs(task, node_budget), None)

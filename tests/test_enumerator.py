@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,8 @@ from stallings import (
     is_regular,
 )
 from stallings.enumerator import _Search
+from stallings.subgroup import _canonical_rows, _relator_cycles, _scan
+from test_coset_enumeration import symmetric
 
 
 def counts(presentation, n_max, mode):
@@ -80,6 +83,18 @@ def test_budget(f2):
         enumerate_graphs(EnumerationTask(f2, 6), node_budget=10)
 
 
+def test_search_grows_its_table_with_its_vertices(s3):
+    search = _Search(s3, 10**9, 10)
+    assert len(search.table) == 1
+    tracemalloc.start()
+    try:
+        assert enumerate_graphs(EnumerationTask(s3, 10**6), node_budget=1000) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 class TestHallSearch:
     def test_s3_witnesses(self, s3):
         for d in (1, 2, 3, 6):
@@ -106,6 +121,21 @@ class TestHallSearch:
     def test_whole_group_is_hall(self, s3):
         witness = hall_search(s3, 6, 6)
         assert witness.index() == 1
+
+    @pytest.mark.parametrize("k, order, orders", [
+        (3, 6, (1, 2, 3, 6)),
+        (4, 24, (1, 3, 8, 24)),
+        (5, 120, (1, 3, 5, 8, 15, 24, 40, 120)),
+    ])
+    def test_witness_is_the_first_class(self, k, order, orders):
+        pres = symmetric(k)
+        for d in orders:
+            witness = hall_search(pres, order, d)
+            found = enumerate_graphs(EnumerationTask(pres, order // d))
+            if found:
+                assert witness.coset_table() == found[0].coset_table()
+            else:
+                assert witness is None
 
 
 def test_search_is_the_free_group_filtered_by_fulfillment(random_presentation):
@@ -151,3 +181,109 @@ def test_search_visits_no_more_nodes_than_a_full_rescan(pres, n, nodes, classes)
     search = _Search(pres, n, nodes)
     assert sum(1 for _ in search._extend()) == classes
     assert search.nodes <= nodes
+
+
+def test_search_counters():
+    f2 = free_presentation(["a", "b"])
+    based = _Search(f2, 6, 10**6)
+    assert sum(1 for _ in based._extend()) == 3447
+    assert (based.nodes, based.forced, based.pruned) == (13970, 0, 0)
+    t237 = _Search(P(["a", "b"], ["a a", "b b b", " ".join(["a b"] * 7)]), 28, 10**6)
+    assert sum(1 for _ in t237._extend()) == 1092
+    assert t237.nodes <= 178702 // 2 and t237.forced > 0 and t237.pruned == 0
+    unbased = _Search(f2, 7, 10**6, unbased=True)
+    assert sum(1 for _ in unbased._extend()) == 4163
+    assert (unbased.nodes, unbased.forced, unbased.pruned) == (34733, 0, 6758)
+
+
+class ReferenceSearch:
+    """The search without forced entries or pruning, as a reference: it
+    branches over every vertex at every empty entry, on a table of ``n``
+    rows allocated up front; unbased classes are the complete tables that
+    ``least_from_base`` keeps."""
+
+    def __init__(self, presentation, n, budget):
+        self.n = n
+        self.ncols = 2 * len(presentation.alphabet)
+        self.table = [[None] * self.ncols for _ in range(n)]
+        self.used = 1
+        self.budget = budget
+        self.nodes = 0
+        self.conjugates = _relator_cycles(presentation)
+
+    def _extend(self, v=0, c=0):
+        while v < self.used and None not in self.table[v][c:]:
+            v, c = v + 1, 0
+        if v == self.used:
+            if self.used == self.n:
+                yield tuple(tuple(row) for row in self.table)
+            return
+        c = self.table[v].index(None, c)
+        inv = c ^ 1
+        used = self.used
+        for t in range(min(used + 1, self.n)):
+            if t < used and self.table[t][inv] is not None:
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(self.budget)
+            self.used = max(used, t + 1)
+            self.table[v][c] = t
+            self.table[t][inv] = v
+            if all(len(_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
+                yield from self._extend(v, c)
+            self.table[t][inv] = None
+            self.table[v][c] = None
+        self.used = used
+
+
+def least_from_base(rows):
+    """True iff no other base renumbers the canonical table ``rows`` into a
+    lexicographically smaller table."""
+    cols = list(zip(*rows))
+    for v in range(1, len(rows)):
+        for a, b in zip(_canonical_rows(cols, [v]), rows):
+            if a != b:
+                if a < b:
+                    return False
+                break
+    return True
+
+
+def assert_search_matches_reference(pres, n, mode):
+    reference = ReferenceSearch(pres, n, 10**7)
+    expected = [rows for rows in reference._extend()
+                if mode == "based" or least_from_base(rows)]
+    search = _Search(pres, n, 10**7, unbased=mode == "unbased")
+    assert list(search._extend()) == expected, (pres, n, mode)
+    assert search.nodes <= reference.nodes, (pres, n, mode)
+
+
+def test_search_matches_the_reference_on_random_presentations(random_presentation):
+    rng = random.Random(10)
+    for _ in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 5)
+        pres = random_presentation(rng, k)
+        for mode in ("based", "unbased"):
+            assert_search_matches_reference(pres, n, mode)
+
+
+def triangle(l, m, n):
+    return P(["x", "y"], [" ".join(["x"] * l), " ".join(["y"] * m), " ".join(["x y"] * n)])
+
+
+# the groups of the low-index benchmark grid, each with its largest index up to 8
+LOW_INDEX_GRID = [
+    (free_presentation(["a", "b"]), 5),
+    (free_presentation(["a", "b", "c"]), 3),
+    (P(["a", "b"], ["a a", "b b b"]), 8),
+    (P(["a", "b", "c"], ["a a", "b b", "c c", "a b a b a b", "b c b c b c", "a c a c a c"]), 8),
+] + [(triangle(*lmn), 8) for lmn in
+     [(2, 3, 7), (2, 3, 8), (2, 3, 9), (2, 4, 5), (2, 4, 6), (3, 3, 4), (3, 3, 5)]]
+
+
+@pytest.mark.parametrize("pres, top", LOW_INDEX_GRID)
+def test_search_matches_the_reference_on_the_low_index_grid(pres, top):
+    for n in range(1, top + 1):
+        for mode in ("based", "unbased"):
+            assert_search_matches_reference(pres, n, mode)
