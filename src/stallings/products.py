@@ -2,47 +2,65 @@
 
 The product of two subgroup graphs has vertex set V1 x V2 and a same-label
 edge wherever both factors have one.  Its components are the orbits of
-pairs under the generators, explored from the factors' coset tables; the
-orbit of the base pair is the intersection.  Pair vertices are encoded
-row-major: ``left_id * |V2| + right_id``.
+pairs under the forward columns of the factors' coset tables, that is the
+double cosets H\\G/K; the orbit of the base pair is the intersection.  Pair
+vertices are encoded row-major: ``left_id * |V2| + right_id``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .words import Word
 from .xgraph import XGraph
 from .subgroup import SubgroupGraph
 
 
-def _orbit(left: SubgroupGraph, right: SubgroupGraph, start: int) -> list[int]:
-    """The pairs reachable from pair ``start``, in BFS order, scanning the
-    columns in the order that numbers a subgroup graph canonically."""
+def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], SubgroupGraph]:
+    """The intersection, and per pair the vertex of it that the pair is, or
+    -1 off the base orbit.  The orbit is numbered by BFS from the base pair,
+    scanning both column directions in scan order, so its rows are already
+    canonical."""
+    left._check_presentation(right)
     n2 = right.index()
     cols = list(zip(left._table.values(), right._table.values()))
-    order = [start]
-    seen = {start}
+    vertex = [-1] * (left.index() * n2)
+    vertex[0] = 0
+    order, rows = [0], []
     for p in order:
         a, b = divmod(p, n2)
+        row = []
         for lc, rc in cols:
             q = lc[a] * n2 + rc[b]
-            if q not in seen:
-                seen.add(q)
+            if vertex[q] < 0:
+                vertex[q] = len(order)
                 order.append(q)
-    return order
+            row.append(vertex[q])
+        rows.append(row)
+    return vertex, SubgroupGraph(left.presentation, rows=rows)
 
 
-def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[dict, SubgroupGraph]:
-    """The intersection, and the vertex of it that each pair of the base
-    orbit is: the orbit's BFS order is already canonical."""
-    left._check_presentation(right)
-    vertex = {p: i for i, p in enumerate(_orbit(left, right, 0))}
+def _components(left: SubgroupGraph, right: SubgroupGraph,
+                component: list[int]) -> Iterator[tuple[int, int]]:
+    """Label the pairs still -1 in ``component`` by the least pair of their
+    component, in place, one component at a time in order of that pair, and
+    yield it with the component's size as each is finished.  The columns are
+    permutations, so the orbits under the forward columns alone are the
+    components."""
     n2 = right.index()
-    forward = [[vertex[lc[p // n2] * n2 + rc[p % n2]] for p in vertex]
-               for lc, rc in zip(left.coset_table().permutations,
-                                 right.coset_table().permutations)]
-    return vertex, SubgroupGraph(left.presentation, forward)
+    cols = list(zip(left.coset_table().permutations, right.coset_table().permutations))
+    for p in range(len(component)):
+        if component[p] < 0:
+            component[p] = p
+            stack = [p]
+            for q in stack:
+                a, b = divmod(q, n2)
+                for lc, rc in cols:
+                    r = lc[a] * n2 + rc[b]
+                    if component[r] < 0:
+                        component[r] = p
+                        stack.append(r)
+            yield p, len(stack)
 
 
 class ProductGraph:
@@ -52,17 +70,14 @@ class ProductGraph:
     ``graph`` is the whole product as an XGraph, built on first use.
     """
 
-    __slots__ = ("left", "right", "component", "base_component", "_graph")
+    __slots__ = ("left", "right", "component", "base_component", "_sizes", "_graph")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
         self.left = left
         self.right = right
         component = [-1] * (left.index() * right.index())
-        for p in range(len(component)):
-            if component[p] < 0:
-                for q in _orbit(left, right, p):
-                    component[q] = p
+        self._sizes = dict(_components(left, right, component))
         self.component = tuple(component)
         self.base_component = self.component[self.pair_id(left.base, right.base)]
         self._graph = None
@@ -88,10 +103,7 @@ class ProductGraph:
         return self.component[self.pair_id(v_left, v_right)] == self.base_component
 
     def component_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for c in self.component:
-            sizes[c] = sizes.get(c, 0) + 1
-        return sizes
+        return dict(self._sizes)
 
 
 def intersect(sg1: SubgroupGraph, sg2: SubgroupGraph) -> SubgroupGraph:
@@ -124,6 +136,5 @@ def is_malnormal(sg: SubgroupGraph, group_order: int) -> bool:
         raise ValueError(
             f"group order {group_order} is not a multiple of the index {sg.index()}"
         )
-    pg = ProductGraph(sg, sg)
-    return all(size == group_order for comp, size in pg.component_sizes().items()
-               if comp != pg.base_component)
+    component = [-1] * sg.index() ** 2  # the base pair is pair 0, so labels its component
+    return all(size == group_order for p, size in _components(sg, sg, component) if p != 0)

@@ -28,21 +28,39 @@ from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words
 DEFAULT_MAX_COSETS = 10_000
 
 
-def _table(forward: Sequence[Sequence[int]], n: int) -> dict:
-    """The columns of a coset table keyed by signed letter, in scan order
-    (generator i, then its inverse), from the forward columns.  Raises
-    ValueError unless each is a permutation of range(n)."""
+def _table(forward: Sequence[Sequence[int]], k: int) -> dict:
+    """The columns of a coset table as tuples keyed by signed letter, in
+    scan order (generator i, then its inverse), from the forward columns.
+    Raises ValueError unless there are k columns, each a permutation."""
+    n = len(forward[0]) if forward else 0
     vertices = set(range(n))
-    if any(len(col) != n or set(col) != vertices for col in forward):
+    if len(forward) != k or any(len(col) != n or set(col) != vertices for col in forward):
         raise ValueError("graph is not X-regular")
     table = {}
     for i, col in enumerate(forward):
         inverse = [0] * n
         for v, t in enumerate(col):
             inverse[t] = v
-        table[i + 1] = col
-        table[-i - 1] = inverse
+        table[i + 1] = tuple(col)
+        table[-i - 1] = tuple(inverse)
     return table
+
+
+def _row_table(rows: Sequence[Sequence[int]], k: int) -> dict:
+    """The same from the rows of a complete table, 2i for generator i and
+    2i + 1 for its inverse: each inverse column is checked to invert its
+    forward column, not rebuilt."""
+    identity = list(range(len(rows)))
+    try:
+        cols = list(zip(*rows, strict=True))
+        regular = len(cols) == 2 * k and all(
+            min(f) >= 0 and list(map(g.__getitem__, f)) == identity
+            for f, g in zip(cols[0::2], cols[1::2]))
+    except (IndexError, TypeError, ValueError):
+        regular = False
+    if not regular:
+        raise ValueError("graph is not X-regular")
+    return dict(zip([lt for i in range(1, k + 1) for lt in (i, -i)], cols))
 
 
 def _forward_columns(g: XGraph) -> list[list[int]]:
@@ -85,6 +103,26 @@ def _canonical_rows(cols: Iterable[Sequence[int]], order: list[int]) -> Iterator
         yield tuple(row)
 
 
+def _bfs_parent(table: dict, n: int) -> Optional[list]:
+    """The Schreier vector of BFS from vertex 0 if, scanning the rows in
+    order, each vertex first appears as the next id; else None.  Raises
+    ValueError if the BFS stops before reaching all n vertices."""
+    parent = [None]
+    columns = list(table.items())
+    for v in range(n):
+        if len(parent) == n:
+            break
+        if v == len(parent):
+            raise ValueError("graph is not connected")
+        for lt, col in columns:
+            t = col[v]
+            if t >= len(parent):
+                if t > len(parent):
+                    return None
+                parent.append((v, lt))
+    return parent
+
+
 def fulfillment_violation(
     g: XGraph, presentation: Presentation
 ) -> Optional[tuple[int, Word, int]]:
@@ -95,7 +133,7 @@ def fulfillment_violation(
     """
     if g.alphabet != presentation.alphabet:
         raise AlphabetMismatch("graph and presentation alphabets differ")
-    table = _table(_forward_columns(g), g.vertex_count)
+    table = _table(_forward_columns(g), len(g.alphabet))
     return _relator_violation(table, presentation.relators)
 
 
@@ -124,31 +162,33 @@ class SubgroupGraph:
 
     __slots__ = ("presentation", "_parent", "_coset_reps", "_table", "_graph")
 
-    def __init__(self, presentation: Presentation,
-                 forward: Sequence[Sequence[int]], base: int = 0):
-        """Check and renumber canonically a table in which generator i takes
-        vertex v to ``forward[i][v]``.  Raises ValueError unless every column
-        is a permutation and BFS from ``base`` reaches every vertex, and
+    def __init__(self, presentation: Presentation, forward: Sequence[Sequence[int]] = (),
+                 base: int = 0, *, rows: Sequence[Sequence[int]] = ()):
+        """Check a table, given as forward columns (generator i takes vertex
+        v to ``forward[i][v]``) or as the ``rows`` of a complete table, and
+        number it canonically: a table already numbered by BFS from
+        ``base == 0`` is checked, not renumbered.  Raises ValueError unless
+        every column is a permutation, each given inverse column inverts its
+        forward column and BFS from ``base`` reaches every vertex, and
         FulfillmentFailed, in the given numbering, if a relator fails."""
-        n = len(forward[0])
-        table = _table(forward, n)
-        if len(forward) != len(presentation.alphabet):
-            raise ValueError("graph is not X-regular")
-        rows = list(_canonical_rows(table.values(), [base]))
-        if len(rows) != n:
-            raise ValueError("graph is not connected")
+        k = len(presentation.alphabet)
+        table = _row_table(rows, k) if rows else _table(forward, k)
+        n = len(table[1])
+        parent = _bfs_parent(table, n) if base == 0 else None
+        canonical = table
+        if parent is None:
+            renumbered = list(_canonical_rows(table.values(), [base]))
+            if len(renumbered) != n:
+                raise ValueError("graph is not connected")
+            canonical = dict(zip(table, zip(*renumbered)))
+            parent = _bfs_parent(canonical, n)
         violation = _relator_violation(table, presentation.relators)
         if violation is not None:
             raise FulfillmentFailed(*violation)
-        parent = [None]
-        for i, row in enumerate(rows):
-            for lt, t in zip(table, row):
-                if t == len(parent):  # first appearance: a spanning-tree edge
-                    parent.append((i, lt))
         self.presentation = presentation
         self._parent = parent
         self._coset_reps = None
-        self._table = dict(zip(table, zip(*rows)))
+        self._table = canonical
         self._graph = None
 
     @property

@@ -1,9 +1,13 @@
 import pytest
 
 from stallings import (
+    EnumerationTask,
+    Presentation,
     ProductGraph,
+    SubgroupGraph,
     coset_enumerate,
     coset_meet,
+    enumerate_graphs,
     free_reduce,
     intersect,
     is_malnormal,
@@ -103,3 +107,89 @@ def test_vertices_outside_a_factor_are_rejected(f2):
 def test_malnormality_needs_a_positive_group_order(f2, order):
     with pytest.raises(ValueError):
         is_malnormal(coset_enumerate(f2, [f2.word("a"), f2.word("b")]), order)
+
+
+def _symmetric(n: int) -> Presentation:
+    """S_n as the Coxeter group of type A_{n-1}."""
+    gens = [f"s{i}" for i in range(1, n)]
+    rels = [f"{s} {s}" for s in gens]
+    rels += [" ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
+             for i in range(1, n) for j in range(i + 1, n)]
+    return Presentation.parse(gens, rels)
+
+
+S5 = _symmetric(5)
+A2 = Presentation.parse(["a", "b", "c"],
+                        ["a a", "b b", "c c", "a b a b a b", "b c b c b c", "a c a c a c"])
+S5_POOL = [[], ["s1"], ["s1 s2"], ["s1", "s3"], ["s1 s2 s3 s4"], ["s1 s2", "s2 s3", "s3 s4"]]
+
+
+def _reference_orbit(left, right, start):
+    """The pairs reachable from ``start`` by BFS along forward and inverse
+    columns alike, in scan order, with a set of the pairs seen."""
+    n2 = right.index()
+    cols = list(zip(left._table.values(), right._table.values()))
+    order, seen = [start], {start}
+    for p in order:
+        a, b = divmod(p, n2)
+        for lc, rc in cols:
+            q = lc[a] * n2 + rc[b]
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+    return order
+
+
+def _reference_components(left, right):
+    """Component labels and sizes, one reference orbit per component."""
+    component = [-1] * (left.index() * right.index())
+    for p in range(len(component)):
+        if component[p] < 0:
+            for q in _reference_orbit(left, right, p):
+                component[q] = p
+    sizes = {}
+    for c in component:
+        sizes[c] = sizes.get(c, 0) + 1
+    return tuple(component), sizes
+
+
+def _reference_meet(left, right):
+    """The intersection renumbered from the columns of the base orbit, and
+    the vertex of it that each pair of the orbit is."""
+    vertex = {p: i for i, p in enumerate(_reference_orbit(left, right, 0))}
+    n2 = right.index()
+    forward = [[vertex[lc[p // n2] * n2 + rc[p % n2]] for p in vertex]
+               for lc, rc in zip(left.coset_table().permutations,
+                                 right.coset_table().permutations)]
+    return vertex, SubgroupGraph(left.presentation, forward)
+
+
+def _pool_pairs():
+    s5 = [coset_enumerate(S5, [S5.word(w) for w in gens]) for gens in S5_POOL]
+    a2 = [sg for n in range(1, 7) for sg in enumerate_graphs(EnumerationTask(A2, n))]
+    return [(h, k) for pool in (s5, a2) for h in pool for k in pool]
+
+
+def test_labels_match_the_reference_bfs():
+    pairs = _pool_pairs()
+    assert len(pairs) == 6 ** 2 + 28 ** 2
+    for h, k in pairs:
+        pg = ProductGraph(h, k)
+        component, sizes = _reference_components(h, k)
+        assert pg.component == component
+        assert list(pg.component_sizes().items()) == list(sizes.items())
+        assert pg.base_component == component[0]
+        vertex, meet = _reference_meet(h, k)
+        got = intersect(h, k)
+        assert (got._table, got._parent) == (meet._table, meet._parent)
+        for v1 in range(h.index()):
+            v2 = (7 * v1 + 3) % k.index()
+            p = v1 * k.index() + v2
+            expected = meet.coset_reps[vertex[p]] if p in vertex else None
+            assert coset_meet(pg, v1, v2) == expected
+
+
+def test_malnormality_in_s5():
+    assert is_malnormal(coset_enumerate(S5), 120)
+    # A5 is normal of index 2: it meets each of its conjugates in itself
+    assert not is_malnormal(coset_enumerate(S5, [S5.word(w) for w in S5_POOL[-1]]), 120)

@@ -1,20 +1,26 @@
+import random
+
 import pytest
 
 from stallings import (
     AlphabetMismatch,
     BasedXGraph,
     CosetLimitExceeded,
+    EnumerationTask,
     FulfillmentFailed,
     Presentation,
     PresentationMismatch,
+    SubgroupGraph,
     Word,
     XGraph,
     coset_enumerate,
+    enumerate_graphs,
     free_presentation,
     fulfillment_violation,
     fulfills,
     subgroup_from_graph,
 )
+from stallings.subgroup import _Enumeration, _bfs_parent, _canonical_rows, _table
 
 XY_PRES = Presentation.parse(["x", "y"], ["x x", "y y", "x y x y x y"])
 
@@ -200,3 +206,115 @@ class TestSubgroupCalculus:
         # every subgroup of the quaternion group is normal
         for text in ("a", "b", "a b", "a a"):
             assert coset_enumerate(q8, [q8.word(text)]).is_normal()
+
+
+def _symmetric(n: int) -> Presentation:
+    """S_n as the Coxeter group of type A_{n-1}."""
+    gens = [f"s{i}" for i in range(1, n)]
+    rels = [f"{s} {s}" for s in gens]
+    rels += [" ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
+             for i in range(1, n) for j in range(i + 1, n)]
+    return Presentation.parse(gens, rels)
+
+
+S5 = _symmetric(5)
+S5_SUBGROUPS = [[], ["s1"], ["s1 s2"], ["s1", "s3"], ["s1", "s2"], ["s1 s2 s3 s4"],
+                ["s2 s1 s4", "s2"], ["s3 s2 s4 s3 s4", "s4 s2 s2"], ["s1 s2", "s2 s3", "s3 s4"]]
+T237 = Presentation.parse(["a", "b"], ["a a", "b b b", " ".join(["a b"] * 7)])
+
+
+def _renumbered(table: dict, base: int = 0) -> tuple[dict, list]:
+    """The canonical table and Schreier vector by renumbering every row with
+    ``_canonical_rows`` and reading the tree edges off the renumbered rows."""
+    rows = list(_canonical_rows(table.values(), [base]))
+    parent = [None]
+    for i, row in enumerate(rows):
+        for lt, t in zip(table, row):
+            if t == len(parent):
+                parent.append((i, lt))
+    return dict(zip(table, zip(*rows))), parent
+
+
+def _relabeled(forward, sigma):
+    """The forward columns with vertex v renamed sigma[v]."""
+    out = [[0] * len(sigma) for _ in forward]
+    for new, col in zip(out, forward):
+        for v, t in enumerate(col):
+            new[sigma[v]] = sigma[t]
+    return out
+
+
+class TestCanonicalCheck:
+    """A table already numbered by BFS from the base is checked in one pass
+    instead of renumbered; both must give the same table and Schreier vector."""
+
+    @pytest.mark.parametrize("pres, n", [(free_presentation(["a", "b"]), 6), (T237, 21)])
+    def test_search_classes_match_renumbering(self, pres, n):
+        classes = enumerate_graphs(EnumerationTask(pres, n))
+        assert len(classes) == {6: 3447, 21: 189}[n]
+        for sg in classes:
+            assert _bfs_parent(sg._table, n) == sg._parent
+            assert _renumbered(sg._table) == (sg._table, sg._parent)
+            again = SubgroupGraph(pres, sg.coset_table().permutations)
+            assert (again._table, again._parent) == (sg._table, sg._parent)
+
+    @pytest.mark.parametrize("gens", S5_SUBGROUPS)
+    def test_coset_enumeration_matches_renumbering(self, gens):
+        enum = _Enumeration(S5)
+        enum.run([S5.word(w) for w in gens], 1000)
+        forward = enum.forward_columns()
+        sg = SubgroupGraph(S5, forward)
+        assert (sg._table, sg._parent) == _renumbered(_table(forward, 4))
+        assert coset_enumerate(S5, [S5.word(w) for w in gens])._table == sg._table
+
+    @pytest.mark.parametrize("gens", S5_SUBGROUPS[:6])
+    def test_relabeled_table_is_renumbered(self, gens):
+        sg = coset_enumerate(S5, [S5.word(w) for w in gens])
+        n = sg.index()
+        rng = random.Random(n)
+        for _ in range(5):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            # vertex 0 renamed 0, so still the base, then renamed rest[0]
+            for sigma in ([0] + rest, rest + [0]):
+                forward = _relabeled(sg.coset_table().permutations, sigma)
+                if sigma[0] == 0 and rest != sorted(rest):
+                    assert _bfs_parent(_table(forward, 4), n) is None
+                again = SubgroupGraph(S5, forward, base=sigma[0])
+                assert (again._table, again._parent) == (sg._table, sg._parent)
+
+
+class TestRowEntry:
+    """``SubgroupGraph(presentation, rows=rows)``: rows of a complete table whose inverse
+    columns are checked against the forward ones."""
+
+    # XY_PRES's graph GAMMA: x swaps 0 and 1, y swaps 1 and 2
+    ROWS = [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1, 1)]
+
+    def test_rows_give_the_table_of_the_columns(self):
+        sg = SubgroupGraph(XY_PRES, rows=self.ROWS)
+        assert sg.index() == 3 and sg._parent == [None, (0, 1), (1, 2)]
+        assert sg._table == SubgroupGraph(XY_PRES, [[1, 0, 2], [0, 2, 1]])._table
+
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, 0, 0), (0, 0, 2, 1), (2, 2, 1, 2)],   # y's inverse is not y^-1
+        [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1)],      # a short row
+        [(1, 1, 0, 0, 0), (0, 0, 2, 2, 0), (2, 2, 1, 1, 0)],  # a column too many
+        [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 3, 1)],   # an entry out of range
+        [(1, 1, 0, 0), (0, 0, -1, 2), (2, 2, 1, 1)],  # -1 standing for vertex 2
+        [(1, 1, 0, 0), (0, 0, None, 2), (2, 2, 1, 1)],
+    ])
+    def test_inconsistent_rows_are_rejected(self, rows):
+        with pytest.raises(ValueError):
+            SubgroupGraph(XY_PRES, rows=rows)
+
+    def test_disconnected_rows_are_rejected(self):
+        rows = [(0, 0, 0, 0), (1, 1, 2, 2), (2, 2, 1, 1)]
+        with pytest.raises(ValueError, match="not connected"):
+            SubgroupGraph(XY_PRES, rows=rows)
+
+    def test_relator_failure_is_reported(self):
+        # x a 3-cycle, y the identity: x x fails at the base
+        rows = [(1, 2, 0, 0), (2, 0, 1, 1), (0, 1, 2, 2)]
+        with pytest.raises(FulfillmentFailed):
+            SubgroupGraph(XY_PRES, rows=rows)

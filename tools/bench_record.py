@@ -12,7 +12,10 @@ pairs the change won:
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
 Both sides run the same benchmark code: the parent's ``perfbench/`` must
-match the working tree's, or the script stops.
+match the working tree's, or the script stops.  Both are byte-compiled
+(``compileall`` on ``src`` and ``perfbench``) before the first pair, so
+that neither side's ``setup_s`` includes compiling the package when the
+interpreter writes no bytecode of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +49,12 @@ def same_benchmark(parent: Path) -> bool:
         paths = [root / "BENCHMARK.json", *sorted((root / "perfbench").rglob("*.py"))]
         return {p.relative_to(root): p.read_bytes() for p in paths}
     return files(parent) == files(ROOT)
+
+
+def compile_tree(checkout: Path) -> None:
+    """Write the bytecode of the package and the benchmark in ``checkout``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=checkout, check=True)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -100,6 +109,8 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "tree"
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
+        for checkout in (parent, ROOT):
+            compile_tree(checkout)
         workloads, machine = {}, None
         for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
