@@ -142,7 +142,7 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     search = _Search(task.presentation, task.vertex_count, node_budget,
                      unbased=task.mode == "unbased")
     for rows in search._extend():
-        yield SubgroupGraph(task.presentation, rows=rows)
+        yield SubgroupGraph(task.presentation, list(zip(*rows))[0::2])
 
 
 def enumerate_graphs(

@@ -19,7 +19,7 @@ from .subgroup import SubgroupGraph
 def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], SubgroupGraph]:
     """The intersection, and per pair the vertex of it that the pair is, or
     -1 off the base orbit.  The orbit is numbered by BFS from the base pair,
-    scanning both column directions in scan order, so its rows are already
+    scanning both column directions in scan order, so its table is already
     canonical."""
     left._check_presentation(right)
     n2 = right.index()
@@ -37,7 +37,7 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
                 order.append(q)
             row.append(vertex[q])
         rows.append(row)
-    return vertex, SubgroupGraph(left.presentation, rows=rows)
+    return vertex, SubgroupGraph(left.presentation, list(zip(*rows))[0::2])
 
 
 def _components(left: SubgroupGraph, right: SubgroupGraph,

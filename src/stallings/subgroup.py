@@ -46,23 +46,6 @@ def _table(forward: Sequence[Sequence[int]], k: int) -> dict:
     return table
 
 
-def _row_table(rows: Sequence[Sequence[int]], k: int) -> dict:
-    """The same from the rows of a complete table, 2i for generator i and
-    2i + 1 for its inverse: each inverse column is checked to invert its
-    forward column, not rebuilt."""
-    identity = list(range(len(rows)))
-    try:
-        cols = list(zip(*rows, strict=True))
-        regular = len(cols) == 2 * k and all(
-            min(f) >= 0 and list(map(g.__getitem__, f)) == identity
-            for f, g in zip(cols[0::2], cols[1::2]))
-    except (IndexError, TypeError, ValueError):
-        regular = False
-    if not regular:
-        raise ValueError("graph is not X-regular")
-    return dict(zip([lt for i in range(1, k + 1) for lt in (i, -i)], cols))
-
-
 def _forward_columns(g: XGraph) -> list[list[int]]:
     """``forward[i][v]`` is the end of the edge labeled i out of v, arc 2i of
     its full table row in an X-regular graph; raises ValueError otherwise."""
@@ -162,17 +145,15 @@ class SubgroupGraph:
 
     __slots__ = ("presentation", "_parent", "_coset_reps", "_table", "_graph")
 
-    def __init__(self, presentation: Presentation, forward: Sequence[Sequence[int]] = (),
-                 base: int = 0, *, rows: Sequence[Sequence[int]] = ()):
-        """Check a table, given as forward columns (generator i takes vertex
-        v to ``forward[i][v]``) or as the ``rows`` of a complete table, and
-        number it canonically: a table already numbered by BFS from
-        ``base == 0`` is checked, not renumbered.  Raises ValueError unless
-        every column is a permutation, each given inverse column inverts its
-        forward column and BFS from ``base`` reaches every vertex, and
-        FulfillmentFailed, in the given numbering, if a relator fails."""
-        k = len(presentation.alphabet)
-        table = _row_table(rows, k) if rows else _table(forward, k)
+    def __init__(self, presentation: Presentation,
+                 forward: Sequence[Sequence[int]], base: int = 0):
+        """Check a table given as forward columns (generator i takes vertex v
+        to ``forward[i][v]``) and number it canonically: a table already
+        numbered by BFS from ``base == 0`` is checked, not renumbered.
+        Raises ValueError unless every column is a permutation and BFS from
+        ``base`` reaches every vertex, and FulfillmentFailed, in the given
+        numbering, if a relator fails."""
+        table = _table(forward, len(presentation.alphabet))
         n = len(table[1])
         parent = _bfs_parent(table, n) if base == 0 else None
         canonical = table

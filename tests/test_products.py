@@ -12,6 +12,7 @@ from stallings import (
     intersect,
     is_malnormal,
 )
+from test_coset_enumeration import symmetric
 
 
 @pytest.fixture
@@ -109,16 +110,7 @@ def test_malnormality_needs_a_positive_group_order(f2, order):
         is_malnormal(coset_enumerate(f2, [f2.word("a"), f2.word("b")]), order)
 
 
-def _symmetric(n: int) -> Presentation:
-    """S_n as the Coxeter group of type A_{n-1}."""
-    gens = [f"s{i}" for i in range(1, n)]
-    rels = [f"{s} {s}" for s in gens]
-    rels += [" ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
-             for i in range(1, n) for j in range(i + 1, n)]
-    return Presentation.parse(gens, rels)
-
-
-S5 = _symmetric(5)
+S5 = symmetric(5)
 A2 = Presentation.parse(["a", "b", "c"],
                         ["a a", "b b", "c c", "a b a b a b", "b c b c b c", "a c a c a c"])
 S5_POOL = [[], ["s1"], ["s1 s2"], ["s1", "s3"], ["s1 s2 s3 s4"], ["s1 s2", "s2 s3", "s3 s4"]]

@@ -21,6 +21,7 @@ from stallings import (
     subgroup_from_graph,
 )
 from stallings.subgroup import _Enumeration, _bfs_parent, _canonical_rows, _table
+from test_coset_enumeration import symmetric
 
 XY_PRES = Presentation.parse(["x", "y"], ["x x", "y y", "x y x y x y"])
 
@@ -208,16 +209,7 @@ class TestSubgroupCalculus:
             assert coset_enumerate(q8, [q8.word(text)]).is_normal()
 
 
-def _symmetric(n: int) -> Presentation:
-    """S_n as the Coxeter group of type A_{n-1}."""
-    gens = [f"s{i}" for i in range(1, n)]
-    rels = [f"{s} {s}" for s in gens]
-    rels += [" ".join([f"s{i} s{j}"] * (3 if j == i + 1 else 2))
-             for i in range(1, n) for j in range(i + 1, n)]
-    return Presentation.parse(gens, rels)
-
-
-S5 = _symmetric(5)
+S5 = symmetric(5)
 S5_SUBGROUPS = [[], ["s1"], ["s1 s2"], ["s1", "s3"], ["s1", "s2"], ["s1 s2 s3 s4"],
                 ["s2 s1 s4", "s2"], ["s3 s2 s4 s3 s4", "s4 s2 s2"], ["s1 s2", "s2 s3", "s3 s4"]]
 T237 = Presentation.parse(["a", "b"], ["a a", "b b b", " ".join(["a b"] * 7)])
@@ -284,37 +276,25 @@ class TestCanonicalCheck:
                 assert (again._table, again._parent) == (sg._table, sg._parent)
 
 
-class TestRowEntry:
-    """``SubgroupGraph(presentation, rows=rows)``: rows of a complete table whose inverse
-    columns are checked against the forward ones."""
+class TestForwardGuards:
+    """Bad forward columns are rejected on the one-pass path from base 0."""
 
-    # XY_PRES's graph GAMMA: x swaps 0 and 1, y swaps 1 and 2
-    ROWS = [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1, 1)]
-
-    def test_rows_give_the_table_of_the_columns(self):
-        sg = SubgroupGraph(XY_PRES, rows=self.ROWS)
-        assert sg.index() == 3 and sg._parent == [None, (0, 1), (1, 2)]
-        assert sg._table == SubgroupGraph(XY_PRES, [[1, 0, 2], [0, 2, 1]])._table
-
-    @pytest.mark.parametrize("rows", [
-        [(1, 1, 0, 0), (0, 0, 2, 1), (2, 2, 1, 2)],   # y's inverse is not y^-1
-        [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1)],      # a short row
-        [(1, 1, 0, 0, 0), (0, 0, 2, 2, 0), (2, 2, 1, 1, 0)],  # a column too many
-        [(1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 3, 1)],   # an entry out of range
-        [(1, 1, 0, 0), (0, 0, -1, 2), (2, 2, 1, 1)],  # -1 standing for vertex 2
-        [(1, 1, 0, 0), (0, 0, None, 2), (2, 2, 1, 1)],
+    @pytest.mark.parametrize("forward", [
+        [[1, 1, 0], [0, 2, 1]],         # x is not a permutation
+        [[1, 0, 2], [0, 2]],            # a short column
+        [[1, 0, 2], [0, 2, 1], [0, 1, 2]],  # a column too many
+        [[1, 0, 3], [0, 2, 1]],         # an entry out of range
+        [[1, 0, -1], [0, 2, 1]],        # -1 standing for vertex 2
     ])
-    def test_inconsistent_rows_are_rejected(self, rows):
-        with pytest.raises(ValueError):
-            SubgroupGraph(XY_PRES, rows=rows)
+    def test_irregular_columns_are_rejected(self, forward):
+        with pytest.raises(ValueError, match="not X-regular"):
+            SubgroupGraph(XY_PRES, forward)
 
-    def test_disconnected_rows_are_rejected(self):
-        rows = [(0, 0, 0, 0), (1, 1, 2, 2), (2, 2, 1, 1)]
+    def test_disconnected_columns_are_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
-            SubgroupGraph(XY_PRES, rows=rows)
+            SubgroupGraph(XY_PRES, [[0, 2, 1], [0, 2, 1]])
 
     def test_relator_failure_is_reported(self):
         # x a 3-cycle, y the identity: x x fails at the base
-        rows = [(1, 2, 0, 0), (2, 0, 1, 1), (0, 1, 2, 2)]
         with pytest.raises(FulfillmentFailed):
-            SubgroupGraph(XY_PRES, rows=rows)
+            SubgroupGraph(XY_PRES, [[1, 2, 0], [0, 1, 2]])
