@@ -48,10 +48,10 @@ def _load_subgroup(path: str, pres: Presentation) -> SubgroupGraph:
 
 
 def _emit(args, graph: BasedXGraph) -> None:
-    """Print the graph file; write the DOT file too if ``--dot`` was given."""
-    print(fileio.serialize_graph(graph), end="")
+    """Write the DOT file if ``--dot`` was given, then print the graph file."""
     if getattr(args, "dot", None):
         Path(args.dot).write_text(fileio.export_dot(graph))
+    print(fileio.serialize_graph(graph), end="")
 
 
 def _answer(flag: bool, yes: str, no: str) -> int:
@@ -265,69 +265,51 @@ def build_parser() -> argparse.ArgumentParser:
                         help="presentation file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, *positionals):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("build", cmd_build, help="coset-enumerate a subgroup")
+    p = add("build", cmd_build, "coset-enumerate a subgroup")
     p.add_argument("-g", "--generator", dest="generators", action="append",
                    default=[], help="subgroup generator word (repeatable)")
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--dot")
 
-    p = add("verify", cmd_verify, help="check a graph file is a subgroup graph")
-    p.add_argument("graphfile")
+    add("verify", cmd_verify, "check a graph file is a subgroup graph", "graphfile")
+    add("index", cmd_index, "index of the subgroup", "graphfile")
+    add("cosets", cmd_cosets, "coset representatives", "graphfile")
+    add("membership", cmd_membership, "test membership of a word", "graphfile", "word")
+    add("basis", cmd_basis, "free basis of the loop language", "graphfile")
+    add("conjugate", cmd_conjugate, "conjugacy of two subgroups", "graphfile1", "graphfile2")
+    add("normal", cmd_normal, "normality test", "graphfile")
 
-    p = add("index", cmd_index, help="index of the subgroup")
-    p.add_argument("graphfile")
-
-    p = add("cosets", cmd_cosets, help="coset representatives")
-    p.add_argument("graphfile")
-
-    p = add("membership", cmd_membership, help="test membership of a word")
-    p.add_argument("graphfile")
-    p.add_argument("word")
-
-    p = add("basis", cmd_basis, help="free basis of the loop language")
-    p.add_argument("graphfile")
-
-    p = add("conjugate", cmd_conjugate, help="conjugacy of two subgroups")
-    p.add_argument("graphfile1")
-    p.add_argument("graphfile2")
-
-    p = add("normal", cmd_normal, help="normality test")
-    p.add_argument("graphfile")
-
-    p = add("normalizer", cmd_normalizer, help="normalizer of the subgroup")
-    p.add_argument("graphfile")
+    p = add("normalizer", cmd_normalizer, "normalizer of the subgroup", "graphfile")
     p.add_argument("--dot")
 
-    p = add("intersect", cmd_intersect, help="intersection of two subgroups")
-    p.add_argument("graphfile1")
-    p.add_argument("graphfile2")
+    p = add("intersect", cmd_intersect, "intersection of two subgroups",
+            "graphfile1", "graphfile2")
     p.add_argument("--dot")
 
-    p = add("coset-meet", cmd_coset_meet, help="intersection of two cosets")
-    p.add_argument("graphfile1")
-    p.add_argument("graphfile2")
+    p = add("coset-meet", cmd_coset_meet, "intersection of two cosets", "graphfile1", "graphfile2")
     p.add_argument("vertex1", type=int)
     p.add_argument("vertex2", type=int)
 
-    p = add("malnormal", cmd_malnormal, help="malnormality in a finite group")
-    p.add_argument("graphfile")
+    p = add("malnormal", cmd_malnormal, "malnormality in a finite group", "graphfile")
     p.add_argument("--order", type=int, required=True, help="group order")
 
-    p = add("hall", cmd_hall, help="search for a Hall subgroup")
+    p = add("hall", cmd_hall, "search for a Hall subgroup")
     p.add_argument("--order", type=int, required=True, help="group order")
     p.add_argument("--d", type=int, required=True, help="subgroup order")
     p.add_argument("--dot")
 
-    p = add("enumerate", cmd_enumerate, help="enumerate fulfilling graphs")
+    p = add("enumerate", cmd_enumerate, "enumerate fulfilling graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("based", "unbased"), default="based")
 
-    p = add("gamma", cmd_gamma, help="build a certificate graph family member")
+    p = add("gamma", cmd_gamma, "build a certificate graph family member")
     p.add_argument("family", choices=("type1", "artin", "type2", "glued", "amalgam"))
     p.add_argument("--letter", help="circle letter (type1/artin)")
     p.add_argument("--p", type=int, help="circle length (type1/artin)")
@@ -346,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amalgam identification d=psi(d) (repeatable)")
     p.add_argument("--dot")
 
-    p = add("certify", cmd_certify, help="verify the sweep property of a graph")
-    p.add_argument("graphfile")
+    p = add("certify", cmd_certify, "verify the sweep property of a graph", "graphfile")
     p.add_argument("--word", required=True)
     p.add_argument("--prime", type=int)
 
@@ -362,7 +343,7 @@ def main(argv=None) -> int:
     try:
         pres = _load_presentation(args.presentation)
         return args.fn(args, pres)
-    except (ParseError, OSError, argparse.ArgumentError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (CosetLimitExceeded, SearchBudgetExceeded) as e:

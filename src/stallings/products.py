@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .words import Word
-from .xgraph import XGraph
 from .subgroup import SubgroupGraph
 
 
@@ -66,11 +65,10 @@ def _components(left: SubgroupGraph, right: SubgroupGraph,
 class ProductGraph:
     """The product of two subgroup graphs, as component labels of all pairs.
 
-    ``component[p]`` is the least pair id in the component of pair ``p``;
-    ``graph`` is the whole product as an XGraph, built on first use.
+    ``component[p]`` is the least pair id in the component of pair ``p``.
     """
 
-    __slots__ = ("left", "right", "component", "base_component", "_sizes", "_graph")
+    __slots__ = ("left", "right", "component", "base_component", "_sizes")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
@@ -80,19 +78,6 @@ class ProductGraph:
         self._sizes = dict(_components(left, right, component))
         self.component = tuple(component)
         self.base_component = self.component[self.pair_id(left.base, right.base)]
-        self._graph = None
-
-    @property
-    def graph(self) -> XGraph:
-        if self._graph is None:
-            n1, n2 = self.left.index(), self.right.index()
-            factors = zip(self.left.coset_table().permutations,
-                          self.right.coset_table().permutations)
-            edges = [(a * n2 + b, li, lc[a] * n2 + rc[b])
-                     for li, (lc, rc) in enumerate(factors)
-                     for a in range(n1) for b in range(n2)]
-            self._graph = XGraph(self.left.presentation.alphabet, n1 * n2, edges)
-        return self._graph
 
     def pair_id(self, v_left: int, v_right: int) -> int:
         if not (0 <= v_left < self.left.index() and 0 <= v_right < self.right.index()):

@@ -23,7 +23,7 @@ from .errors import (
     PresentationMismatch,
 )
 from .words import Presentation, Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words, is_regular
+from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -47,11 +47,14 @@ def _table(forward: Sequence[Sequence[int]], k: int) -> dict:
 
 
 def _forward_columns(g: XGraph) -> list[list[int]]:
-    """``forward[i][v]`` is the end of the edge labeled i out of v, arc 2i of
-    its full table row in an X-regular graph; raises ValueError otherwise."""
-    if not is_regular(g):
+    """``forward[i][v]`` is the end of the edge labeled i out of v, or -1 if
+    none, which ``_table`` rejects; the edge count is checked first."""
+    if len(g.edges) != len(g.alphabet) * g.vertex_count:
         raise ValueError("graph is not X-regular")
-    return [[arcs[2 * i][1] for arcs in g._arc_list()] for i in range(len(g.alphabet))]
+    forward = [[-1] * g.vertex_count for _ in range(len(g.alphabet))]
+    for (u, li, v) in g.edges:
+        forward[li][u] = v
+    return forward
 
 
 def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]:
@@ -150,11 +153,13 @@ class SubgroupGraph:
         """Check a table given as forward columns (generator i takes vertex v
         to ``forward[i][v]``) and number it canonically: a table already
         numbered by BFS from ``base == 0`` is checked, not renumbered.
-        Raises ValueError unless every column is a permutation and BFS from
-        ``base`` reaches every vertex, and FulfillmentFailed, in the given
-        numbering, if a relator fails."""
+        Raises ValueError unless every column is a permutation, ``base`` is
+        a vertex and BFS from it reaches every vertex, and FulfillmentFailed,
+        in the given numbering, if a relator fails."""
         table = _table(forward, len(presentation.alphabet))
         n = len(table[1])
+        if not 0 <= base < n:
+            raise ValueError(f"base vertex {base} out of range")
         parent = _bfs_parent(table, n) if base == 0 else None
         canonical = table
         if parent is None:
@@ -437,13 +442,10 @@ class _Enumeration(_PartialTable):
                 raise CosetLimitExceeded(max_cosets)
             self._define(first, table[first].index(None))
 
-    def forward_columns(self) -> list[list[int]]:
-        """The closed table on the live cosets, renumbered in order; coset 0
-        stays first, as merges keep the smaller id."""
-        live = [c for c in range(len(self.table)) if self.rep(c) == c]
-        renum = {c: i for i, c in enumerate(live)}
-        return [[renum[self.table[c][col]] for c in live]
-                for col in range(0, self.ncols, 2)]
+    def forward_columns(self) -> list[tuple[int, ...]]:
+        """The closed table's forward columns, renumbered by BFS from coset 0,
+        which reads live rows only: no live row references a dead coset."""
+        return list(zip(*_canonical_rows(zip(*self.table), [0])))[0::2]
 
 
 def coset_enumerate(

@@ -60,16 +60,6 @@ class XGraph:
     def _ends(self, v: int, col: int) -> list[int]:
         return [t for c, t in self._arc_list()[v] if c == col]
 
-    def out_targets(self, v: int, li: int) -> list[int]:
-        return self._ends(v, 2 * li)
-
-    def in_origins(self, v: int, li: int) -> list[int]:
-        return self._ends(v, 2 * li + 1)
-
-    def degree(self, v: int) -> int:
-        """Number of edge endpoints at ``v``; a loop counts twice."""
-        return len(self._arc_list()[v])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, XGraph)

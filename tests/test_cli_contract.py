@@ -58,6 +58,8 @@ CASES = {
     "duplicate-vertices": (["index", "{duplicate_vertices}"], "line 2: duplicate vertices line"),
     "duplicate-base": (["cosets", "{duplicate_base}"], "line 3: duplicate base line"),
     "huge-vertex-count": (["index", "{huge_vertex_count}"], "not X-regular"),
+    "dot-to-unwritable-path": (["build", "-g", "a", "-g", "b", "--dot", "{graph}/x.dot"],
+                               "Not a directory"),
 }
 
 

@@ -1,5 +1,6 @@
 """Each script in demos/ runs to completion against the package source:
-exit 0 and nothing on stderr."""
+exit 0, nothing on stderr, and stdout byte for byte as in
+demos/expected/<name>.txt."""
 
 import os
 import subprocess
@@ -19,4 +20,4 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    assert done.stdout
+    assert done.stdout == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_text()

@@ -48,9 +48,16 @@ class TestFulfillment:
         assert r == bad.relators[0]
 
     def test_requires_regular(self):
-        g = XGraph(XY_PRES.alphabet, 2, [(0, 0, 1)])
-        with pytest.raises(ValueError):
-            fulfills(g, XY_PRES)
+        for edges in ([(0, 0, 1)],  # too few edges
+                      # the full edge count, but two x-edges out of 0 and none out of 1
+                      [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1)],
+                      # the full edge count, but two x-edges into 0
+                      [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]):
+            g = XGraph(XY_PRES.alphabet, 2, edges)
+            with pytest.raises(ValueError, match="not X-regular"):
+                fulfills(g, XY_PRES)
+            with pytest.raises(ValueError, match="not X-regular"):
+                subgroup_from_graph(BasedXGraph(g, 0), XY_PRES)
 
     def test_alphabet_checked(self):
         other = free_presentation(["a", "b"])
@@ -277,7 +284,8 @@ class TestCanonicalCheck:
 
 
 class TestForwardGuards:
-    """Bad forward columns are rejected on the one-pass path from base 0."""
+    """Bad forward columns are rejected on the one-pass path from base 0, and
+    so is a base outside the table."""
 
     @pytest.mark.parametrize("forward", [
         [[1, 1, 0], [0, 2, 1]],         # x is not a permutation
@@ -293,6 +301,15 @@ class TestForwardGuards:
     def test_disconnected_columns_are_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
             SubgroupGraph(XY_PRES, [[0, 2, 1], [0, 2, 1]])
+
+    @pytest.mark.parametrize("forward, base", [
+        ([[1, 0]], -1),  # would index vertex 1 from the end
+        ([[0, 1]], 5),
+        ([[]], 0),       # no vertex at all
+    ])
+    def test_base_outside_the_table_is_rejected(self, forward, base):
+        with pytest.raises(ValueError, match="base vertex"):
+            SubgroupGraph(free_presentation(["a"]), forward, base=base)
 
     def test_relator_failure_is_reported(self):
         # x a 3-cycle, y the identity: x x fails at the base
