@@ -68,7 +68,7 @@ class ProductGraph:
     ``component[p]`` is the least pair id in the component of pair ``p``.
     """
 
-    __slots__ = ("left", "right", "component", "base_component", "_sizes")
+    __slots__ = ("left", "right", "component", "base_component", "_sizes", "_meet")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
@@ -78,6 +78,7 @@ class ProductGraph:
         self._sizes = dict(_components(left, right, component))
         self.component = tuple(component)
         self.base_component = self.component[self.pair_id(left.base, right.base)]
+        self._meet = None
 
     def pair_id(self, v_left: int, v_right: int) -> int:
         if not (0 <= v_left < self.left.index() and 0 <= v_right < self.right.index()):
@@ -104,7 +105,9 @@ def coset_meet(pg: ProductGraph, v_left: int, v_right: int) -> Optional[Word]:
     """
     if not pg.in_base_component(v_left, v_right):
         return None
-    vertex, meet = _meet(pg.left, pg.right)
+    if pg._meet is None:
+        pg._meet = _meet(pg.left, pg.right)
+    vertex, meet = pg._meet
     return meet.coset_reps[vertex[pg.pair_id(v_left, v_right)]]
 
 

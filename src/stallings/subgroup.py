@@ -331,15 +331,18 @@ def _columns(w: Word) -> tuple[int, ...]:
     return tuple(2 * abs(lt) - 2 + (lt < 0) for lt in w)
 
 
-def _relator_cycles(presentation: Presentation) -> list[list[tuple[int, ...]]]:
+def _relator_cycles(presentation: Presentation) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per column, the cyclic conjugates of every relator and its inverse
     that begin with it, without repeats: each relator cycle through an entry
-    (alpha, col) is one of these read at alpha."""
-    cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
-                           for w in (_columns(r), _columns(r.inverse()))
-                           for k in range(len(w)))
-    return [[w for w in cycles if w[0] == col]
-            for col in range(2 * len(presentation.alphabet))]
+    (alpha, col) is one of these read at alpha.  Built once per presentation
+    and kept on it, as tuples that every enumeration and search shares."""
+    if presentation._cycles is None:
+        cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
+                               for w in (_columns(r), _columns(r.inverse()))
+                               for k in range(len(w)))
+        presentation._cycles = tuple(tuple(w for w in cycles if w[0] == col)
+                                     for col in range(2 * len(presentation.alphabet)))
+    return presentation._cycles
 
 
 def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cols: tuple[int, ...]) -> tuple:
@@ -369,72 +372,79 @@ def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cols: tuple[int,
 class _Enumeration(_PartialTable):
     """Felsch-style coset enumeration over a partial table.
 
-    Each definition and each deduction pushes its entry (alpha, col) on a
-    deduction stack.  Processing it runs the kernel ``_scan`` at alpha over
-    the relator cycles that begin with col, and a forced entry it reports
-    is a deduction.  Coincidences are processed by the partial table, the
-    same routine that folds graphs; once it is done no live row references
-    a dead coset, so the kernel reads the table as it stands.  A merge
-    pushes every column of the surviving coset, as its row now carries the
-    scans that ran through the dead one.
+    Each definition and each deduction pushes its entry (alpha, col) on the
+    deduction stack ``stack``.  ``run`` pops it and, while alpha is live,
+    runs the kernel ``_scan`` at alpha over the relator cycles that begin
+    with col, which the presentation holds (``_relator_cycles``), all in one
+    loop: an entry a scan forces is filled in place and pushed, and a
+    coincidence it finds is processed by the partial table, the same
+    routine that folds graphs.  Once that is done no live row references a
+    dead coset, so the kernel reads the table as it stands.  A merge pushes
+    every column of the surviving coset, as its row now carries the scans
+    that ran through the dead one.  Counters: ``coincidences`` (merges),
+    ``deductions`` (entries popped) and ``peak`` (most live cosets).
     """
 
     def __init__(self, presentation: Presentation):
         super().__init__(2 * len(presentation.alphabet), 1)
-        self.deductions: list[tuple[int, int]] = []
+        self.stack: list[tuple[int, int]] = []
         self.conjugates = _relator_cycles(presentation)
-        # a relator of length one binds a coset before any of its entries exist
-        self.loops = [w for ws in self.conjugates for w in ws if len(w) == 1]
+        # a relator of length one binds a coset to itself before any other entry exists
+        self.loops = [c for c in range(0, self.ncols, 2) if (c,) in self.conjugates[c]]
+        self.coincidences = self.deductions = 0
+        self.peak = 1
 
     def _merge(self, a: int, b: int) -> bool:
         merged = super()._merge(a, b)
         if merged:
+            self.coincidences += 1
             survivor = self.rep(a)
-            self.deductions.extend((survivor, col) for col in range(self.ncols))
+            self.stack.extend((survivor, col) for col in range(self.ncols))
         return merged
 
-    def _apply(self, alpha: int, cols: tuple[int, ...]) -> None:
-        """Scan ``cols`` at coset ``alpha``, then fill the entry it forces as
-        a deduction or process the coincidence it finds."""
-        found = _scan(self.table, alpha, cols)
-        if len(found) == 2:
-            self._coincidence(*found)
-        elif found:
-            f, col, b = found
-            self._install(f, col, b)
-            self.deductions.append((f, col))
+    def _bind_loops(self, beta: int) -> None:
+        for c in self.loops:
+            self.table[beta][c] = self.table[beta][c ^ 1] = beta
+            self.stack.append((beta, c))
 
     def _define(self, alpha: int, col: int) -> None:
         beta = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(beta)
         self.alive += 1
+        self.peak = max(self.peak, self.alive)
         self._install(alpha, col, beta)
-        self.deductions.append((alpha, col))
-        for w in self.loops:
-            self._apply(beta, w)
+        self.stack.append((alpha, col))
+        self._bind_loops(beta)
 
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
-        subgens = [w for w in (_columns(free_reduce(w)) for w in subgens) if w]
-        for w in self.loops:
-            self._apply(0, w)
-        first = 0  # every coset below it is dead or complete, and stays so
+        table, parent, stack = self.table, self.parent, self.stack
+        # one more column: the subgroup generators, scanned at the base
+        # (coset 0, as merges keep the smaller id) whenever the stack empties
+        gens_col = len(self.conjugates)
+        cycles = [*self.conjugates, [w for w in (_columns(free_reduce(w)) for w in subgens) if w]]
+        self._bind_loops(0)
+        first, col = 0, None  # every coset below first is dead or complete, and stays so
         while True:
-            # close under the deductions, then under the subgroup generators
-            # scanned at the base (coset 0, as merges keep the smaller id)
-            while True:
-                while self.deductions:
-                    alpha, col = self.deductions.pop()
-                    for w in self.conjugates[col]:
-                        if self.rep(alpha) != alpha:
-                            break  # its row moved to the survivor, which was pushed
-                        self._apply(alpha, w)
-                for w in subgens:
-                    self._apply(0, w)
-                if not self.deductions:
-                    break
-            table = self.table
-            while first < len(table) and (self.rep(first) != first or None not in table[first]):
+            # close under the deductions and the generators until a scan of
+            # the generators deduces nothing
+            while stack or col != gens_col:
+                if stack:
+                    alpha, col = stack.pop()
+                    self.deductions += 1
+                else:
+                    alpha, col = 0, gens_col
+                for w in cycles[col]:
+                    if parent[alpha] != alpha:
+                        break  # its row moved to the survivor, which was pushed
+                    found = _scan(table, alpha, w)
+                    if len(found) == 2:
+                        self._coincidence(*found)
+                    elif found:
+                        f, c, b = found
+                        table[f][c], table[b][c ^ 1] = b, f
+                        stack.append((f, c))
+            while first < len(table) and (parent[first] != first or None not in table[first]):
                 first += 1
             if first == len(table):
                 return

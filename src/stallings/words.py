@@ -236,7 +236,7 @@ class Presentation:
     word is rejected.
     """
 
-    __slots__ = ("alphabet", "relators")
+    __slots__ = ("alphabet", "relators", "_cycles")  # _cycles: subgroup._relator_cycles
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = ()):
         self.alphabet = alphabet
@@ -249,6 +249,7 @@ class Presentation:
                 raise AlphabetMismatch("relator uses letters outside the alphabet")
             reduced.append(rr)
         self.relators = tuple(reduced)
+        self._cycles = None
 
     @classmethod
     def parse(cls, gens: Sequence[str], relator_texts: Iterable[str]) -> "Presentation":

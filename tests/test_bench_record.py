@@ -1,0 +1,45 @@
+"""The verdict ``tools/bench_record.py`` gives a metric from ten pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_record", Path(__file__).resolve().parent.parent / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+
+
+def _verdict(before, after, better="lower", bound=0.25):
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+    return bench_record.verdict(before, after, wins, sign, bound)
+
+
+@pytest.mark.parametrize("after, better, expected", [
+    ([0.80] * 10, "lower", "gain"),
+    ([0.80] * 8 + [1.05, 1.05], "lower", "within bound"),  # 8 of 10 pairs won
+    ([0.999] * 10, "lower", "within bound"),  # 10 wins inside the parent's spread
+    ([1.30] * 10, "lower", "worse"),
+    ([1.20] * 10, "lower", "within bound"),
+    ([1.30] * 10, "higher", "gain"),
+    ([0.70] * 10, "higher", "worse"),
+])
+def test_verdicts(after, better, expected):
+    assert _verdict(PARENT, after, better) == expected
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    noisy = [0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0]
+    assert _verdict(noisy, [1.1] * 10) == "unresolved"
+    assert _verdict(noisy, [0.5] * 10) == "gain"
+    assert _verdict(noisy, [0.55] * 5 + [1.4] * 5) == "unresolved"
+
+
+def test_every_run_better_is_not_unresolved():
+    wide = [1.0] * 4 + [1.1] * 2 + [1.2] * 4
+    assert _verdict(wide, [0.99] * 10, bound=0.1) == "within bound"
+    assert _verdict(wide, [1.05] * 10, bound=0.1) == "unresolved"

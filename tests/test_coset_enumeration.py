@@ -1,4 +1,5 @@
-"""Coset enumeration: the cosets it defines, its budget and its reach.
+"""Coset enumeration: the cosets it defines, its counters, its budget and
+its reach.
 
 ``len(_Enumeration.table)`` counts the cosets defined (coset 0 included).
 The counts below were recorded from the earlier engine, which rescanned
@@ -6,6 +7,15 @@ every relator at every live coset until nothing changed.  The deduction
 stack closes the table under the same consequences before each definition,
 so it must define the same cosets: the budget ``max_cosets`` bounds live
 cosets at each definition.
+
+``_Enumeration.run`` handles each popped deduction in one inlined loop over
+the relator cycles, which ``_relator_cycles`` builds once per presentation
+and which the low-index search shares.  ``ReferenceEnumeration`` keeps the
+loop it replaced, one ``_apply`` call per cycle over an uncached build of
+the cycles, and must agree with it on tables, cosets defined and the
+counters ``coincidences`` (merges), ``deductions`` (entries popped) and
+``peak`` (most live cosets).  Every merge kills one defined coset, so
+``coincidences`` is the number defined less the index.
 """
 
 import random
@@ -13,8 +23,10 @@ from itertools import permutations
 
 import pytest
 
-from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate
-from stallings.subgroup import _Enumeration
+from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate, free_reduce
+from stallings.enumerator import _Search
+from stallings.subgroup import _columns, _Enumeration, _relator_cycles, _scan
+from stallings.xgraph import _PartialTable
 
 
 def symmetric(n: int) -> Presentation:
@@ -98,6 +110,14 @@ def test_cosets_defined(group, gens, index, defined):
     enum.run([pres.word(w) for w in gens], 10_000)
     assert len(enum.forward_columns()[0]) == index
     assert len(enum.table) == defined
+    assert enum.coincidences == defined - index
+    assert index <= enum.peak <= defined
+
+
+def test_counters_of_the_trivial_subgroup_of_s5():
+    enum = _Enumeration(GROUPS["S5"])
+    enum.run([], 10_000)
+    assert (len(enum.table), enum.coincidences, enum.peak, enum.deductions) == (120, 0, 120, 480)
 
 
 @pytest.mark.parametrize("max_cosets", [40, 200])
@@ -197,3 +217,129 @@ def test_no_live_row_references_a_dead_coset(monkeypatch, random_presentation):
         except CosetLimitExceeded:
             pass
     assert len(checks) > 1000
+
+
+def uncached_cycles(presentation):
+    """The relator cycles per column, built afresh as lists."""
+    cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
+                           for w in (_columns(r), _columns(r.inverse()))
+                           for k in range(len(w)))
+    return [[w for w in cycles if w[0] == col]
+            for col in range(2 * len(presentation.alphabet))]
+
+
+class ReferenceEnumeration(_PartialTable):
+    """The enumeration loop before it was inlined: each relator cycle is
+    scanned by a call to ``_apply``, liveness is tested with ``rep`` and the
+    cycles are built afresh; counters as in ``_Enumeration``."""
+
+    def __init__(self, presentation):
+        super().__init__(2 * len(presentation.alphabet), 1)
+        self.stack = []
+        self.conjugates = uncached_cycles(presentation)
+        self.loops = [w for ws in self.conjugates for w in ws if len(w) == 1]
+        self.coincidences = self.deductions = 0
+        self.peak = 1
+
+    def _merge(self, a, b):
+        merged = super()._merge(a, b)
+        if merged:
+            self.coincidences += 1
+            survivor = self.rep(a)
+            self.stack.extend((survivor, col) for col in range(self.ncols))
+        return merged
+
+    def _apply(self, alpha, cols):
+        found = _scan(self.table, alpha, cols)
+        if len(found) == 2:
+            self._coincidence(*found)
+        elif found:
+            f, col, b = found
+            self._install(f, col, b)
+            self.stack.append((f, col))
+
+    def _define(self, alpha, col):
+        beta = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.parent.append(beta)
+        self.alive += 1
+        self.peak = max(self.peak, self.alive)
+        self._install(alpha, col, beta)
+        self.stack.append((alpha, col))
+        for w in self.loops:
+            self._apply(beta, w)
+
+    def run(self, subgens, max_cosets):
+        subgens = [w for w in (_columns(free_reduce(w)) for w in subgens) if w]
+        for w in self.loops:
+            self._apply(0, w)
+        first = 0
+        while True:
+            while True:
+                while self.stack:
+                    alpha, col = self.stack.pop()
+                    self.deductions += 1
+                    for w in self.conjugates[col]:
+                        if self.rep(alpha) != alpha:
+                            break
+                        self._apply(alpha, w)
+                for w in subgens:
+                    self._apply(0, w)
+                if not self.stack:
+                    break
+            table = self.table
+            while first < len(table) and (self.rep(first) != first or None not in table[first]):
+                first += 1
+            if first == len(table):
+                return
+            if self.alive >= max_cosets:
+                raise CosetLimitExceeded(max_cosets)
+            self._define(first, table[first].index(None))
+
+    forward_columns = _Enumeration.forward_columns
+
+
+def _outcome(enum, gens, max_cosets):
+    """What a run leaves: the closed table's columns, or the live cosets when
+    the budget stopped it, with the cosets defined and the counters."""
+    try:
+        enum.run(gens, max_cosets)
+        result = enum.forward_columns()
+    except CosetLimitExceeded:
+        result = ("budget", enum.alive)
+    return result, len(enum.table), enum.coincidences, enum.deductions, enum.peak
+
+
+def test_inlined_loop_matches_the_reference(random_presentation):
+    rng = random.Random(13)
+    jobs = []
+    for _ in range(210):
+        pres = GROUPS[rng.choice(sorted(GROUPS))]
+        k = len(pres.alphabet)
+        gens = [Word(rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 3))]
+        jobs.append((pres, gens, 10_000))
+    jobs += [(A2, [A2.word(w) for w in gens], m)
+             for gens in (["a", "b"], ["b", "c"], ["a", "c"], ["a b"]) for m in (40, 200)]
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        pres = random_presentation(rng, k)
+        gens = [Word(rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 2))]
+        jobs.append((pres, gens, 200))
+    budget_hits = 0
+    for pres, gens, max_cosets in jobs:
+        got = _outcome(_Enumeration(pres), gens, max_cosets)
+        assert got == _outcome(ReferenceEnumeration(pres), gens, max_cosets)
+        budget_hits += got[0][0] == "budget"
+    assert budget_hits >= 8
+
+
+def test_relator_cycles_are_built_once_and_shared():
+    for pres in [*GROUPS.values(), A2]:
+        cycles = _relator_cycles(pres)
+        assert _relator_cycles(pres) is cycles
+        assert isinstance(cycles, tuple) and all(isinstance(ws, tuple) for ws in cycles)
+        assert [list(ws) for ws in cycles] == uncached_cycles(pres)
+        assert _Enumeration(pres).conjugates is cycles
+        assert _Search(pres, 4, 10).conjugates is cycles

@@ -1,5 +1,6 @@
 import pytest
 
+from stallings import products
 from stallings import (
     EnumerationTask,
     Presentation,
@@ -172,6 +173,28 @@ def test_labels_match_the_reference_bfs():
             expected = meet.coset_reps[vertex[p]] if p in vertex else None
             assert coset_meet(pg, v1, v2) == expected
 
+
+
+def test_coset_meet_builds_the_meet_once(monkeypatch):
+    """The S5 trivial self-product meets in 120 vertices; the meet is built
+    on the first ``coset_meet`` call and reused by every later one."""
+    calls = []
+    meet = products._meet
+
+    def counted(left, right):
+        calls.append((left, right))
+        return meet(left, right)
+
+    monkeypatch.setattr(products, "_meet", counted)
+    trivial = coset_enumerate(S5)
+    pg = ProductGraph(trivial, trivial)
+    assert calls == []
+    words = [coset_meet(pg, v, v) for v in range(120)]
+    assert calls == [(trivial, trivial)]
+    assert [trivial.trace(0, w) for w in words] == list(range(120))
+    assert words == [coset_meet(pg, v, v) for v in range(120)]
+    assert coset_meet(pg, 0, 1) is None
+    assert len(calls) == 1
 
 def test_malnormality_in_s5():
     assert is_malnormal(coset_enumerate(S5), 120)

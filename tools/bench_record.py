@@ -6,8 +6,8 @@ checkout of the parent commit (made with ``git archive`` in a temporary
 directory) and once in the working tree, alternating which side runs first
 from one pair to the next.  Writes the machine (CPU model,
 ``nproc``, Python version), the seeds, every run's end-to-end metrics and,
-per workload and metric, each side's median and quartiles and how many
-pairs the change won:
+per workload and metric, each side's median and quartiles, how many
+pairs the change won and a verdict from the metric's bound:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
@@ -73,21 +73,45 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's quartiles, and the pairs the change won
-    (ties count for neither side)."""
+def verdict(before: list[float], after: list[float], wins: int, sign: int, bound: float) -> str:
+    """``gain`` if the change wins at least 9 of 10 pairs and the medians
+    differ by more than the parent's quartile spread; ``worse`` if the
+    change's median is worse than the parent's by more than the relative
+    ``bound``; ``unresolved`` if the parent's spread is wider than the bound
+    and not every run of the change reads better than every parent run;
+    else ``within bound``.  ``sign`` is 1 where lower is better, else -1."""
+    b, a = quartiles(before), quartiles(after)
+    gain = sign * (b["median"] - a["median"])
+    if 10 * wins >= 9 * len(before) and gain > b["q3"] - b["q1"]:
+        return "gain"
+    if -gain > bound * abs(b["median"]):
+        return "worse"
+    if (b["q3"] - b["q1"] > bound * abs(b["median"])
+            and max(sign * y for y in after) >= min(sign * x for x in before)):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[dict], specs: dict) -> dict:
+    """Per metric: each side's quartiles, the pairs the change won (ties
+    count for neither side) and the verdict, from the metric's entry in
+    ``BENCHMARK.json``."""
     out = {}
     for name in pairs[0]["before"]["metrics"]:
         before = [p["before"]["metrics"][name]["value"] for p in pairs]
         after = [p["after"]["metrics"][name]["value"] for p in pairs]
-        sign = 1 if better[name] == "lower" else -1
+        better, bound = specs[name]["better"], specs[name]["bound"]
+        sign = 1 if better == "lower" else -1
+        wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
         out[name] = {
             "unit": pairs[0]["before"]["metrics"][name]["unit"],
-            "better": better[name],
+            "better": better,
             "before": quartiles(before),
             "after": quartiles(after),
-            "change_wins": sum(sign * (b - a) > 0 for b, a in zip(before, after)),
+            "change_wins": wins,
             "pairs": len(pairs),
+            "bound": bound,
+            "verdict": verdict(before, after, wins, sign, bound),
         }
     return out
 
@@ -102,7 +126,7 @@ def main(argv=None) -> int:
         p.error("quartiles need at least two seeds")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in contract["end_to_end"]}
+    specs = {m["name"]: m for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
         export(args.parent, Path(tmp))
@@ -127,7 +151,7 @@ def main(argv=None) -> int:
             context = pairs[0]["before"]["context"]
             machine = machine or {k: context[k] for k in ("cpu", "nproc", "python")}
             workloads[workload] = {
-                "metrics": summarize(pairs, better),
+                "metrics": summarize(pairs, specs),
                 "runs": [{"seed": pair["seed"], "first": pair["first"],
                           **{side: {k: v["value"] for k, v in pair[side]["metrics"].items()}
                              for side in ("before", "after")},
@@ -144,6 +168,11 @@ def main(argv=None) -> int:
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
+    for workload, result in workloads.items():
+        for name, m in result["metrics"].items():
+            print(f"{workload} {name}: {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
+                  f"{m['unit']}, {m['change_wins']}/{m['pairs']} won: {m['verdict']}",
+                  file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
