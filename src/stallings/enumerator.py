@@ -1,9 +1,11 @@
 """Exhaustive enumeration of connected X-regular fulfilling graphs.
 
 The search (Sims 1994, ch. 5) fills a coset table in scan order (lowest
-vertex, lowest letter, positive column before inverse), branching at the
-first empty entry over the used vertices and the next new one, so every
-complete table is in canonical (BFS) form, one per based isomorphism class.
+vertex, then lowest column of the presentation's ``subgroup._Layout``: per
+generator a forward column and then an inverse one, or one column for an
+involution), branching at the first empty entry over the used vertices and
+the next new one, so every complete table is in canonical (BFS) form, one
+per based isomorphism class.
 Relator scans of coset enumeration (``subgroup._scan``) over the cycles
 through each new edge reject it on a coincidence; an entry they force is
 filled on an undo trail and scanned in turn.  Forced entries point at used
@@ -21,7 +23,7 @@ from typing import Iterator, Optional
 
 from .errors import SearchBudgetExceeded
 from .words import Presentation
-from .subgroup import SubgroupGraph, _relator_cycles, _scan
+from .subgroup import SubgroupGraph, _layout, _scan
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -33,6 +35,8 @@ class EnumerationTask:
     mode: str = "based"  # "based" or "unbased"
 
     def __post_init__(self):
+        if type(self.vertex_count) is not int:
+            raise ValueError(f"vertex count must be an integer, not {self.vertex_count!r}")
         if self.vertex_count < 1:
             raise ValueError("vertex count must be positive")
         if self.mode not in ("based", "unbased"):
@@ -41,26 +45,26 @@ class EnumerationTask:
 
 class _Search:
     """Depth-first search over partial coset tables on at most ``n`` vertices:
-    rows of columns as in coset enumeration, one per used vertex, None for
-    an empty entry.  ``nodes`` counts tentative edges, ``forced`` the entries
-    filled by scans, which are not nodes, and ``pruned`` the partial tables
-    cut in unbased mode, where every used vertex u >= 1 is a base."""
+    rows of the presentation's ``_Layout`` columns as in coset enumeration,
+    one per used vertex, None for an empty entry.  ``nodes`` counts
+    tentative edges, ``forced`` the entries filled by scans, which are not
+    nodes, and ``pruned`` the partial tables cut in unbased mode, where
+    every used vertex u >= 1 is a base."""
 
     def __init__(self, presentation: Presentation, n: int, budget: int, unbased: bool = False):
         self.n = n
-        self.ncols = 2 * len(presentation.alphabet)
-        self.table = [[None] * self.ncols]
+        self.layout = _layout(presentation)
+        self.table = [[None] * len(self.layout.inverse)]
         self.unbased = unbased
         self.budget = budget
         self.nodes = self.forced = self.pruned = 0
-        self.conjugates = _relator_cycles(presentation)
 
     def _extend(self, v: int = 0, c: int = 0, bases: tuple = ()
                 ) -> Iterator[tuple[tuple[int, ...], ...]]:
         """Complete the table from its first empty entry, at or after the
         entry (v, c) filled last, comparing it with its renumberings from
         ``bases``, those not yet found larger."""
-        table = self.table
+        table, inverse = self.table, self.layout.inverse
         used = len(table)
         while v < used and None not in table[v][c:]:
             v, c = v + 1, 0
@@ -69,37 +73,40 @@ class _Search:
                 yield tuple(tuple(row) for row in table)
             return
         c = table[v].index(None, c)
+        inv = inverse[c]
         for t in range(min(used + 1, self.n)):  # a used vertex, or the next new one
-            if t < used and table[t][c ^ 1] is not None:
+            if t < used and table[t][inv] is not None:
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchBudgetExceeded(self.budget)
             if t == used:
-                table.append([None] * self.ncols)
-            table[v][c], table[t][c ^ 1] = t, v
-            trail = [(v, c, t)]
+                table.append([None] * len(inverse))
+            table[v][c], table[t][inv] = t, v
+            trail = [(v, c, t, inv)]
             if self._deduce(trail):
                 below = self._not_larger(bases + (t,) if t == used and self.unbased else bases)
                 if below is not None:
                     yield from self._extend(v, c, below)
-            for f, col, b in reversed(trail):
-                table[f][col] = table[b][col ^ 1] = None
+            for f, col, b, e in reversed(trail):
+                table[f][col] = table[b][e] = None
             if t == used:
                 table.pop()
 
-    def _deduce(self, trail: list[tuple[int, int, int]]) -> bool:
-        """Scan the relator cycles through each filled entry on ``trail``,
-        filling every entry they force and appending it to ``trail``; False
-        as soon as a scan finds two vertices that must coincide."""
-        for f, col, _ in trail:
-            for w in self.conjugates[col]:
-                found = _scan(self.table, f, w)
+    def _deduce(self, trail: list[tuple[int, int, int, int]]) -> bool:
+        """Scan the relator cycles through each filled entry (f, col, b, inv)
+        on ``trail``, filling every entry they force and appending it to
+        ``trail``; False as soon as a scan finds two vertices that must
+        coincide."""
+        table, cycles = self.table, self.layout.cycles
+        for f, col, _, _ in trail:
+            for w in cycles[col]:
+                found = _scan(table, f, w)
                 if len(found) == 2:
                     return False
                 if found:
-                    g, d, h = found
-                    self.table[g][d], self.table[h][d ^ 1] = h, g
+                    g, d, h, e = found
+                    table[g][d], table[h][e] = h, g
                     trail.append(found)
                     self.forced += 1
         return True
@@ -142,7 +149,8 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     search = _Search(task.presentation, task.vertex_count, node_budget,
                      unbased=task.mode == "unbased")
     for rows in search._extend():
-        yield SubgroupGraph(task.presentation, list(zip(*rows))[0::2])
+        cols = list(zip(*rows))
+        yield SubgroupGraph(task.presentation, [cols[c] for c in search.layout.forward])
 
 
 def enumerate_graphs(

@@ -326,72 +326,104 @@ def subgroup_from_graph(g: BasedXGraph, presentation: Presentation) -> SubgroupG
 # Coset enumeration
 # ---------------------------------------------------------------------------
 
-def _columns(w: Word) -> tuple[int, ...]:
-    """The table columns a word reads: 2i for generator i, 2i+1 for its inverse."""
-    return tuple(2 * abs(lt) - 2 + (lt < 0) for lt in w)
+class _Layout:
+    """The columns of the partial tables of coset enumeration and the
+    low-index search.  A generator with a relator ``s s`` or ``s^-1 s^-1``
+    has one column, its own inverse; any other has a forward column and then
+    an inverse one.  ``forward[i]`` is the column of generator i and
+    ``inverse[col]`` reads col backwards.  ``cycles[col]`` holds the cyclic
+    conjugates of the relators and their inverses that begin with col,
+    without repeats and without ``s s``, which holds by construction: each
+    relator cycle through an entry (alpha, col) is one of these read at
+    alpha.  A cycle is a pair ``(cols, back)``, ``back`` the inverse columns
+    of ``cols`` in reverse order, which the scan reads backwards."""
 
+    __slots__ = ("forward", "inverse", "cycles")
 
-def _relator_cycles(presentation: Presentation) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per column, the cyclic conjugates of every relator and its inverse
-    that begin with it, without repeats: each relator cycle through an entry
-    (alpha, col) is one of these read at alpha.  Built once per presentation
-    and kept on it, as tuples that every enumeration and search shares."""
-    if presentation._cycles is None:
+    def __init__(self, presentation: Presentation):
+        involutions = {abs(r[0]) for r in presentation.relators if len(r) == 2 and r[0] == r[1]}
+        self.forward: list[int] = []
+        self.inverse: list[int] = []
+        for lt in range(1, len(presentation.alphabet) + 1):
+            col = len(self.inverse)
+            self.forward.append(col)
+            self.inverse += [col] if lt in involutions else [col + 1, col]
         cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
-                               for w in (_columns(r), _columns(r.inverse()))
+                               for w in (self.columns(r), self.columns(r.inverse()))
                                for k in range(len(w)))
-        presentation._cycles = tuple(tuple(w for w in cycles if w[0] == col)
-                                     for col in range(2 * len(presentation.alphabet)))
-    return presentation._cycles
+        self.cycles = tuple(tuple(self.cycle(w) for w in cycles if w[0] == col and w != (col, col))
+                            for col in range(len(self.inverse)))
+
+    def columns(self, w: Word) -> tuple[int, ...]:
+        return tuple(self.forward[lt - 1] if lt > 0 else self.inverse[self.forward[-lt - 1]]
+                     for lt in w)
+
+    def cycle(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return cols, tuple(self.inverse[c] for c in reversed(cols))
 
 
-def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cols: tuple[int, ...]) -> tuple:
-    """Scan the word reading ``cols`` at ``alpha``, forward and then backward,
-    in a partial coset table (rows of columns, None for an empty entry),
-    which it only reads.  Returns () if the scan closes or leaves a gap of
-    two or more entries, (f, col, b) if its one-entry gap forces the entry
-    f --col--> b, and (a, b) for two distinct rows that must coincide."""
+def _layout(presentation: Presentation) -> _Layout:
+    """The presentation's layout, built once and kept on it."""
+    if presentation._layout is None:
+        presentation._layout = _Layout(presentation)
+    return presentation._layout
+
+
+def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cycle: tuple) -> tuple:
+    """Scan a relator cycle ``(cols, back)`` at ``alpha``, forward and then
+    backward, in a partial coset table (rows of columns, None for an empty
+    entry), which it only reads.  Returns () if the scan closes or leaves a
+    gap of two or more entries, (f, col, b, inv) if its one-entry gap forces
+    the entry f --col--> b, whose inverse b --inv--> f, and (a, b) for two
+    distinct rows that must coincide."""
+    cols, back = cycle
     f = alpha
-    for i, col in enumerate(cols):
+    gap = len(cols) - 1  # counts down so that back[gap] reads the empty entry backwards
+    for col in cols:
         nxt = table[f][col]
         if nxt is None:
             break
         f = nxt
+        gap -= 1
     else:
         return () if f == alpha else (f, alpha)
     b = alpha
-    for c in reversed(cols[i + 1:]):
-        b = table[b][c ^ 1]
+    for c in back[:gap]:
+        b = table[b][c]
         if b is None:
             return ()
     # b already has the inverse entry when its cycle cannot close through f
-    o = table[b][col ^ 1]
-    return (f, col, b) if o is None else (o, f)
+    inv = back[gap]
+    o = table[b][inv]
+    return (f, col, b, inv) if o is None else (o, f)
 
 
 class _Enumeration(_PartialTable):
-    """Felsch-style coset enumeration over a partial table.
+    """Felsch-style coset enumeration over a partial table whose columns the
+    presentation's ``_Layout`` sets: one per involution, two per other
+    generator.
 
     Each definition and each deduction pushes its entry (alpha, col) on the
     deduction stack ``stack``.  ``run`` pops it and, while alpha is live,
     runs the kernel ``_scan`` at alpha over the relator cycles that begin
-    with col, which the presentation holds (``_relator_cycles``), all in one
-    loop: an entry a scan forces is filled in place and pushed, and a
-    coincidence it finds is processed by the partial table, the same
-    routine that folds graphs.  Once that is done no live row references a
-    dead coset, so the kernel reads the table as it stands.  A merge pushes
-    every column of the surviving coset, as its row now carries the scans
-    that ran through the dead one.  Counters: ``coincidences`` (merges),
-    ``deductions`` (entries popped) and ``peak`` (most live cosets).
+    with col, all in one loop: an entry a scan forces is filled in place and
+    pushed, and a coincidence it finds is processed by the partial table,
+    the same routine that folds graphs.  Once that is done no live row
+    references a dead coset, so the kernel reads the table as it stands.  A
+    merge pushes every column of the surviving coset, as its row now carries
+    the scans that ran through the dead one.  Counters: ``coincidences``
+    (merges), ``deductions`` (entries popped), ``scans`` (kernel calls) and
+    ``peak`` (most live cosets).
     """
 
     def __init__(self, presentation: Presentation):
-        super().__init__(2 * len(presentation.alphabet), 1)
+        self.layout = _layout(presentation)
+        super().__init__(self.layout.inverse, 1)
         self.stack: list[tuple[int, int]] = []
-        self.conjugates = _relator_cycles(presentation)
         # a relator of length one binds a coset to itself before any other entry exists
-        self.loops = [c for c in range(0, self.ncols, 2) if (c,) in self.conjugates[c]]
-        self.coincidences = self.deductions = 0
+        self.loops = [c for c in self.layout.forward
+                      if any(len(cols) == 1 for cols, _ in self.layout.cycles[c])]
+        self.coincidences = self.deductions = self.scans = 0
         self.peak = 1
 
     def _merge(self, a: int, b: int) -> bool:
@@ -404,7 +436,7 @@ class _Enumeration(_PartialTable):
 
     def _bind_loops(self, beta: int) -> None:
         for c in self.loops:
-            self.table[beta][c] = self.table[beta][c ^ 1] = beta
+            self.table[beta][c] = self.table[beta][self.inverse[c]] = beta
             self.stack.append((beta, c))
 
     def _define(self, alpha: int, col: int) -> None:
@@ -418,44 +450,51 @@ class _Enumeration(_PartialTable):
         self._bind_loops(beta)
 
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
-        table, parent, stack = self.table, self.parent, self.stack
+        table, parent, stack, layout = self.table, self.parent, self.stack, self.layout
         # one more column: the subgroup generators, scanned at the base
         # (coset 0, as merges keep the smaller id) whenever the stack empties
-        gens_col = len(self.conjugates)
-        cycles = [*self.conjugates, [w for w in (_columns(free_reduce(w)) for w in subgens) if w]]
+        gens_col = self.ncols
+        cycles = [*layout.cycles, [layout.cycle(cols) for cols in
+                                   (layout.columns(free_reduce(w)) for w in subgens) if cols]]
         self._bind_loops(0)
         first, col = 0, None  # every coset below first is dead or complete, and stays so
-        while True:
-            # close under the deductions and the generators until a scan of
-            # the generators deduces nothing
-            while stack or col != gens_col:
-                if stack:
-                    alpha, col = stack.pop()
-                    self.deductions += 1
-                else:
-                    alpha, col = 0, gens_col
-                for w in cycles[col]:
-                    if parent[alpha] != alpha:
-                        break  # its row moved to the survivor, which was pushed
-                    found = _scan(table, alpha, w)
-                    if len(found) == 2:
-                        self._coincidence(*found)
-                    elif found:
-                        f, c, b = found
-                        table[f][c], table[b][c ^ 1] = b, f
-                        stack.append((f, c))
-            while first < len(table) and (parent[first] != first or None not in table[first]):
-                first += 1
-            if first == len(table):
-                return
-            if self.alive >= max_cosets:
-                raise CosetLimitExceeded(max_cosets)
-            self._define(first, table[first].index(None))
+        deductions = scans = 0
+        try:
+            while True:
+                # close under the deductions and the generators until a scan
+                # of the generators deduces nothing
+                while stack or col != gens_col:
+                    if stack:
+                        alpha, col = stack.pop()
+                        deductions += 1
+                    else:
+                        alpha, col = 0, gens_col
+                    for w in cycles[col]:
+                        if parent[alpha] != alpha:
+                            break  # its row moved to the survivor, which was pushed
+                        scans += 1
+                        found = _scan(table, alpha, w)
+                        if len(found) == 2:
+                            self._coincidence(*found)
+                        elif found:
+                            f, c, b, inv = found
+                            table[f][c], table[b][inv] = b, f
+                            stack.append((f, c))
+                while first < len(table) and (parent[first] != first or None not in table[first]):
+                    first += 1
+                if first == len(table):
+                    return
+                if self.alive >= max_cosets:
+                    raise CosetLimitExceeded(max_cosets)
+                self._define(first, table[first].index(None))
+        finally:
+            self.deductions, self.scans = deductions, scans
 
     def forward_columns(self) -> list[tuple[int, ...]]:
         """The closed table's forward columns, renumbered by BFS from coset 0,
         which reads live rows only: no live row references a dead coset."""
-        return list(zip(*_canonical_rows(zip(*self.table), [0])))[0::2]
+        cols = list(zip(*_canonical_rows(zip(*self.table), [0])))
+        return [cols[c] for c in self.layout.forward]
 
 
 def coset_enumerate(

@@ -236,7 +236,8 @@ class Presentation:
     word is rejected.
     """
 
-    __slots__ = ("alphabet", "relators", "_cycles")  # _cycles: subgroup._relator_cycles
+    # _layout: the coset-table columns and relator cycles of subgroup._layout
+    __slots__ = ("alphabet", "relators", "_layout")
 
     def __init__(self, alphabet: Alphabet, relators: Iterable[Word] = ()):
         self.alphabet = alphabet
@@ -249,7 +250,7 @@ class Presentation:
                 raise AlphabetMismatch("relator uses letters outside the alphabet")
             reduced.append(rr)
         self.relators = tuple(reduced)
-        self._cycles = None
+        self._layout = None
 
     @classmethod
     def parse(cls, gens: Sequence[str], relator_texts: Iterable[str]) -> "Presentation":

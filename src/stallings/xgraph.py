@@ -140,14 +140,16 @@ def _component(g: XGraph, start: int) -> set[int]:
 
 
 class _PartialTable:
-    """A partial coset table: rows of 2k columns, 2i for letter i and 2i+1
-    for its inverse, None for an empty entry (an entry and its inverse are
-    set and cleared together); a union-find over the rows that keeps the
-    least id as representative; and the queue of merged rows to process."""
+    """A partial coset table: rows of columns, ``inverse[col]`` the column
+    that reads col backwards (col itself for a letter that is its own
+    inverse), None for an empty entry (an entry and its inverse are set and
+    cleared together); a union-find over the rows that keeps the least id
+    as representative; and the queue of merged rows to process."""
 
-    def __init__(self, ncols: int, rows: int):
-        self.ncols = ncols
-        self.table: list[list[Optional[int]]] = [[None] * ncols for _ in range(rows)]
+    def __init__(self, inverse: Sequence[int], rows: int):
+        self.inverse = inverse
+        self.ncols = len(inverse)
+        self.table: list[list[Optional[int]]] = [[None] * self.ncols for _ in range(rows)]
         self.parent = list(range(rows))
         self.alive = rows
         self.queue: list[int] = []
@@ -176,14 +178,14 @@ class _PartialTable:
     def _install(self, mu: int, col: int, nu: int) -> None:
         """Set the entry mu --col--> nu of two live rows, or merge with the
         entry already set at either end."""
-        table = self.table
+        table, inv = self.table, self.inverse[col]
         if table[mu][col] is not None:
             self._merge(nu, table[mu][col])
-        elif table[nu][col ^ 1] is not None:
-            self._merge(mu, table[nu][col ^ 1])
+        elif table[nu][inv] is not None:
+            self._merge(mu, table[nu][inv])
         else:
             table[mu][col] = nu
-            table[nu][col ^ 1] = mu
+            table[nu][inv] = mu
 
     def _process(self) -> None:
         """Move the entries of every queued row onto its representative;
@@ -192,15 +194,15 @@ class _PartialTable:
         while queue:
             dead = queue.pop()
             row = table[dead]
-            for col in range(self.ncols):
+            for col, inv in enumerate(self.inverse):
                 target = row[col]
                 if target is None:
                     continue
                 row[col] = None
                 # drop the back-reference before re-installing the edge
                 trow = table[target]
-                if trow[col ^ 1] == dead:
-                    trow[col ^ 1] = None
+                if trow[inv] == dead:
+                    trow[inv] = None
                 self._install(self.rep(dead), col, self.rep(target))
 
     def _coincidence(self, a: int, b: int) -> None:
@@ -217,7 +219,7 @@ def fold(g: XGraph) -> tuple[XGraph, Morphism]:
     by least member, and the quotient morphism, which preserves the
     subgroup of loop labels at any vertex.
     """
-    t = _PartialTable(2 * len(g.alphabet), g.vertex_count)
+    t = _PartialTable([c ^ 1 for c in range(2 * len(g.alphabet))], g.vertex_count)
     for (u, li, v) in g.edges:
         t._install(t.rep(u), 2 * li, t.rep(v))
     t._process()
@@ -327,8 +329,11 @@ def coset_rep_words(g: BasedXGraph) -> list[Word]:
 
 
 def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
-    """Renumber vertices in BFS discovery order from the base."""
+    """Renumber vertices in BFS discovery order from the base; a graph
+    already so numbered comes back as it is, with the identity."""
     order, _ = _bfs(g)
+    if g.base == 0 and order == list(range(g.vertex_count)):
+        return g, Morphism(tuple(order))
     renum = {v: i for i, v in enumerate(order)}
     edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges]
     vmap = tuple(renum[v] for v in range(g.vertex_count))

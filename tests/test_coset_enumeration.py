@@ -9,13 +9,15 @@ so it must define the same cosets: the budget ``max_cosets`` bounds live
 cosets at each definition.
 
 ``_Enumeration.run`` handles each popped deduction in one inlined loop over
-the relator cycles, which ``_relator_cycles`` builds once per presentation
-and which the low-index search shares.  ``ReferenceEnumeration`` keeps the
-loop it replaced, one ``_apply`` call per cycle over an uncached build of
-the cycles, and must agree with it on tables, cosets defined and the
-counters ``coincidences`` (merges), ``deductions`` (entries popped) and
-``peak`` (most live cosets).  Every merge kills one defined coset, so
-``coincidences`` is the number defined less the index.
+the relator cycles of the presentation's column layout, which ``_layout``
+builds once per presentation and which the low-index search shares: an
+involution has one column.  ``ReferenceEnumeration`` keeps the loop it
+replaced, one ``_apply`` call per cycle over its own two-column scan (a
+forward and an inverse column per generator) and an uncached build of the
+cycles.  The two must agree on tables, cosets defined and the counters
+``coincidences`` (merges) and ``peak`` (most live cosets); the layout pops
+no more ``deductions`` (entries popped).  Every merge kills one defined
+coset, so ``coincidences`` is the number defined less the index.
 """
 
 import random
@@ -25,7 +27,7 @@ import pytest
 
 from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate, free_reduce
 from stallings.enumerator import _Search
-from stallings.subgroup import _columns, _Enumeration, _relator_cycles, _scan
+from stallings.subgroup import _Enumeration, _canonical_rows, _layout
 from stallings.xgraph import _PartialTable
 
 
@@ -54,6 +56,10 @@ GROUPS = {
     # a relator of length one and one that is not cyclically reduced
     "Z4": Presentation.parse(["a", "b", "c"], ["b", "a a a", "c b a c^-1", "c c c c"]),
     "S3": Presentation.parse(["x", "y"], ["x x x", "x y y x^-1", "x y x y"]),
+    # involutions written s s and s^-1 s^-1: the dihedral group of order 8
+    "D4": Presentation.parse(["a", "b"], ["a^-1 a^-1", "b b", "a b a b a b a b"]),
+    # a relator of length one beside s s
+    "Z3": Presentation.parse(["a", "b", "c"], ["a", "a a", "b^-1 b^-1", "c b c^-1 b", "c c c"]),
 }
 A2 = Presentation.parse(["a", "b", "c"],
                         ["a a", "b b", "c c", "a b a b a b", "b c b c b c", "a c a c a c"])
@@ -117,7 +123,12 @@ def test_cosets_defined(group, gens, index, defined):
 def test_counters_of_the_trivial_subgroup_of_s5():
     enum = _Enumeration(GROUPS["S5"])
     enum.run([], 10_000)
-    assert (len(enum.table), enum.coincidences, enum.peak, enum.deductions) == (120, 0, 120, 480)
+    counters = (len(enum.table), enum.coincidences, enum.peak, enum.deductions, enum.scans)
+    assert counters == (120, 0, 120, 240, 720)
+    for n, scans in [(6, 7_200), (7, 75_600)]:
+        enum = _Enumeration(symmetric(n))
+        enum.run([], 10_000)
+        assert enum.scans == scans
 
 
 @pytest.mark.parametrize("max_cosets", [40, 200])
@@ -128,6 +139,7 @@ def test_dihedral_subgroups_of_a2_exhaust_the_budget(gens, max_cosets):
     with pytest.raises(CosetLimitExceeded):
         enum.run([A2.word(w) for w in gens], max_cosets)
     assert len(enum.table) == enum.alive == max_cosets
+    assert enum.scans > 0 and enum.deductions > 0
     with pytest.raises(CosetLimitExceeded):
         coset_enumerate(A2, [A2.word(w) for w in gens], max_cosets=max_cosets)
 
@@ -219,22 +231,62 @@ def test_no_live_row_references_a_dead_coset(monkeypatch, random_presentation):
     assert len(checks) > 1000
 
 
+def reference_columns(w):
+    """The columns a word reads in two-column tables: 2i for generator i,
+    2i+1 for its inverse."""
+    return tuple(2 * abs(lt) - 2 + (lt < 0) for lt in w)
+
+
+def reference_scan(table, alpha, cols):
+    """The scan of coset enumeration over a two-column table: () if the word
+    reading ``cols`` at ``alpha`` closes or leaves a gap of two or more
+    entries, (f, col, b) if it forces f --col--> b, and (a, b) for two rows
+    that must coincide."""
+    f = alpha
+    for i, col in enumerate(cols):
+        nxt = table[f][col]
+        if nxt is None:
+            break
+        f = nxt
+    else:
+        return () if f == alpha else (f, alpha)
+    b = alpha
+    for c in reversed(cols[i + 1:]):
+        b = table[b][c ^ 1]
+        if b is None:
+            return ()
+    o = table[b][col ^ 1]
+    return (f, col, b) if o is None else (o, f)
+
+
 def uncached_cycles(presentation):
-    """The relator cycles per column, built afresh as lists."""
+    """The relator cycles per column of a two-column table, built afresh as
+    lists, the cycles s s included."""
     cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
-                           for w in (_columns(r), _columns(r.inverse()))
+                           for w in (reference_columns(r), reference_columns(r.inverse()))
                            for k in range(len(w)))
     return [[w for w in cycles if w[0] == col]
             for col in range(2 * len(presentation.alphabet))]
 
 
+def with_involutions(rng, pres):
+    """``pres`` with s s or s^-1 s^-1 added for a random set of its
+    generators, in random places."""
+    relators = list(pres.relators)
+    for i in range(1, len(pres.alphabet) + 1):
+        if rng.random() < 0.5:
+            relators.insert(rng.randint(0, len(relators)), Word([rng.choice([i, -i])] * 2))
+    return Presentation(pres.alphabet, relators)
+
+
 class ReferenceEnumeration(_PartialTable):
-    """The enumeration loop before it was inlined: each relator cycle is
-    scanned by a call to ``_apply``, liveness is tested with ``rep`` and the
-    cycles are built afresh; counters as in ``_Enumeration``."""
+    """The enumeration loop before it was inlined, over two-column tables:
+    each relator cycle is scanned by a call to ``_apply``, liveness is
+    tested with ``rep`` and the cycles are built afresh; counters as in
+    ``_Enumeration``."""
 
     def __init__(self, presentation):
-        super().__init__(2 * len(presentation.alphabet), 1)
+        super().__init__([c ^ 1 for c in range(2 * len(presentation.alphabet))], 1)
         self.stack = []
         self.conjugates = uncached_cycles(presentation)
         self.loops = [w for ws in self.conjugates for w in ws if len(w) == 1]
@@ -250,7 +302,7 @@ class ReferenceEnumeration(_PartialTable):
         return merged
 
     def _apply(self, alpha, cols):
-        found = _scan(self.table, alpha, cols)
+        found = reference_scan(self.table, alpha, cols)
         if len(found) == 2:
             self._coincidence(*found)
         elif found:
@@ -270,7 +322,7 @@ class ReferenceEnumeration(_PartialTable):
             self._apply(beta, w)
 
     def run(self, subgens, max_cosets):
-        subgens = [w for w in (_columns(free_reduce(w)) for w in subgens) if w]
+        subgens = [w for w in (reference_columns(free_reduce(w)) for w in subgens) if w]
         for w in self.loops:
             self._apply(0, w)
         first = 0
@@ -296,18 +348,20 @@ class ReferenceEnumeration(_PartialTable):
                 raise CosetLimitExceeded(max_cosets)
             self._define(first, table[first].index(None))
 
-    forward_columns = _Enumeration.forward_columns
+    def forward_columns(self):
+        return list(zip(*_canonical_rows(zip(*self.table), [0])))[0::2]
 
 
 def _outcome(enum, gens, max_cosets):
-    """What a run leaves: the closed table's columns, or the live cosets when
-    the budget stopped it, with the cosets defined and the counters."""
+    """What a run leaves: the closed table's forward columns, or the live
+    cosets when the budget stopped it, with the cosets defined and the
+    counters, ``deductions`` last."""
     try:
         enum.run(gens, max_cosets)
-        result = enum.forward_columns()
+        result = [tuple(col) for col in enum.forward_columns()]
     except CosetLimitExceeded:
         result = ("budget", enum.alive)
-    return result, len(enum.table), enum.coincidences, enum.deductions, enum.peak
+    return result, len(enum.table), enum.coincidences, enum.peak, enum.deductions
 
 
 def test_inlined_loop_matches_the_reference(random_presentation):
@@ -321,25 +375,45 @@ def test_inlined_loop_matches_the_reference(random_presentation):
         jobs.append((pres, gens, 10_000))
     jobs += [(A2, [A2.word(w) for w in gens], m)
              for gens in (["a", "b"], ["b", "c"], ["a", "c"], ["a b"]) for m in (40, 200)]
-    for _ in range(100):
+    for _ in range(200):
         k = rng.randint(1, 3)
         pres = random_presentation(rng, k)
+        if rng.random() < 0.5:
+            pres = with_involutions(rng, pres)
         gens = [Word(rng.choice([1, -1]) * rng.randint(1, k) for _ in range(rng.randint(1, 4)))
                 for _ in range(rng.randint(0, 2))]
         jobs.append((pres, gens, 200))
-    budget_hits = 0
+    budget_hits = involutions = 0
     for pres, gens, max_cosets in jobs:
         got = _outcome(_Enumeration(pres), gens, max_cosets)
-        assert got == _outcome(ReferenceEnumeration(pres), gens, max_cosets)
+        expected = _outcome(ReferenceEnumeration(pres), gens, max_cosets)
+        assert got[:-1] == expected[:-1], (pres, gens, max_cosets)
+        assert got[-1] <= expected[-1]
         budget_hits += got[0][0] == "budget"
-    assert budget_hits >= 8
+        involutions += len(_layout(pres).inverse) < 2 * len(pres.alphabet)
+    assert budget_hits >= 8 and involutions >= 150
 
 
 def test_relator_cycles_are_built_once_and_shared():
-    for pres in [*GROUPS.values(), A2]:
-        cycles = _relator_cycles(pres)
-        assert _relator_cycles(pres) is cycles
-        assert isinstance(cycles, tuple) and all(isinstance(ws, tuple) for ws in cycles)
-        assert [list(ws) for ws in cycles] == uncached_cycles(pres)
-        assert _Enumeration(pres).conjugates is cycles
-        assert _Search(pres, 4, 10).conjugates is cycles
+    """The layout gives an involution one column, and its cycles are the
+    two-column cycles read in its columns, without repeats and without the
+    cycles s s."""
+    involutions = {"S4": 3, "S5": 4, "S6": 5, "B3": 3, "B4": 4, "Z4": 0, "S3": 0, "D4": 2, "Z3": 2,
+                   "A2": 3}
+    for name, pres in [*GROUPS.items(), ("A2", A2)]:
+        layout = _layout(pres)
+        assert _layout(pres) is layout
+        assert _Enumeration(pres).layout is layout and _Search(pres, 4, 10).layout is layout
+        k = len(pres.alphabet)
+        assert len(layout.inverse) == 2 * k - involutions[name]
+        column = [c for f in layout.forward for c in (f, layout.inverse[f])]
+        assert all(layout.inverse[layout.inverse[c]] == c for c in range(len(layout.inverse)))
+        mapped = dict.fromkeys(tuple(column[c] for c in w) for ws in uncached_cycles(pres) for w in ws)
+        assert isinstance(layout.cycles, tuple)
+        for col, ws in enumerate(layout.cycles):
+            assert isinstance(ws, tuple)
+            cycles = [cols for cols, _ in ws]
+            assert len(set(cycles)) == len(cycles)
+            assert sorted(cycles) == sorted(w for w in mapped if w[0] == col and w != (col, col))
+            assert all(back == tuple(layout.inverse[c] for c in reversed(cols))
+                       for cols, back in ws)

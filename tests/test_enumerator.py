@@ -16,8 +16,8 @@ from stallings import (
     is_regular,
 )
 from stallings.enumerator import _Search
-from stallings.subgroup import _canonical_rows, _relator_cycles, _scan
-from test_coset_enumeration import symmetric
+from stallings.subgroup import _canonical_rows
+from test_coset_enumeration import reference_scan, symmetric, uncached_cycles, with_involutions
 
 
 def counts(presentation, n_max, mode):
@@ -32,6 +32,9 @@ def test_task_validation(s3):
         EnumerationTask(s3, 0)
     with pytest.raises(ValueError):
         EnumerationTask(s3, 2, mode="weird")
+    for count in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            EnumerationTask(s3, count)
 
 
 def test_bouquet_at_one_vertex(s3):
@@ -190,7 +193,7 @@ def test_search_counters():
     assert (based.nodes, based.forced, based.pruned) == (13970, 0, 0)
     t237 = _Search(P(["a", "b"], ["a a", "b b b", " ".join(["a b"] * 7)]), 28, 10**6)
     assert sum(1 for _ in t237._extend()) == 1092
-    assert t237.nodes <= 178702 // 2 and t237.forced > 0 and t237.pruned == 0
+    assert (t237.nodes, t237.forced, t237.pruned) == (53802, 19894, 0)
     unbased = _Search(f2, 7, 10**6, unbased=True)
     assert sum(1 for _ in unbased._extend()) == 4163
     assert (unbased.nodes, unbased.forced, unbased.pruned) == (34733, 0, 6758)
@@ -198,8 +201,9 @@ def test_search_counters():
 
 class ReferenceSearch:
     """The search without forced entries or pruning, as a reference: it
-    branches over every vertex at every empty entry, on a table of ``n``
-    rows allocated up front; unbased classes are the complete tables that
+    branches over every vertex at every empty entry, on a two-column table
+    (a forward and an inverse column per generator) of ``n`` rows allocated
+    up front; unbased classes are the complete tables that
     ``least_from_base`` keeps."""
 
     def __init__(self, presentation, n, budget):
@@ -209,7 +213,7 @@ class ReferenceSearch:
         self.used = 1
         self.budget = budget
         self.nodes = 0
-        self.conjugates = _relator_cycles(presentation)
+        self.conjugates = uncached_cycles(presentation)
 
     def _extend(self, v=0, c=0):
         while v < self.used and None not in self.table[v][c:]:
@@ -230,7 +234,7 @@ class ReferenceSearch:
             self.used = max(used, t + 1)
             self.table[v][c] = t
             self.table[t][inv] = v
-            if all(len(_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
+            if all(len(reference_scan(self.table, v, w)) != 2 for w in self.conjugates[c]):
                 yield from self._extend(v, c)
             self.table[t][inv] = None
             self.table[v][c] = None
@@ -251,11 +255,15 @@ def least_from_base(rows):
 
 
 def assert_search_matches_reference(pres, n, mode):
+    """The search finds the reference's tables, in order, compared by their
+    forward columns."""
     reference = ReferenceSearch(pres, n, 10**7)
-    expected = [rows for rows in reference._extend()
+    expected = [list(zip(*rows))[0::2] for rows in reference._extend()
                 if mode == "based" or least_from_base(rows)]
     search = _Search(pres, n, 10**7, unbased=mode == "unbased")
-    assert list(search._extend()) == expected, (pres, n, mode)
+    found = [[cols[c] for c in search.layout.forward]
+             for cols in (list(zip(*rows)) for rows in search._extend())]
+    assert found == expected, (pres, n, mode)
     assert search.nodes <= reference.nodes, (pres, n, mode)
 
 
@@ -264,6 +272,8 @@ def test_search_matches_the_reference_on_random_presentations(random_presentatio
     for _ in range(300):
         k, n = rng.randint(1, 3), rng.randint(1, 5)
         pres = random_presentation(rng, k)
+        if rng.random() < 0.5:
+            pres = with_involutions(rng, pres)
         for mode in ("based", "unbased"):
             assert_search_matches_reference(pres, n, mode)
 

@@ -137,8 +137,8 @@ def test_canonicalize_is_idempotent():
     c1, m = canonicalize(g)
     assert c1.base == 0
     assert m(g.base) == 0
-    c2, _ = canonicalize(c1)
-    assert c1 == c2
+    c2, m2 = canonicalize(c1)
+    assert c2 is c1 and m2.vertex_map == (0, 1, 2)
 
 
 def test_free_basis_rank():
