@@ -176,12 +176,6 @@ def cmd_enumerate(args, pres):
     return EXIT_OK
 
 
-def _print_certificate(pres_out: Presentation, cert) -> None:
-    print(f"vertices: {cert.vertex_count}")
-    print(f"word: {pres_out.alphabet.format_word(cert.word)}")
-    print(f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
-
-
 # The options each gamma family needs; argparse cannot tie them to a choice.
 GLUING_OPTIONS = "left_pres left_graph left_word right_pres right_graph right_word pairs"
 GAMMA_OPTIONS = {"type1": "letter p", "artin": "p", "type2": "a k b l pairs",
@@ -225,7 +219,9 @@ def cmd_gamma(args, pres):
                 d_text, psi_text = ident.split("=", 1)
                 pairs.append((left_pres.word(d_text), right_pres.word(psi_text)))
             cert = families.build_amalgam(spec, pairs)
-    _print_certificate(cert.presentation(), cert)
+    print(f"vertices: {cert.vertex_count}")
+    print(f"word: {cert.presentation().alphabet.format_word(cert.word)}")
+    print(f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
     _emit(args, cert.graph.graph)
     return EXIT_OK
 

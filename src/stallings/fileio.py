@@ -8,12 +8,15 @@ Graph files:
     vertices: 3
     base: 0
     edge: 0 a 1
-Lines starting with '#' are comments.  Serialization is canonical: graphs
-are renumbered in BFS order from the base, so parse and serialize round-trip
-byte-identically on canonical files.
+Lines starting with '#' are comments.  Serialization is canonical for
+folded graphs whose base reaches every vertex: they are renumbered in BFS
+order from the base, so parse and serialize round-trip byte-identically on
+canonical files.  Any other graph is written as it stands.
 """
 
 from __future__ import annotations
+
+from contextlib import suppress
 
 from .errors import ParseError
 from .words import Alphabet, Presentation
@@ -109,7 +112,8 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
 
 def serialize_graph(g: BasedXGraph) -> str:
     if is_folded(g.graph):
-        g, _ = canonicalize(g)
+        with suppress(ValueError):  # raised where the base does not reach every vertex
+            g, _ = canonicalize(g)
     lines = [f"vertices: {g.vertex_count}", f"base: {g.base}"]
     names = g.alphabet.names
     lines += [f"edge: {u} {names[li]} {v}" for (u, li, v) in g.graph.edges]

@@ -14,7 +14,7 @@ group, N_G(H)/H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -64,49 +64,37 @@ def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]
     for r in relators:
         ends = identity
         for lt in r:
-            ends = list(map(table[lt].__getitem__, ends))
+            col = table[lt]
+            ends = [col[v] for v in ends]
         if ends != identity:
             v = next(v for v, t in enumerate(ends) if t != v)
             return (v, r, ends[v])
     return None
 
 
-def _canonical_rows(cols: Iterable[Sequence[int]], order: list[int]) -> Iterator[tuple[int, ...]]:
-    """The rows of the table with these columns, in scan order, renumbered
-    by BFS from ``order == [base]``, one per reached vertex: vertices are
-    numbered, and appended to ``order``, in order of first appearance."""
-    cols = list(cols)
-    new = [-1] * len(cols[0])
-    new[order[0]] = 0
-    for v in order:
-        row = []
-        for col in cols:
+def _bfs(table: dict, base: int, target: Optional[dict] = None) -> Optional[tuple]:
+    """BFS from ``base`` over a table of columns, scanning each row's columns
+    in table order.  Returns (order, new, parent): the vertex of each new id,
+    the new id of each vertex (-1 where unreached) and the Schreier vector on
+    the new ids.  Stops once every vertex is numbered; given ``target``, returns
+    None at the first renumbered entry that differs from it."""
+    columns = list(table.items())
+    new = [-1] * len(columns[0][1])
+    new[base] = 0
+    order, parent = [base], [None]
+    rows = None if target is None else zip(*target.values())
+    for i, v in enumerate(order):
+        if rows is None and len(order) == len(new):
+            break
+        for lt, col in columns:
             t = col[v]
             if new[t] < 0:
                 new[t] = len(order)
                 order.append(t)
-            row.append(new[t])
-        yield tuple(row)
-
-
-def _bfs_parent(table: dict, n: int) -> Optional[list]:
-    """The Schreier vector of BFS from vertex 0 if, scanning the rows in
-    order, each vertex first appears as the next id; else None.  Raises
-    ValueError if the BFS stops before reaching all n vertices."""
-    parent = [None]
-    columns = list(table.items())
-    for v in range(n):
-        if len(parent) == n:
-            break
-        if v == len(parent):
-            raise ValueError("graph is not connected")
-        for lt, col in columns:
-            t = col[v]
-            if t >= len(parent):
-                if t > len(parent):
-                    return None
-                parent.append((v, lt))
-    return parent
+                parent.append((i, lt))
+        if rows is not None and tuple([new[col[v]] for _, col in columns]) != next(rows):
+            return None
+    return order, new, parent
 
 
 def fulfillment_violation(
@@ -151,30 +139,27 @@ class SubgroupGraph:
     def __init__(self, presentation: Presentation,
                  forward: Sequence[Sequence[int]], base: int = 0):
         """Check a table given as forward columns (generator i takes vertex v
-        to ``forward[i][v]``) and number it canonically: a table already
-        numbered by BFS from ``base == 0`` is checked, not renumbered.
-        Raises ValueError unless every column is a permutation, ``base`` is
-        a vertex and BFS from it reaches every vertex, and FulfillmentFailed,
-        in the given numbering, if a relator fails."""
+        to ``forward[i][v]``) and number it by BFS from ``base``; the
+        columns are rebuilt only if that numbering differs from the given
+        one.  Raises ValueError unless every column is a permutation,
+        ``base`` is a vertex and BFS from it reaches every vertex, and
+        FulfillmentFailed, in the given numbering, if a relator fails."""
         table = _table(forward, len(presentation.alphabet))
         n = len(table[1])
         if not 0 <= base < n:
             raise ValueError(f"base vertex {base} out of range")
-        parent = _bfs_parent(table, n) if base == 0 else None
-        canonical = table
-        if parent is None:
-            renumbered = list(_canonical_rows(table.values(), [base]))
-            if len(renumbered) != n:
-                raise ValueError("graph is not connected")
-            canonical = dict(zip(table, zip(*renumbered)))
-            parent = _bfs_parent(canonical, n)
+        order, new, parent = _bfs(table, base)
+        if len(order) != n:
+            raise ValueError("graph is not connected")
         violation = _relator_violation(table, presentation.relators)
         if violation is not None:
             raise FulfillmentFailed(*violation)
+        if order != [*range(n)]:
+            table = {lt: tuple([new[col[v]] for v in order]) for lt, col in table.items()}
         self.presentation = presentation
         self._parent = parent
         self._coset_reps = None
-        self._table = canonical
+        self._table = table
         self._graph = None
 
     @property
@@ -240,10 +225,8 @@ class SubgroupGraph:
         """The vertices in BFS order from ``base`` if, so renumbered, the table
         equals ``other``'s (of the same index), else None as soon as a row
         differs.  Vertex i of ``other`` goes to ``order[i]`` by an isomorphism."""
-        order = [base]
-        rows = _canonical_rows(self._table.values(), order)
-        same = all(a == b for a, b in zip(rows, zip(*other._table.values())))
-        return order if same else None
+        found = _bfs(self._table, base, other._table)
+        return None if found is None else found[0]
 
     def conjugate(self, other: "SubgroupGraph") -> Optional[Word]:
         """A word g with H = g K g^-1 if the subgroups are conjugate, else None."""
@@ -493,8 +476,9 @@ class _Enumeration(_PartialTable):
     def forward_columns(self) -> list[tuple[int, ...]]:
         """The closed table's forward columns, renumbered by BFS from coset 0,
         which reads live rows only: no live row references a dead coset."""
-        cols = list(zip(*_canonical_rows(zip(*self.table), [0])))
-        return [cols[c] for c in self.layout.forward]
+        cols = dict(enumerate(zip(*self.table)))
+        order, new, _ = _bfs(cols, 0)
+        return [tuple([new[col[v]] for v in order]) for col in map(cols.get, self.layout.forward)]
 
 
 def coset_enumerate(

@@ -178,7 +178,7 @@ class Alphabet:
             lt = letter(idx, 1 if exp >= 0 else -1)
             try:
                 out.extend([lt] * abs(exp))
-            except OverflowError:
+            except (OverflowError, MemoryError):
                 raise ParseError(f"exponent too large: {token!r}") from None
         return Word(out)
 

@@ -1,4 +1,5 @@
-"""The verdict ``tools/bench_record.py`` gives a metric from ten pairs."""
+"""The verdict ``tools/bench_record.py`` gives a metric from ten pairs, and
+the source line count it records."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,14 @@ def test_every_run_better_is_not_unresolved():
     wide = [1.0] * 4 + [1.1] * 2 + [1.2] * 4
     assert _verdict(wide, [0.99] * 10, bound=0.1) == "within bound"
     assert _verdict(wide, [1.05] * 10, bound=0.1) == "unresolved"
+
+
+def test_source_lines_count_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "stallings"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\n\nz = 3")  # no newline at the end, as wc -l counts
+    (package / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert bench_record.source_lines(tmp_path) == 5
+

@@ -50,6 +50,10 @@ CASES = {
                                  "exponent too large"),
     "build-huge-negative-exponent": (["build", "-g", "b^-99999999999999999999"],
                                      "exponent too large"),
+    # 2^62 fits in a Py_ssize_t; the letter list of that length cannot be allocated
+    "membership-exponent-2-62": (["membership", "{graph}", "a^4611686018427387904"],
+                                 "exponent too large"),
+    "build-exponent-2-62": (["build", "-g", "b^4611686018427387904"], "exponent too large"),
     "relator-huge-exponent": (["gamma", "glued", "--left-pres", "{huge_exponent_pres}",
                                "--left-graph", "{graph}", "--left-word", "a",
                                "--right-pres", "{pres}", "--right-graph", "{graph}",

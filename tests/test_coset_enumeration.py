@@ -27,7 +27,7 @@ import pytest
 
 from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate, free_reduce
 from stallings.enumerator import _Search
-from stallings.subgroup import _Enumeration, _canonical_rows, _layout
+from stallings.subgroup import _Enumeration, _layout
 from stallings.xgraph import _PartialTable
 
 
@@ -231,6 +231,24 @@ def test_no_live_row_references_a_dead_coset(monkeypatch, random_presentation):
     assert len(checks) > 1000
 
 
+def canonical_rows(cols, order):
+    """The rows of the table with these columns, in scan order, renumbered
+    by BFS from ``order == [base]``, one per reached vertex: vertices are
+    numbered, and appended to ``order``, in order of first appearance."""
+    cols = list(cols)
+    new = [-1] * len(cols[0])
+    new[order[0]] = 0
+    for v in order:
+        row = []
+        for col in cols:
+            t = col[v]
+            if new[t] < 0:
+                new[t] = len(order)
+                order.append(t)
+            row.append(new[t])
+        yield tuple(row)
+
+
 def reference_columns(w):
     """The columns a word reads in two-column tables: 2i for generator i,
     2i+1 for its inverse."""
@@ -349,7 +367,7 @@ class ReferenceEnumeration(_PartialTable):
             self._define(first, table[first].index(None))
 
     def forward_columns(self):
-        return list(zip(*_canonical_rows(zip(*self.table), [0])))[0::2]
+        return list(zip(*canonical_rows(zip(*self.table), [0])))[0::2]
 
 
 def _outcome(enum, gens, max_cosets):

@@ -16,8 +16,8 @@ from stallings import (
     is_regular,
 )
 from stallings.enumerator import _Search
-from stallings.subgroup import _canonical_rows
-from test_coset_enumeration import reference_scan, symmetric, uncached_cycles, with_involutions
+from test_coset_enumeration import (
+    canonical_rows, reference_scan, symmetric, uncached_cycles, with_involutions)
 
 
 def counts(presentation, n_max, mode):
@@ -246,7 +246,7 @@ def least_from_base(rows):
     lexicographically smaller table."""
     cols = list(zip(*rows))
     for v in range(1, len(rows)):
-        for a, b in zip(_canonical_rows(cols, [v]), rows):
+        for a, b in zip(canonical_rows(cols, [v]), rows):
             if a != b:
                 if a < b:
                     return False

@@ -67,6 +67,16 @@ class TestGraphFiles:
         )
         assert serialize_graph(shuffled) == text
 
+    @pytest.mark.parametrize("text", [
+        "vertices: 2\nbase: 0\nedge: 0 a 0\n",
+        "vertices: 3\nbase: 1\nedge: 1 a 1\nedge: 2 b 0\n",
+    ])
+    def test_a_folded_graph_the_base_does_not_span_is_written_as_it_stands(self, text):
+        ab = Alphabet(["a", "b"])
+        g = parse_graph(text, ab)
+        assert serialize_graph(g) == text
+        assert parse_graph(serialize_graph(g), ab) == g
+
     def test_errors(self, s3):
         with pytest.raises(ParseError):
             parse_graph("base: 0\n", s3.alphabet)
@@ -192,6 +202,82 @@ class TestCli:
         assert coset_enumerate(s3).index() == 6
         assert main(["-p", s3_file, "build"]) == 0
         assert capsys.readouterr().out.startswith("vertices: 6\n")
+
+    def test_computed_negative_answers(self, s3_file, refl_file, tmp_path, capsys):
+        """Each negative answer exits 1 and prints its one line."""
+        bad = tmp_path / "bad.graph"  # s1 swaps two cosets, so (s1 s2)^3 moves one
+        bad.write_text("vertices: 2\nbase: 0\nedge: 0 s1 1\nedge: 1 s1 0\n"
+                       "edge: 0 s2 0\nedge: 1 s2 1\n")
+        assert main(["-p", s3_file, "verify", str(bad)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("invalid: relator does not close")
+        assert main(["-p", s3_file, "build", "-g", "s1 s2"]) == 0
+        rotations = tmp_path / "rot.graph"
+        rotations.write_text(capsys.readouterr().out)
+        assert main(["-p", s3_file, "conjugate", refl_file, str(rotations)]) == 1
+        assert capsys.readouterr().out == "not conjugate\n"
+        assert main(["-p", s3_file, "coset-meet", refl_file, refl_file, "0", "1"]) == 1
+        assert capsys.readouterr().out == "empty intersection\n"
+
+    def test_hall_finds_none(self, tmp_path, capsys):
+        # A5 has no subgroup of order 15, which would have index 4
+        a5 = tmp_path / "a5.pres"
+        a5.write_text("gens: a b\nrel: a a\nrel: b b b\nrel: a b a b a b a b a b\n")
+        assert main(["-p", str(a5), "hall", "--order", "60", "--d", "15"]) == 1
+        assert capsys.readouterr().out == "no Hall subgroup of that order\n"
+
+    def test_certify_with_the_wrong_prime(self, tmp_path, capsys):
+        pres = tmp_path / "z.pres"
+        pres.write_text("gens: x\n")
+        assert main(["-p", str(pres), "gamma", "type1", "--letter", "x", "--p", "5"]) == 0
+        graph = tmp_path / "t1.graph"
+        graph.write_text(capsys.readouterr().out.split("\n", 3)[3])
+        assert main(["-p", str(pres), "certify", str(graph), "--word", "x", "--prime", "7"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "vertex count 5 != 7\n"
+
+    def test_gamma_artin(self, tmp_path, capsys):
+        b3 = tmp_path / "b3.pres"
+        b3.write_text("gens: x y\nrel: x y x y^-1 x^-1 y^-1\n")
+        assert main(["-p", str(b3), "gamma", "artin", "--p", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("vertices: 5\nword: x\nprime: yes\nvertices: 5\nbase: 0\n")
+        assert out.count("edge:") == 10
+
+    @pytest.fixture
+    def factors(self, tmp_path):
+        """Files of two factors each: Z3 and Z2 in free groups, Z4 over Z2 twice."""
+        files = {"zx.pres": "gens: x\n", "zd.pres": "gens: d\n",
+                 "z3.graph": "vertices: 3\nbase: 0\nedge: 0 x 1\nedge: 1 x 2\nedge: 2 x 0\n",
+                 "z2.graph": "vertices: 2\nbase: 0\nedge: 0 d 1\nedge: 1 d 0\n",
+                 "pa.pres": "gens: a\nrel: a a a a\n", "pb.pres": "gens: b\nrel: b b b b\n",
+                 "ha.graph": "vertices: 2\nbase: 0\nedge: 0 a 1\nedge: 1 a 0\n",
+                 "hb.graph": "vertices: 2\nbase: 0\nedge: 0 b 1\nedge: 1 b 0\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        return {name.replace(".", "_"): str(tmp_path / name) for name in files}
+
+    def test_gamma_glued(self, factors, capsys):
+        f = factors
+        assert main(["-p", f["zx_pres"], "gamma", "glued",
+                     "--left-pres", f["zx_pres"], "--left-graph", f["z3_graph"], "--left-word", "x",
+                     "--right-pres", f["zd_pres"], "--right-graph", f["z2_graph"],
+                     "--right-word", "d", "--pairs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("vertices: 7\nword: x d\nprime: yes\nvertices: 7\n")
+
+    def test_gamma_amalgam(self, factors, capsys):
+        f = factors
+        argv = ["-p", f["pa_pres"], "gamma", "amalgam",
+                "--left-pres", f["pa_pres"], "--left-graph", f["ha_graph"], "--left-word", "a",
+                "--right-pres", f["pb_pres"], "--right-graph", f["hb_graph"],
+                "--right-word", "b", "--pairs", "2"]
+        assert main(argv + ["--identify", "a a=b b"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("vertices: 5\nword: a b\nprime: yes\nvertices: 5\n")
+        assert main(argv + ["--identify", "a a"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad identification (want d=psi): 'a a'\n"
 
     def test_usage_errors(self, tmp_path, s3_file):
         assert main(["-p", str(tmp_path / "nope.pres"), "enumerate",

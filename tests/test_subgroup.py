@@ -20,8 +20,8 @@ from stallings import (
     fulfills,
     subgroup_from_graph,
 )
-from stallings.subgroup import _Enumeration, _bfs_parent, _canonical_rows, _table
-from test_coset_enumeration import symmetric
+from stallings.subgroup import _Enumeration, _bfs, _table
+from test_coset_enumeration import canonical_rows, symmetric
 
 XY_PRES = Presentation.parse(["x", "y"], ["x x", "y y", "x y x y x y"])
 
@@ -84,8 +84,14 @@ class TestSubgroupFromGraph:
     def test_rejects_disconnected(self):
         g = XGraph(XY_PRES.alphabet, 2,
                    [(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)])
-        with pytest.raises(ValueError):
-            subgroup_from_graph(BasedXGraph(g, 0), XY_PRES)
+        for base in (0, 1):
+            with pytest.raises(ValueError, match="not connected"):
+                subgroup_from_graph(BasedXGraph(g, base), XY_PRES)
+        # the base reaches a vertex before it, not the third one
+        g = XGraph(XY_PRES.alphabet, 3,
+                   [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 2), (2, 1, 2)])
+        with pytest.raises(ValueError, match="not connected"):
+            subgroup_from_graph(BasedXGraph(g, 1), XY_PRES)
 
 
 class TestCosetEnumeration:
@@ -224,8 +230,8 @@ T237 = Presentation.parse(["a", "b"], ["a a", "b b b", " ".join(["a b"] * 7)])
 
 def _renumbered(table: dict, base: int = 0) -> tuple[dict, list]:
     """The canonical table and Schreier vector by renumbering every row with
-    ``_canonical_rows`` and reading the tree edges off the renumbered rows."""
-    rows = list(_canonical_rows(table.values(), [base]))
+    ``canonical_rows`` and reading the tree edges off the renumbered rows."""
+    rows = list(canonical_rows(table.values(), [base]))
     parent = [None]
     for i, row in enumerate(rows):
         for lt, t in zip(table, row):
@@ -244,15 +250,17 @@ def _relabeled(forward, sigma):
 
 
 class TestCanonicalCheck:
-    """A table already numbered by BFS from the base is checked in one pass
-    instead of renumbered; both must give the same table and Schreier vector."""
+    """A table already numbered by BFS from the base is kept as it is, any
+    other is renumbered; both must give the same table and Schreier vector
+    as renumbering every row."""
 
     @pytest.mark.parametrize("pres, n", [(free_presentation(["a", "b"]), 6), (T237, 21)])
     def test_search_classes_match_renumbering(self, pres, n):
         classes = enumerate_graphs(EnumerationTask(pres, n))
         assert len(classes) == {6: 3447, 21: 189}[n]
         for sg in classes:
-            assert _bfs_parent(sg._table, n) == sg._parent
+            order, new, parent = _bfs(sg._table, 0)
+            assert order == new == list(range(n)) and parent == sg._parent
             assert _renumbered(sg._table) == (sg._table, sg._parent)
             again = SubgroupGraph(pres, sg.coset_table().permutations)
             assert (again._table, again._parent) == (sg._table, sg._parent)
@@ -277,15 +285,32 @@ class TestCanonicalCheck:
             # vertex 0 renamed 0, so still the base, then renamed rest[0]
             for sigma in ([0] + rest, rest + [0]):
                 forward = _relabeled(sg.coset_table().permutations, sigma)
-                if sigma[0] == 0 and rest != sorted(rest):
-                    assert _bfs_parent(_table(forward, 4), n) is None
+                order, new, parent = _bfs(_table(forward, 4), sigma[0])
+                # so order is 0..n-1 only for the identity, the one canonical relabeling
+                assert order == sigma and [new[v] for v in sigma] == list(range(n))
+                assert parent == sg._parent
                 again = SubgroupGraph(S5, forward, base=sigma[0])
                 assert (again._table, again._parent) == (sg._table, sg._parent)
 
+    @pytest.mark.parametrize("gens", S5_SUBGROUPS[1:6])
+    def test_bfs_compares_with_a_target(self, gens):
+        """Given a target, ``_bfs`` returns what it returns without one if
+        the renumbered table equals the target, else None."""
+        sg = coset_enumerate(S5, [S5.word(w) for w in gens])
+        n = sg.index()
+        sigma = list(range(n))
+        random.Random(n).shuffle(sigma)
+        relabeled = _table(_relabeled(sg.coset_table().permutations, sigma), 4)
+        found = _bfs(relabeled, sigma[0], sg._table)
+        assert found == _bfs(relabeled, sigma[0]) and found[0] == sigma
+        for lt in sg._table:  # one entry of the last row changed
+            col = list(sg._table[lt])
+            col[-1] = (col[-1] + 1) % n
+            assert _bfs(relabeled, sigma[0], {**sg._table, lt: tuple(col)}) is None
+
 
 class TestForwardGuards:
-    """Bad forward columns are rejected on the one-pass path from base 0, and
-    so is a base outside the table."""
+    """Bad forward columns are rejected, and so is a base outside the table."""
 
     @pytest.mark.parametrize("forward", [
         [[1, 1, 0], [0, 2, 1]],         # x is not a permutation

@@ -142,7 +142,8 @@ class TestAlphabet:
 
     def test_huge_exponent_is_a_parse_error(self):
         ab = Alphabet(["a", "b"])
-        for text in ("a^9223372036854775808", "b^-99999999999999999999"):
+        for text in ("a^9223372036854775808", "b^-99999999999999999999",
+                     "a^4611686018427387904", "b^-4611686018427387904"):
             with pytest.raises(ParseError):
                 ab.parse_word(text)
 

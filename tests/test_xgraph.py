@@ -165,6 +165,22 @@ def test_isomorphic_unbased_vs_based():
     assert isomorphic_unbased(GAMMA.graph, rebased.graph) is not None
 
 
+def test_negative_answers_of_the_isomorphism_checks():
+    # GAMMA's x arcs at its base match an x 2-cycle, which has no y arc
+    swap = xy_graph(2, [(0, 0, 1), (1, 0, 0)])
+    assert find_morphism(GAMMA, swap.graph) is None
+    # two x loops: the base reaches only itself
+    loops = xy_graph(2, [(0, 0, 0), (1, 0, 1)])
+    assert find_morphism(loops, GAMMA.graph) is None
+    # the x 2-cycle goes onto one loop of ``loops``: same counts, not injective
+    assert isomorphic_based(swap, loops) is None
+    assert isomorphic_unbased(swap.graph, loops.graph) is None
+    unfolded = xy_graph(2, [(0, 0, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="graphs must be folded"):
+        isomorphic_based(swap, unfolded)
+    assert isomorphic_unbased(GAMMA.graph, GAMMA_PRIME.graph) is None
+
+
 def test_find_morphism_into_larger_graph():
     # the x^2 circle maps into any graph where x^2 closes somewhere
     src = free_subgroup_graph(XY, [XY.parse_word("x x")])

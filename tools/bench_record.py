@@ -7,7 +7,8 @@ directory) and once in the working tree, alternating which side runs first
 from one pair to the next.  Writes the machine (CPU model,
 ``nproc``, Python version), the seeds, every run's end-to-end metrics and,
 per workload and metric, each side's median and quartiles, how many
-pairs the change won and a verdict from the metric's bound:
+pairs the change won and a verdict from the metric's bound, and the line
+count of ``src/stallings/*.py`` on each side:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
@@ -49,6 +50,11 @@ def same_benchmark(parent: Path) -> bool:
         paths = [root / "BENCHMARK.json", *sorted((root / "perfbench").rglob("*.py"))]
         return {p.relative_to(root): p.read_bytes() for p in paths}
     return files(parent) == files(ROOT)
+
+
+def source_lines(checkout: Path) -> int:
+    """The lines of ``src/stallings/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "stallings").glob("*.py"))
 
 
 def compile_tree(checkout: Path) -> None:
@@ -133,6 +139,7 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "tree"
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
+        src_lines = {"before": source_lines(parent), "after": source_lines(ROOT)}
         for checkout in (parent, ROOT):
             compile_tree(checkout)
         workloads, machine = {}, None
@@ -163,6 +170,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": args.seeds,
+        "src_lines": src_lines,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
         "workloads": workloads,
     }
@@ -173,6 +181,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
                   f"{m['unit']}, {m['change_wins']}/{m['pairs']} won: {m['verdict']}",
                   file=sys.stderr)
+    print(f"src/stallings/*.py lines: {src_lines['before']} -> {src_lines['after']}",
+          file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
