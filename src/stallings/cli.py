@@ -21,7 +21,6 @@ from .errors import (
     StallingsError,
 )
 from .words import Presentation, Word
-from .xgraph import BasedXGraph
 from .subgroup import (
     DEFAULT_MAX_COSETS,
     SubgroupGraph,
@@ -47,11 +46,13 @@ def _load_subgroup(path: str, pres: Presentation) -> SubgroupGraph:
     return subgroup_from_graph(g, pres)
 
 
-def _emit(args, graph: BasedXGraph) -> None:
-    """Write the DOT file if ``--dot`` was given, then print the graph file."""
+def _emit(args, sg: SubgroupGraph) -> None:
+    """Write the DOT file if ``--dot`` was given, then print the graph file,
+    both from the coset table: it is canonical, so no ``XGraph`` is built."""
+    graph = (sg.presentation.alphabet.names, sg.index(), sg.base)
     if getattr(args, "dot", None):
-        Path(args.dot).write_text(fileio.export_dot(graph))
-    print(fileio.serialize_graph(graph), end="")
+        Path(args.dot).write_text(fileio.dot_text(*graph, sg.edges()))
+    print(fileio.graph_text(*graph, sg.edges()), end="")
 
 
 def _answer(flag: bool, yes: str, no: str) -> int:
@@ -66,7 +67,7 @@ def _fmt(pres: Presentation, w: Word) -> str:
 def cmd_build(args, pres):
     gens = [pres.word(t) for t in args.generators]
     sg = coset_enumerate(pres, gens, max_cosets=args.max_cosets)
-    _emit(args, sg.graph)
+    _emit(args, sg)
     return EXIT_OK
 
 
@@ -128,7 +129,7 @@ def cmd_normalizer(args, pres):
     for rep in reps:
         print(f"  {_fmt(pres, rep)}")
     print(f"normalizer index: {nsg.index()}")
-    _emit(args, nsg.graph)
+    _emit(args, nsg)
     return EXIT_OK
 
 
@@ -136,7 +137,7 @@ def cmd_intersect(args, pres):
     sg1 = _load_subgroup(args.graphfile1, pres)
     sg2 = _load_subgroup(args.graphfile2, pres)
     meet = intersect(sg1, sg2)
-    _emit(args, meet.graph)
+    _emit(args, meet)
     return EXIT_OK
 
 
@@ -162,7 +163,7 @@ def cmd_hall(args, pres):
     if witness is None:
         print("no Hall subgroup of that order")
         return EXIT_NEGATIVE
-    _emit(args, witness.graph)
+    _emit(args, witness)
     return EXIT_OK
 
 
@@ -172,7 +173,7 @@ def cmd_enumerate(args, pres):
     print(f"{len(found)} {args.mode} classes with {args.n} vertices")
     for i, sg in enumerate(found):
         print(f"# class {i}")
-        _emit(args, sg.graph)
+        _emit(args, sg)
     return EXIT_OK
 
 
@@ -222,7 +223,7 @@ def cmd_gamma(args, pres):
     print(f"vertices: {cert.vertex_count}")
     print(f"word: {cert.presentation().alphabet.format_word(cert.word)}")
     print(f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
-    _emit(args, cert.graph.graph)
+    _emit(args, cert.graph)
     return EXIT_OK
 
 

@@ -8,15 +8,18 @@ Graph files:
     vertices: 3
     base: 0
     edge: 0 a 1
-Lines starting with '#' are comments.  Serialization is canonical for
-folded graphs whose base reaches every vertex: they are renumbered in BFS
-order from the base, so parse and serialize round-trip byte-identically on
-canonical files.  Any other graph is written as it stands.
+Lines starting with '#' are comments.  ``graph_text`` and ``dot_text``
+write a graph given by its generator names, vertex count, base and edges
+(by origin, then letter); the CLI hands them coset tables, which are
+canonical.  ``serialize_graph`` renumbers a folded graph whose base reaches
+every vertex in BFS order from the base, so canonical files round-trip byte
+for byte; it writes any other graph as it stands, as ``export_dot`` does.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .words import Alphabet, Presentation
@@ -110,25 +113,30 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
         raise ParseError(str(e)) from None
 
 
-def serialize_graph(g: BasedXGraph) -> str:
-    if is_folded(g.graph):
-        with suppress(ValueError):  # raised where the base does not reach every vertex
-            g, _ = canonicalize(g)
-    lines = [f"vertices: {g.vertex_count}", f"base: {g.base}"]
-    names = g.alphabet.names
-    lines += [f"edge: {u} {names[li]} {v}" for (u, li, v) in g.graph.edges]
+def graph_text(names: Sequence[str], n: int, base: int, edges: Iterable[tuple]) -> str:
+    """A graph file with the edges ``(origin, letter index, terminus)`` in the given order."""
+    lines = [f"vertices: {n}", f"base: {base}"]
+    lines += [f"edge: {u} {names[li]} {v}" for (u, li, v) in edges]
     return "\n".join(lines) + "\n"
+
+
+def dot_text(names: Sequence[str], n: int, base: int, edges: Iterable[tuple]) -> str:
+    """Graphviz output; edges carry generator names, the base is a double circle."""
+    lines = ["digraph subgroup_graph {"]
+    lines += [f'  {v} [shape={"doublecircle" if v == base else "circle"}];' for v in range(n)]
+    lines += [f'  {u} -> {v} [label="{names[li]}"];' for (u, li, v) in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_graph(g: BasedXGraph) -> str:
+    with suppress(ValueError):  # raised where the base does not reach every vertex
+        canonical, _ = canonicalize(g)
+        if canonical is not g and is_folded(g.graph):  # a canonical graph is folded
+            g = canonical
+    return graph_text(g.alphabet.names, g.vertex_count, g.base, g.graph.edges)
 
 
 def export_dot(g: BasedXGraph) -> str:
-    """Graphviz output; edges carry generator names, the base is a double
-    circle."""
-    names = g.alphabet.names
-    lines = ["digraph subgroup_graph {"]
-    for v in range(g.vertex_count):
-        shape = "doublecircle" if v == g.base else "circle"
-        lines.append(f'  {v} [shape={shape}];')
-    for (u, li, v) in g.graph.edges:
-        lines.append(f'  {u} -> {v} [label="{names[li]}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz output of the graph as it stands."""
+    return dot_text(g.alphabet.names, g.vertex_count, g.base, g.graph.edges)

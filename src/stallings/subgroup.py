@@ -175,11 +175,14 @@ class SubgroupGraph:
     @property
     def graph(self) -> BasedXGraph:
         if self._graph is None:
-            edges = [(v, li, t) for li, col in enumerate(self.coset_table().permutations)
-                     for v, t in enumerate(col)]
             self._graph = BasedXGraph(
-                XGraph(self.presentation.alphabet, self.index(), edges), 0)
+                XGraph(self.presentation.alphabet, self.index(), self.edges()), 0)
         return self._graph
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """The edges ``(origin, letter index, terminus)``, by origin, then letter."""
+        return ((u, li, t) for u, row in enumerate(zip(*self.coset_table().permutations))
+                for li, t in enumerate(row))
 
     def index(self) -> int:
         """The index of the subgroup: the number of vertices."""
@@ -213,9 +216,7 @@ class SubgroupGraph:
     def free_basis(self) -> list[Word]:
         """A free basis of the loop language at the base: the loops closed
         by the edges outside the spanning tree, by origin, then label."""
-        perms = self.coset_table().permutations
-        edges = [(u, li, col[u]) for u in range(self.index()) for li, col in enumerate(perms)]
-        return _loop_words(edges, self._parent, self.coset_reps)
+        return _loop_words(self.edges(), self._parent, self.coset_reps)
 
     def generators(self) -> list[Word]:
         """Words whose images generate the subgroup of G."""

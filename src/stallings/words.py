@@ -65,9 +65,6 @@ class Word:
             return self.inverse() ** (-n)
         return Word(self.letters * n)
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def inverse(self) -> "Word":
         """Letter-wise reversal with sign flip."""
         return Word(-lt for lt in reversed(self.letters))
@@ -203,17 +200,6 @@ class Alphabet:
             name = self.names[letter_index(lt)]
             parts.append(name if lt > 0 else f"{name}^-1")
         return " ".join(parts)
-
-    def format_word_compact(self, w: Word) -> str:
-        if not self.is_compact():
-            return self.format_word(w)
-        if w.is_identity():
-            return "1"
-        return "".join(
-            self.names[letter_index(lt)] if lt > 0
-            else self.names[letter_index(lt)].upper()
-            for lt in w
-        )
 
 
 def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:

@@ -1,15 +1,33 @@
+import random
+from collections import Counter
+
 import pytest
 
 from stallings import (
     Alphabet,
+    BasedXGraph,
+    EnumerationTask,
+    GluingSpec,
     ParseError,
+    SubgroupGraph,
+    XGraph,
     bouquet,
+    build_amalgam,
+    build_glued,
+    build_parallel_circles,
+    build_type1,
+    build_type2,
     coset_enumerate,
+    enumerate_graphs,
     export_dot,
+    hall_search,
+    intersect,
+    is_prime,
     parse_graph,
     parse_presentation,
     serialize_graph,
     serialize_presentation,
+    subgroup_from_graph,
 )
 from stallings.cli import main
 
@@ -291,3 +309,199 @@ class TestCli:
         assert main(["-p", s3_file, "enumerate", "--n", "3",
                      "--mode", "unbased"]) == 0
         assert "1 unbased classes" in capsys.readouterr().out
+
+
+F2_TEXT = "gens: a b\n"
+B3_TEXT = "gens: x y\nrel: x y x y^-1 x^-1 y^-1\n"
+FACTOR_FILES = {"zx.pres": "gens: x\n", "zd.pres": "gens: d\n",
+                "z3.graph": "vertices: 3\nbase: 0\nedge: 0 x 1\nedge: 1 x 2\nedge: 2 x 0\n",
+                "z2.graph": "vertices: 2\nbase: 0\nedge: 0 d 1\nedge: 1 d 0\n",
+                "pa.pres": "gens: a\nrel: a a a a\n", "pb.pres": "gens: b\nrel: b b b b\n",
+                "ha.graph": "vertices: 2\nbase: 0\nedge: 0 a 1\nedge: 1 a 0\n",
+                "hb.graph": "vertices: 2\nbase: 0\nedge: 0 b 1\nedge: 1 b 0\n"}
+# the trivial subgroup of S3, numbered from a base that is not vertex 0
+S3_SHUFFLED_GRAPH = "vertices: 6\nbase: 4\n" + "".join(
+    f"edge: {u} {x} {v}\nedge: {v} {x} {u}\n" for x, u, v in
+    [("s1", 4, 2), ("s1", 5, 1), ("s1", 0, 3), ("s2", 4, 5), ("s2", 2, 0), ("s2", 1, 3)])
+
+
+def _certificate(cert):
+    """What ``gamma`` prints before the graph, and the graph."""
+    alphabet = cert.presentation().alphabet
+    header = (f"vertices: {cert.vertex_count}\nword: {alphabet.format_word(cert.word)}\n"
+              f"prime: {'yes' if is_prime(cert.vertex_count) else 'no'}\n")
+    return header, [cert.graph]
+
+
+def _normalizer(sg):
+    reps, nsg = sg.normalizer()
+    fmt = sg.presentation.alphabet.format_word
+    return ("coset representatives over the subgroup:\n"
+            + "".join(f"  {fmt(rep)}\n" for rep in reps)
+            + f"normalizer index: {nsg.index()}\n"), [nsg]
+
+
+def _classes(pres, n, mode):
+    found = enumerate_graphs(EnumerationTask(pres, n, mode=mode))
+    return f"{len(found)} {mode} classes with {n} vertices\n", found
+
+
+def _glued(f):
+    return GluingSpec(f["z3_graph"], f["zx_pres"].word("x"),
+                      f["z2_graph"], f["zd_pres"].word("d"), 2)
+
+
+def _amalgam(f):
+    spec = GluingSpec(f["ha_graph"], f["pa_pres"].word("a"),
+                      f["hb_graph"], f["pb_pres"].word("b"), 2)
+    return build_amalgam(spec, [(f["pa_pres"].word("a a"), f["pb_pres"].word("b b"))])
+
+
+GLUED = ["--left-pres", "zx_pres", "--left-graph", "z3_graph", "--left-word", "x",
+         "--right-pres", "zd_pres", "--right-graph", "z2_graph", "--right-word", "d",
+         "--pairs", "2"]
+AMALGAM = ["--left-pres", "pa_pres", "--left-graph", "ha_graph", "--left-word", "a",
+           "--right-pres", "pb_pres", "--right-graph", "hb_graph", "--right-word", "b",
+           "--pairs", "2", "--identify", "a a=b b"]
+
+# Per emitting subcommand: its arguments, where a file key stands for the
+# file's path, and, from the files loaded by the library, what it prints
+# before its graphs and the subgroup graphs it prints.
+EMITTING = {
+    "build": (["s3", "build", "-g", "s1"], lambda f: ("", [f["refl"]])),
+    "build-trivial": (["s3", "build"], lambda f: ("", [coset_enumerate(f["s3"])])),
+    "normalizer": (["s3", "normalizer", "refl"], lambda f: _normalizer(f["refl"])),
+    "normalizer-shuffled": (["s3", "normalizer", "shuffled"],
+                            lambda f: _normalizer(f["shuffled"])),
+    "intersect": (["s3", "intersect", "refl", "refl2"],
+                  lambda f: ("", [intersect(f["refl"], f["refl2"])])),
+    "hall": (["s3", "hall", "--order", "6", "--d", "2"],
+             lambda f: ("", [hall_search(f["s3"], 6, 2)])),
+    "enumerate-based": (["f2", "enumerate", "--n", "3"],
+                        lambda f: _classes(f["f2"], 3, "based")),
+    "enumerate-unbased": (["f2", "enumerate", "--n", "3", "--mode", "unbased"],
+                          lambda f: _classes(f["f2"], 3, "unbased")),
+    "gamma-type1": (["f2", "gamma", "type1", "--letter", "b", "--p", "7"],
+                    lambda f: _certificate(build_type1(f["f2"], 1, 7))),
+    "gamma-artin": (["b3", "gamma", "artin", "--p", "5"],
+                    lambda f: _certificate(build_parallel_circles(f["b3"], 5, 0))),
+    "gamma-type2": (["f2", "gamma", "type2", "--a", "a", "--k", "2", "--b", "b", "--l", "3",
+                     "--pairs", "2"],
+                    lambda f: _certificate(build_type2(f["f2"], 0, 2, 1, 3, 2))),
+    "gamma-glued": (["zx_pres", "gamma", "glued", *GLUED],
+                    lambda f: _certificate(build_glued(_glued(f)))),
+    "gamma-amalgam": (["pa_pres", "gamma", "amalgam", *AMALGAM],
+                      lambda f: _certificate(_amalgam(f))),
+}
+# the presentation of each graph file
+GRAPH_PRES = {"refl": "s3", "refl2": "s3", "shuffled": "s3", "z3_graph": "zx_pres",
+              "z2_graph": "zd_pres", "ha_graph": "pa_pres", "hb_graph": "pb_pres"}
+
+
+@pytest.fixture
+def emitting_files(tmp_path):
+    """The files the EMITTING commands read: their paths and what the
+    library loads from them, both keyed as the commands name them."""
+    texts = {"s3": S3_TEXT, "f2": F2_TEXT, "b3": B3_TEXT, "shuffled": S3_SHUFFLED_GRAPH,
+             "refl": "vertices: 3\nbase: 0\nedge: 0 s1 0\nedge: 0 s2 1\nedge: 1 s1 2\n"
+                     "edge: 1 s2 0\nedge: 2 s1 1\nedge: 2 s2 2\n",
+             "refl2": "vertices: 3\nbase: 0\nedge: 0 s1 1\nedge: 0 s2 0\nedge: 1 s1 0\n"
+                      "edge: 1 s2 2\nedge: 2 s1 2\nedge: 2 s2 1\n",
+             **{name.replace(".", "_"): text for name, text in FACTOR_FILES.items()}}
+    paths, loaded = {}, {}
+    for key, text in texts.items():
+        (tmp_path / key).write_text(text)
+        paths[key] = str(tmp_path / key)
+        if key not in GRAPH_PRES:
+            loaded[key] = parse_presentation(text)
+    for key, pres in GRAPH_PRES.items():
+        loaded[key] = subgroup_from_graph(parse_graph(texts[key], loaded[pres].alphabet),
+                                          loaded[pres])
+    return paths, loaded
+
+
+def _argv(name, paths, tmp_path):
+    """The argv of an EMITTING command, with a DOT file where it takes one."""
+    args, _ = EMITTING[name]
+    argv = ["-p", *(paths.get(a, a) for a in args)]
+    return argv if args[1] == "enumerate" else argv + ["--dot", str(tmp_path / "out.dot")]
+
+
+@pytest.mark.parametrize("name", EMITTING)
+def test_cli_writes_what_the_library_writes(name, emitting_files, tmp_path, capsys):
+    """stdout is ``serialize_graph(sg.graph)`` and the DOT file ``export_dot(sg.graph)``
+    for each subgroup graph ``sg`` the library computes."""
+    paths, loaded = emitting_files
+    header, graphs = EMITTING[name][1](loaded)
+    assert main(_argv(name, paths, tmp_path)) == 0
+    out, err = capsys.readouterr()
+    if name.startswith("enumerate"):
+        texts = [f"# class {i}\n{serialize_graph(sg.graph)}" for i, sg in enumerate(graphs)]
+        assert out == header + "".join(texts)
+    else:
+        [sg] = graphs
+        assert out == header + serialize_graph(sg.graph)
+        assert (tmp_path / "out.dot").read_text() == export_dot(sg.graph)
+    assert err == ""
+
+
+def test_no_xgraph_is_built_on_the_way_out(emitting_files, tmp_path, monkeypatch, capsys):
+    """Every emitting command writes its graphs from the coset table."""
+    paths, _ = emitting_files
+
+    def no_graph(sg):
+        raise AssertionError("SubgroupGraph.graph was built")
+
+    monkeypatch.setattr(SubgroupGraph, "graph", property(no_graph))
+    for name in EMITTING:
+        assert main(_argv(name, paths, tmp_path)) == 0, name
+        assert capsys.readouterr().err == "", name
+
+
+def _folded(edges):
+    """At most one edge per origin and letter, and per terminus and letter."""
+    return all(len({(e[i], e[1]) for e in edges}) == len(edges) for i in (0, 2))
+
+
+def _bfs_numbering(n, base, edges):
+    """Vertices in BFS order from ``base``, each vertex scanning its arcs
+    letter by letter, out-edges before in-edges, or None if one is missed."""
+    arcs = [[] for _ in range(n)]
+    for u, li, v in edges:
+        arcs[u].append((2 * li, v))
+        arcs[v].append((2 * li + 1, u))
+    order = [base]
+    for v in order:
+        for _, t in sorted(arcs[v]):
+            if t not in order:
+                order.append(t)
+    return order if len(order) == n else None
+
+
+def test_serialize_graph_canonicalizes_iff_folded_and_spanned():
+    """Seeded small graphs, folded or not, spanned from the base or not, in
+    canonical numbering or not: serialize renumbers exactly the folded ones
+    whose base reaches every vertex, and writes any other as it stands."""
+    rng = random.Random(16)
+    kinds = Counter()
+    for _ in range(600):
+        n, k = rng.randint(1, 6), rng.randint(1, 3)
+        edges = set()
+        for li in range(k):  # a partial permutation per letter ...
+            ends = rng.sample(range(n), n)
+            edges |= {(u, li, ends[u]) for u in range(n) if rng.random() < 0.8}
+        for _ in range(rng.choice([0, 0, 1, 2])):  # ... and sometimes a fold to make
+            edges.add((rng.randrange(n), rng.randrange(k), rng.randrange(n)))
+        base = rng.randrange(n)
+        names = ["a", "b", "c"][:k]
+        g = BasedXGraph(XGraph(Alphabet(names), n, edges), base)
+        folded, order = _folded(edges), _bfs_numbering(n, base, edges)
+        if folded and order is not None:
+            new = {v: i for i, v in enumerate(order)}
+            base, edges = 0, {(new[u], li, new[v]) for u, li, v in edges}
+        kinds[folded, order is not None, order == [*range(n)]] += 1
+        expected = [f"vertices: {n}", f"base: {base}"]
+        expected += [f"edge: {u} {names[li]} {v}" for u, li, v in sorted(edges)]
+        assert serialize_graph(g) == "\n".join(expected) + "\n"
+    # every combination of folded, spanned and (where spanned) canonical occurs
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
