@@ -81,8 +81,23 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
     vertices = None
     base = None
     edges = []
+    index = alphabet._index
     for lineno, line in _content_lines(text):
-        if line.startswith("vertices:"):
+        if line.startswith("edge:"):
+            parts = line[len("edge:"):].split()
+            if len(parts) != 3:
+                raise ParseError("edge needs origin, letter, terminus", lineno)
+            origin, name, terminus = parts
+            try:
+                u, v = int(origin), int(terminus)
+            except ValueError:  # raise for the first bad id
+                _parse_int(origin, "bad vertex id", lineno)
+                _parse_int(terminus, "bad vertex id", lineno)
+            li = index.get(name)
+            if li is None:
+                raise ParseError(f"unknown generator: {name!r}", lineno)
+            edges.append((u, li, v))
+        elif line.startswith("vertices:"):
             if vertices is not None:
                 raise ParseError("duplicate vertices line", lineno)
             vertices = _parse_int(line[len("vertices:"):], "bad vertex count", lineno)
@@ -90,17 +105,6 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
             if base is not None:
                 raise ParseError("duplicate base line", lineno)
             base = _parse_int(line[len("base:"):], "bad base vertex", lineno)
-        elif line.startswith("edge:"):
-            parts = line[len("edge:"):].split()
-            if len(parts) != 3:
-                raise ParseError("edge needs origin, letter, terminus", lineno)
-            u = _parse_int(parts[0], "bad vertex id", lineno)
-            v = _parse_int(parts[2], "bad vertex id", lineno)
-            try:
-                li = alphabet.index(parts[1])
-            except ValueError as e:
-                raise ParseError(str(e), lineno) from None
-            edges.append((u, li, v))
         else:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
     if vertices is None:

@@ -3,6 +3,14 @@
 A generator with index ``i`` is encoded as the integer ``i + 1``; its formal
 inverse is ``-(i + 1)``.  A :class:`Word` is an immutable sequence of such
 signed integers and is *not* required to be freely reduced.
+
+Each :class:`Alphabet` keeps a token table: the two spaced tokens of every
+generator, ``name`` and ``name^-1``, mapped to their letters, and its
+reverse.  Almost every token of a word text is one of these, so parsing
+looks tokens up there and runs the token regex only on a miss (exponents
+such as ``^3``, unknown names, bad tokens), which then raises or parses
+exactly as the regex alone would; formatting joins from the reverse map.
+The table holds ``2 * len(names)`` entries each way and never grows.
 """
 
 from __future__ import annotations
@@ -12,8 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, ParseError
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 
 
 def letter(index: int, sign: int = 1) -> int:
@@ -115,19 +123,24 @@ class Alphabet:
     (tracing order, spanning trees, canonical numbering).
     """
 
-    __slots__ = ("names", "_index")
+    # _letters: spaced token -> letter for ``name`` and ``name^-1``;
+    # _tokens: the reverse, letter -> token
+    __slots__ = ("names", "_index", "_letters", "_tokens")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if not names:
             raise ValueError("alphabet must be non-empty")
         for name in names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid generator name: {name!r}")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be pairwise distinct")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._tokens = {lt: name if lt > 0 else f"{name}^-1"
+                        for i, name in enumerate(names) for lt in (i + 1, -(i + 1))}
+        self._letters = {token: lt for lt, token in self._tokens.items()}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -165,9 +178,14 @@ class Alphabet:
         return self._parse_spaced(text)
 
     def _parse_spaced(self, text: str) -> Word:
+        letters = self._letters
         out: list[int] = []
         for token in text.split():
-            m = _TOKEN_RE.match(token)
+            lt = letters.get(token)
+            if lt is not None:
+                out.append(lt)
+                continue
+            m = _TOKEN_RE.fullmatch(token)
             if not m:
                 raise ParseError(f"bad word token: {token!r}")
             idx = self.index(m.group(1))
@@ -193,13 +211,10 @@ class Alphabet:
     def format_word(self, w: Word) -> str:
         if w.is_identity():
             return "1"
-        if w.max_index() >= len(self.names):
-            raise AlphabetMismatch("word uses letters outside this alphabet")
-        parts = []
-        for lt in w:
-            name = self.names[letter_index(lt)]
-            parts.append(name if lt > 0 else f"{name}^-1")
-        return " ".join(parts)
+        try:
+            return " ".join(map(self._tokens.__getitem__, w.letters))
+        except KeyError:
+            raise AlphabetMismatch("word uses letters outside this alphabet") from None
 
 
 def merge_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:

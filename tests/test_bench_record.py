@@ -55,3 +55,24 @@ def test_source_lines_count_the_package_modules_only(tmp_path):
     (tmp_path / "src" / "other.py").write_text("w = 4\n")
     assert bench_record.source_lines(tmp_path) == 5
 
+
+
+def _pairs(after_wall, after_failed, attempted=100):
+    """Ten pairs of one-metric runs in which the parent fails nothing."""
+    return [{"before": {"attempted": attempted, "failed": 0,
+                        "metrics": {"wall_s": {"value": b, "unit": "s"}}},
+             "after": {"attempted": attempted, "failed": after_failed,
+                       "metrics": {"wall_s": {"value": after_wall, "unit": "s"}}}}
+            for b in PARENT]
+
+
+SPECS = {"wall_s": {"better": "lower", "bound": 0.25}}
+
+
+def test_no_gain_where_the_change_fails_a_larger_share():
+    assert bench_record.summarize(_pairs(0.80, 0), SPECS)["wall_s"]["verdict"] == "gain"
+    failing = _pairs(0.80, 1)
+    assert bench_record.failed_share(failing, "after") == pytest.approx(0.01)
+    assert bench_record.failed_share(failing, "before") == 0
+    assert bench_record.summarize(failing, SPECS)["wall_s"]["verdict"] == "within bound"
+    assert bench_record.summarize(_pairs(1.30, 1), SPECS)["wall_s"]["verdict"] == "worse"

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from stallings import (
     Alphabet,
@@ -9,7 +10,9 @@ from stallings import (
     EnumerationTask,
     GluingSpec,
     ParseError,
+    Presentation,
     SubgroupGraph,
+    Word,
     XGraph,
     bouquet,
     build_amalgam,
@@ -20,6 +23,7 @@ from stallings import (
     coset_enumerate,
     enumerate_graphs,
     export_dot,
+    free_reduce,
     hall_search,
     intersect,
     is_prime,
@@ -64,6 +68,31 @@ class TestPresentationFiles:
             parse_presentation("")
 
 
+# Valid names, valid names with a character before or after, and arbitrary text.
+VALID_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
+NAMES = st.one_of(
+    VALID_NAMES,
+    st.builds("".join, st.tuples(st.sampled_from(["", " ", "\n", "1"]), VALID_NAMES,
+                                 st.sampled_from(["", "\n", "\r\n", " ", "\t", "-", "^", "#"]))),
+    st.text(max_size=3),
+)
+
+
+@given(st.lists(NAMES, min_size=1, max_size=4, unique=True), st.randoms(use_true_random=False))
+@example(["a\n", "b"], random.Random(1))
+@example(["b", "a\n"], random.Random(1))
+def test_a_presentation_over_every_valid_alphabet_round_trips(names, rng):
+    try:
+        alphabet = Alphabet(names)
+    except ValueError:
+        return
+    n = len(names)
+    words = [Word(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(1, 6)))
+             for _ in range(rng.randint(0, 3))]
+    p = Presentation(alphabet, [w for w in words if free_reduce(w)])
+    assert parse_presentation(serialize_presentation(p)) == p
+
+
 class TestGraphFiles:
     def test_round_trip_on_enumerated_graphs(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])
@@ -104,6 +133,38 @@ class TestGraphFiles:
             parse_graph("vertices: 1\nbase: 0\nedge: 0 zz 0\n", s3.alphabet)
         with pytest.raises(ParseError):
             parse_graph("vertices: 1\nbase: 0\nedge: 0 s1\n", s3.alphabet)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("vertices: 1\nbase: 0\nedge: 0 s1\n", 3, "edge needs origin, letter, terminus"),
+        ("vertices: 1\nbase: 0\nedge: 0 s1 0 0\n", 3, "edge needs origin, letter, terminus"),
+        ("vertices: 2\nbase: 0\nedge: x s1 1\n", 3, "bad vertex id: 'x'"),
+        ("vertices: 2\nbase: 0\nedge: 0 s1 y\n", 3, "bad vertex id: 'y'"),
+        ("vertices: 2\nbase: 0\nedge: x zz y\n", 3, "bad vertex id: 'x'"),
+        ("vertices: 2\nbase: 0\nedge: 0 zz y\n", 3, "bad vertex id: 'y'"),
+        ("vertices: 2\nbase: 0\nedge: 0 zz 1\n", 3, "unknown generator: 'zz'"),
+        ("vertices: 2\nbase: 0\nedge: 0 s1^-1 1\n", 3, "unknown generator: 's1^-1'"),
+        ("vertices: 2\nbase: 0\njunk\n", 3, "unrecognized line: 'junk'"),
+        ("vertices: 2\nbase: 0\nedges: 0 s1 1\n", 3, "unrecognized line: 'edges: 0 s1 1'"),
+        ("base: 0\nedge: 0 s1 0\n", None, "missing vertices line"),
+        ("vertices: 1\nedge: 0 s1 0\n", None, "missing base line"),
+        ("vertices: 1\nbase: 0\nvertices: 1\n", 3, "duplicate vertices line"),
+        ("vertices: 1\nbase: 0\nbase: 0\n", 3, "duplicate base line"),
+        ("vertices: x\nbase: 0\n", 1, "bad vertex count: 'x'"),
+        ("vertices: 1\nbase: -\n", 2, "bad base vertex: '-'"),
+        ("# comment\n\nvertices: 2  # count\n\n   \nbase: 0\nedge: 0 s1 1.5\n", 7,
+         "bad vertex id: '1.5'"),
+        ("edge: 0 s1 x\nvertices: 1\nbase: 0\n", 1, "bad vertex id: 'x'"),
+    ])
+    def test_error_messages_carry_line_numbers(self, s3, text, line, message):
+        with pytest.raises(ParseError) as e:
+            parse_graph(text, s3.alphabet)
+        assert e.value.line == line
+        assert str(e.value) == (message if line is None else f"line {line}: {message}")
+
+    def test_edge_lines_may_come_first(self, s3):
+        text = "# edges first\nedge: 0 s1 0\n\nedge: 0 s2 0\nvertices: 1\nbase: 0\n"
+        g = parse_graph(text, s3.alphabet)
+        assert (g.vertex_count, g.base, g.graph.edges) == (1, 0, ((0, 0, 0), (0, 1, 0)))
 
 
 def test_export_dot_bouquet():

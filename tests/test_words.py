@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,6 +106,11 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(["1bad"])
 
+    @pytest.mark.parametrize("name", ["a\n", "a\r\n", "a ", " a", "\na", "a\tb", "a-b", "é"])
+    def test_names_with_whitespace_or_other_characters_are_rejected(self, name):
+        with pytest.raises(ValueError, match="invalid generator name"):
+            Alphabet([name, "b"])
+
     def test_index(self):
         ab = Alphabet(["a", "b"])
         assert ab.index("b") == 1
@@ -185,3 +193,113 @@ class TestPresentation:
         assert p == q
         assert hash(p) == hash(q)
         assert "a a" in repr(p)
+
+
+# The spaced parser and formatter as they were before the token table: every
+# token goes through the regex, every letter through the name tuple.
+_REFERENCE_TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")
+
+
+def _reference_parse(ab, text):
+    text = text.strip()
+    if not text or text == "1":
+        return Word()
+    if " " in text or "^" in text or text in ab.names:
+        return _reference_spaced(ab, text)
+    if ab.is_compact():
+        return ab._parse_compact(text)
+    return _reference_spaced(ab, text)
+
+
+def _reference_spaced(ab, text):
+    out = []
+    for token in text.split():
+        m = _REFERENCE_TOKEN_RE.match(token)
+        if not m:
+            raise ParseError(f"bad word token: {token!r}")
+        idx = ab.index(m.group(1))
+        exp = int(m.group(2)) if m.group(2) else 1
+        lt = letter(idx, 1 if exp >= 0 else -1)
+        try:
+            out.extend([lt] * abs(exp))
+        except (OverflowError, MemoryError):
+            raise ParseError(f"exponent too large: {token!r}") from None
+    return Word(out)
+
+
+def _reference_format(ab, w):
+    if w.is_identity():
+        return "1"
+    if w.max_index() >= len(ab.names):
+        raise AlphabetMismatch("word uses letters outside this alphabet")
+    return " ".join(ab.names[letter_index(lt)] + ("" if lt > 0 else "^-1") for lt in w)
+
+
+def _outcome(f, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return f(*args)
+    except ValueError as e:  # ParseError and AlphabetMismatch are ValueErrors
+        return type(e), str(e)
+
+
+# Exponents at least 2**60 fail before any list is allocated; the 5000-digit
+# one is past int()'s digit limit.
+_EXPONENTS = ["1", "2", "3", "-1", "-2", "-3", "0", "-0", "01", "-01", "00", "+1", "٣",
+              str(2**61), f"-{2**62}", str(2**63), "1" + "0" * 20, "9" * 5000]
+_BAD_TOKENS = ["!", "^2", "1a", "-", "a!", "a^", "a^-", "a^^2", "a^-1^-1", "a^1.5", "1", "A"]
+_UNKNOWN = ["c", "zz", "s9", "E", "_"]
+
+
+def _random_text(rng, ab):
+    names = list(ab.names)
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(["", " ", "1", " 1 ", "\t", "1 1", "11"])
+    if kind < 0.3 and ab.is_compact():
+        chars = names + [n.upper() for n in names] + ["1", "!", "é", "c", "C", " "]
+        return "".join(rng.choice(chars) for _ in range(rng.randint(1, 8)))
+    tokens = []
+    for _ in range(rng.randint(1, 8)):
+        r = rng.random()
+        name = rng.choice(names)
+        if r < 0.5:
+            tokens.append(name)
+        elif r < 0.7:
+            tokens.append(f"{name}^-1")
+        elif r < 0.85:
+            tokens.append(f"{name}^{rng.choice(_EXPONENTS)}")
+        elif r < 0.93:
+            tokens.append(rng.choice(_UNKNOWN))
+        else:
+            tokens.append(rng.choice(_BAD_TOKENS))
+    seps = [" "] * 12 + ["  ", "\t", "\n", " \t "]
+    return "".join(t + rng.choice(seps) for t in tokens)
+
+
+ALPHABETS = [["a", "b"], ["a", "b", "c"], ["e", "f"], ["s1", "s2", "s3"], ["x", "Y"],
+             ["a", "a1", "_b", "Long_name"]]
+
+
+@pytest.mark.parametrize("names", ALPHABETS, ids="-".join)
+def test_parse_word_matches_the_regex_parser(names):
+    ab = Alphabet(names)
+    rng = random.Random(f"parse {names}")
+    for _ in range(600):
+        text = _random_text(rng, ab)
+        assert _outcome(ab.parse_word, text) == _outcome(_reference_parse, ab, text), text
+    assert len(ab._letters) == len(ab._tokens) == 2 * len(ab)  # the table never grows
+
+
+@pytest.mark.parametrize("names", ALPHABETS, ids="-".join)
+def test_format_word_matches_the_name_tuple_and_round_trips(names):
+    ab = Alphabet(names)
+    n = len(ab)
+    rng = random.Random(f"format {names}")
+    for _ in range(300):
+        w = Word(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(rng.randint(0, 12)))
+        assert ab.format_word(w) == _reference_format(ab, w)
+        assert ab.parse_word(ab.format_word(w)) == w
+        foreign = Word(list(w) + [rng.choice([-1, 1]) * rng.randint(n + 1, n + 3)])
+        assert _outcome(ab.format_word, foreign) == _outcome(_reference_format, ab, foreign) == (
+            AlphabetMismatch, "word uses letters outside this alphabet")

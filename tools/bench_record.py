@@ -7,8 +7,10 @@ directory) and once in the working tree, alternating which side runs first
 from one pair to the next.  Writes the machine (CPU model,
 ``nproc``, Python version), the seeds, every run's end-to-end metrics and,
 per workload and metric, each side's median and quartiles, how many
-pairs the change won and a verdict from the metric's bound, and the line
-count of ``src/stallings/*.py`` on each side:
+pairs the change won and a verdict from the metric's bound, each run's
+``attempted`` and ``failed`` operation counts, and the line count of
+``src/stallings/*.py`` on each side.  No metric of a workload gets ``gain``
+where the change failed a larger share of its operations than the parent:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
@@ -79,16 +81,17 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def verdict(before: list[float], after: list[float], wins: int, sign: int, bound: float) -> str:
-    """``gain`` if the change wins at least 9 of 10 pairs and the medians
-    differ by more than the parent's quartile spread; ``worse`` if the
-    change's median is worse than the parent's by more than the relative
-    ``bound``; ``unresolved`` if the parent's spread is wider than the bound
-    and not every run of the change reads better than every parent run;
-    else ``within bound``.  ``sign`` is 1 where lower is better, else -1."""
+def verdict(before: list[float], after: list[float], wins: int, sign: int, bound: float,
+            allow_gain: bool = True) -> str:
+    """``gain`` if ``allow_gain``, the change wins at least 9 of 10 pairs and
+    the medians differ by more than the parent's quartile spread; ``worse``
+    if the change's median is worse than the parent's by more than the
+    relative ``bound``; ``unresolved`` if the parent's spread is wider than
+    the bound and not every run of the change reads better than every parent
+    run; else ``within bound``.  ``sign`` is 1 where lower is better, else -1."""
     b, a = quartiles(before), quartiles(after)
     gain = sign * (b["median"] - a["median"])
-    if 10 * wins >= 9 * len(before) and gain > b["q3"] - b["q1"]:
+    if allow_gain and 10 * wins >= 9 * len(before) and gain > b["q3"] - b["q1"]:
         return "gain"
     if -gain > bound * abs(b["median"]):
         return "worse"
@@ -98,10 +101,18 @@ def verdict(before: list[float], after: list[float], wins: int, sign: int, bound
     return "within bound"
 
 
+def failed_share(pairs: list[dict], side: str) -> float:
+    """The share of one side's operations that failed, over all its runs."""
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted else 0.0
+
+
 def summarize(pairs: list[dict], specs: dict) -> dict:
     """Per metric: each side's quartiles, the pairs the change won (ties
     count for neither side) and the verdict, from the metric's entry in
-    ``BENCHMARK.json``."""
+    ``BENCHMARK.json``.  No verdict is ``gain`` where the change failed a
+    larger share of its operations than the parent."""
+    allow_gain = failed_share(pairs, "after") <= failed_share(pairs, "before")
     out = {}
     for name in pairs[0]["before"]["metrics"]:
         before = [p["before"]["metrics"][name]["value"] for p in pairs]
@@ -117,7 +128,7 @@ def summarize(pairs: list[dict], specs: dict) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "bound": bound,
-            "verdict": verdict(before, after, wins, sign, bound),
+            "verdict": verdict(before, after, wins, sign, bound, allow_gain),
         }
     return out
 
@@ -157,12 +168,19 @@ def main(argv=None) -> int:
                 pairs.append(pair)
             context = pairs[0]["before"]["context"]
             machine = machine or {k: context[k] for k in ("cpu", "nproc", "python")}
+            shares = {side: failed_share(pairs, side) for side in ("before", "after")}
+            if shares["after"] > shares["before"]:
+                print(f"{workload}: no gain given, the change failed {shares['after']:.3%} "
+                      f"of its operations against the parent's {shares['before']:.3%}",
+                      file=sys.stderr)
             workloads[workload] = {
                 "metrics": summarize(pairs, specs),
+                "failed_share": shares,
                 "runs": [{"seed": pair["seed"], "first": pair["first"],
                           **{side: {k: v["value"] for k, v in pair[side]["metrics"].items()}
                              for side in ("before", "after")},
-                          "correct": [pair[side]["correct"] for side in ("before", "after")]}
+                          **{key: [pair[side][key] for side in ("before", "after")]
+                             for key in ("correct", "attempted", "failed")}}
                          for pair in pairs],
             }
     record = {
