@@ -8,6 +8,7 @@ negative answer, 2 usage or parse error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -253,6 +254,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+@functools.cache  # parse_args fills a fresh namespace each call, so main shares one parser
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stallings",

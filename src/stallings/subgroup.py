@@ -23,7 +23,8 @@ from .errors import (
     PresentationMismatch,
 )
 from .words import Presentation, Word, free_reduce
-from .xgraph import BasedXGraph, XGraph, _PartialTable, _loop_words, _tree_words
+from .xgraph import (BasedXGraph, XGraph, _check_same_alphabet, _loop_words, _PartialTable,
+                     _tree_words)
 
 DEFAULT_MAX_COSETS = 10_000
 
@@ -46,9 +47,12 @@ def _table(forward: Sequence[Sequence[int]], k: int) -> dict:
     return table
 
 
-def _forward_columns(g: XGraph) -> list[list[int]]:
+def _forward_columns(g: XGraph, presentation: Presentation) -> list[list[int]]:
     """``forward[i][v]`` is the end of the edge labeled i out of v, or -1 if
-    none, which ``_table`` rejects; the edge count is checked first."""
+    none, which ``_table`` rejects; the alphabets and then the edge count are
+    checked first."""
+    if g.alphabet != presentation.alphabet:
+        raise AlphabetMismatch("graph and presentation alphabets differ")
     if len(g.edges) != len(g.alphabet) * g.vertex_count:
         raise ValueError("graph is not X-regular")
     forward = [[-1] * g.vertex_count for _ in range(len(g.alphabet))]
@@ -105,9 +109,7 @@ def fulfillment_violation(
 
     Requires an X-regular graph so that every trace is total.
     """
-    if g.alphabet != presentation.alphabet:
-        raise AlphabetMismatch("graph and presentation alphabets differ")
-    table = _table(_forward_columns(g), len(g.alphabet))
+    table = _table(_forward_columns(g, presentation), len(g.alphabet))
     return _relator_violation(table, presentation.relators)
 
 
@@ -278,16 +280,12 @@ class SubgroupGraph:
         if self.presentation != other.presentation:
             raise PresentationMismatch("subgroup graphs over different presentations")
 
-    def _check_alphabet(self, other: "SubgroupGraph") -> None:
-        if self.presentation.alphabet != other.presentation.alphabet:
-            raise AlphabetMismatch("graphs live over different alphabets")
-
     def isomorphic_based_to(self, other: "SubgroupGraph") -> bool:
-        self._check_alphabet(other)
+        _check_same_alphabet(self.presentation.alphabet, other.presentation.alphabet)
         return self._table == other._table
 
     def isomorphic_unbased_to(self, other: "SubgroupGraph") -> bool:
-        self._check_alphabet(other)
+        _check_same_alphabet(self.presentation.alphabet, other.presentation.alphabet)
         return self.index() == other.index() and any(
             other._rebased_map(v, self) is not None for v in range(other.index()))
 
@@ -301,9 +299,7 @@ def subgroup_from_graph(g: BasedXGraph, presentation: Presentation) -> SubgroupG
     Raises on the specific violated precondition; on success the vertices
     are renumbered canonically.
     """
-    if g.alphabet != presentation.alphabet:
-        raise AlphabetMismatch("graph and presentation alphabets differ")
-    return SubgroupGraph(presentation, _forward_columns(g.graph), g.base)
+    return SubgroupGraph(presentation, _forward_columns(g.graph, presentation), g.base)
 
 
 # ---------------------------------------------------------------------------

@@ -189,11 +189,10 @@ class Alphabet:
             if not m:
                 raise ParseError(f"bad word token: {token!r}")
             idx = self.index(m.group(1))
-            exp = int(m.group(2)) if m.group(2) else 1
-            lt = letter(idx, 1 if exp >= 0 else -1)
             try:
-                out.extend([lt] * abs(exp))
-            except (OverflowError, MemoryError):
+                exp = int(m.group(2)) if m.group(2) else 1
+                out.extend([letter(idx, 1 if exp >= 0 else -1)] * abs(exp))
+            except (ValueError, OverflowError, MemoryError):  # int()'s digit limit, or too long
                 raise ParseError(f"exponent too large: {token!r}") from None
         return Word(out)
 

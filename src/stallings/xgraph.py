@@ -350,16 +350,16 @@ def free_basis(g: BasedXGraph) -> list[Word]:
     return _loop_words(g.graph.edges, parent, _tree_words(order, parent))
 
 
-def _check_same_alphabet(g1: XGraph, g2: XGraph) -> None:
-    if g1.alphabet != g2.alphabet:
+def _check_same_alphabet(a1: Alphabet, a2: Alphabet) -> None:
+    if a1 != a2:
         raise AlphabetMismatch("graphs live over different alphabets")
 
 
 def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int,
-               bijective: bool) -> Optional[tuple[int, ...]]:
+               bijective: bool) -> Optional[Morphism]:
     """Propagate v1 -> v2 along the arcs of folded graphs.
 
-    Returns the total vertex map on g1's component of ``v1``, or None on
+    Returns the morphism, total on g1's component of ``v1``, or None on
     conflict.  With ``bijective`` the map must be injective, which makes it
     an isomorphism between graphs of equal vertex and edge counts (the
     callers check both); otherwise a mere morphism check is performed.
@@ -385,30 +385,31 @@ def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int,
     if bijective and len(set(fmap.values())) != g1.vertex_count:
         return None
     # every vertex is mapped, so every arc of g1 was matched at its image
-    return tuple(fmap[v] for v in range(g1.vertex_count))
+    return Morphism(tuple(fmap[v] for v in range(g1.vertex_count)))
+
+
+def _first_map(g1: XGraph, v1: int, g2: XGraph, bijective: bool) -> Optional[Morphism]:
+    """The first map found with each g2 vertex, in ascending id order, as v1's image."""
+    maps = (_propagate(g1, v1, g2, v2, bijective) for v2 in range(g2.vertex_count))
+    return next((m for m in maps if m is not None), None)
 
 
 def isomorphic_based(g1: BasedXGraph, g2: BasedXGraph) -> Optional[Morphism]:
     """The unique base-preserving isomorphism of folded connected graphs,
     or None."""
-    _check_same_alphabet(g1.graph, g2.graph)
+    _check_same_alphabet(g1.alphabet, g2.alphabet)
     if g1.vertex_count != g2.vertex_count or len(g1.graph.edges) != len(g2.graph.edges):
         return None
-    vmap = _propagate(g1.graph, g1.base, g2.graph, g2.base, bijective=True)
-    return Morphism(vmap) if vmap is not None else None
+    return _propagate(g1.graph, g1.base, g2.graph, g2.base, bijective=True)
 
 
 def isomorphic_unbased(g1: XGraph, g2: XGraph) -> Optional[Morphism]:
     """First isomorphism found by trying each g2 vertex as the image of
     g1's vertex 0, in ascending id order."""
-    _check_same_alphabet(g1, g2)
+    _check_same_alphabet(g1.alphabet, g2.alphabet)
     if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
         return None
-    for v2 in range(g2.vertex_count):
-        vmap = _propagate(g1, 0, g2, v2, bijective=True)
-        if vmap is not None:
-            return Morphism(vmap)
-    return None
+    return _first_map(g1, 0, g2, bijective=True)
 
 
 def find_morphism(src: BasedXGraph, dst: XGraph) -> Optional[Morphism]:
@@ -417,18 +418,13 @@ def find_morphism(src: BasedXGraph, dst: XGraph) -> Optional[Morphism]:
     Tries each vertex of ``dst`` as the image of the base, in ascending id
     order, and propagates deterministically.
     """
-    _check_same_alphabet(src.graph, dst)
-    for v2 in range(dst.vertex_count):
-        vmap = _propagate(src.graph, src.base, dst, v2, bijective=False)
-        if vmap is not None:
-            return Morphism(vmap)
-    return None
+    _check_same_alphabet(src.alphabet, dst.alphabet)
+    return _first_map(src.graph, src.base, dst, bijective=False)
 
 
 def bouquet(alphabet: Alphabet) -> BasedXGraph:
     """One vertex with a loop per letter."""
-    edges = [(0, li, 0) for li in range(len(alphabet))]
-    return BasedXGraph(XGraph(alphabet, 1, edges), 0)
+    return wedge_of_words(alphabet, [Word([i + 1]) for i in range(len(alphabet))])
 
 
 def wedge_of_words(alphabet: Alphabet, generators: Sequence[Word]) -> BasedXGraph:
@@ -441,17 +437,10 @@ def wedge_of_words(alphabet: Alphabet, generators: Sequence[Word]) -> BasedXGrap
             continue
         if w.max_index() >= len(alphabet):
             raise AlphabetMismatch("generator uses letters outside the alphabet")
-        prev = 0
-        for i, lt in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else n
-            if nxt != 0:
-                n += 1
-            li = letter_index(lt)
-            if lt > 0:
-                edges.append((prev, li, nxt))
-            else:
-                edges.append((nxt, li, prev))
-            prev = nxt
+        path = [0, *range(n, n + len(w) - 1), 0]
+        n += len(w) - 1
+        edges += [(u, lt - 1, v) if lt > 0 else (v, -lt - 1, u)
+                  for u, lt, v in zip(path, w.letters, path[1:])]
     return BasedXGraph(XGraph(alphabet, n, edges), 0)
 
 

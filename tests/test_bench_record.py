@@ -56,6 +56,23 @@ def test_source_lines_count_the_package_modules_only(tmp_path):
     assert bench_record.source_lines(tmp_path) == 5
 
 
+def test_changed_modules_list_only_the_counts_that_differ(tmp_path):
+    trees = {}
+    for side, files in (("before", {"a.py": "1\n2\n", "b.py": "1\n", "gone.py": "1\n"}),
+                        ("after", {"a.py": "1\n", "b.py": "2\n", "new.py": "1\n2\n3\n"})):
+        package = tmp_path / side / "src" / "stallings"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        trees[side] = bench_record.module_lines(tmp_path / side)
+    assert trees["before"] == {"a.py": 2, "b.py": 1, "gone.py": 1}
+    assert bench_record.changed_modules(trees["before"], trees["after"]) == {
+        "a.py": {"before": 2, "after": 1},
+        "gone.py": {"before": 1, "after": 0},
+        "new.py": {"before": 0, "after": 3},
+    }
+
+
 
 def _pairs(after_wall, after_failed, attempted=100):
     """Ten pairs of one-metric runs in which the parent fails nothing."""

@@ -54,6 +54,8 @@ CASES = {
     "membership-exponent-2-62": (["membership", "{graph}", "a^4611686018427387904"],
                                  "exponent too large"),
     "build-exponent-2-62": (["build", "-g", "b^4611686018427387904"], "exponent too large"),
+    # past int()'s 4300-digit limit for decimal strings
+    "build-exponent-of-5000-digits": (["build", "-g", "a^" + "9" * 5000], "exponent too large"),
     "relator-huge-exponent": (["gamma", "glued", "--left-pres", "{huge_exponent_pres}",
                                "--left-graph", "{graph}", "--left-word", "a",
                                "--right-pres", "{pres}", "--right-graph", "{graph}",

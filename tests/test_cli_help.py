@@ -4,7 +4,7 @@ changes an argument's name, order or kind shows here."""
 
 import pytest
 
-from stallings.cli import main
+from stallings.cli import build_parser, main
 
 USAGE = {
     "": (
@@ -49,3 +49,16 @@ def test_help_exits_zero_with_pinned_usage(monkeypatch, capsys, command):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.split("\n\n")[0] == USAGE[command]
+
+
+@pytest.mark.parametrize("command", ["", "build", "gamma"])
+def test_usage_is_pinned_after_another_call_built_the_parser(monkeypatch, capsys, command):
+    # main keeps one parser per process; the width is read when help prints
+    build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "40")
+    assert main(["build", "--help"]) == 0
+    assert main(["-p", "no-such.pres", "index", "no-such.graph"]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(([command] if command else []) + ["--help"]) == 0
+    assert capsys.readouterr().out.split("\n\n")[0] == USAGE[command]

@@ -366,6 +366,16 @@ class TestCli:
     def test_budget_exit_code(self, s3_file):
         assert main(["-p", s3_file, "build", "--max-cosets", "1"]) == 3
 
+    def test_calls_share_no_parsed_state(self, s3_file, capsys):
+        # one parser serves every call in a process; no option carries over
+        assert main(["-p", s3_file, "build", "-g", "s1"]) == 0
+        assert capsys.readouterr().out.startswith("vertices: 3\n")
+        assert main(["-p", s3_file, "build"]) == 0
+        assert capsys.readouterr().out.startswith("vertices: 6\n")
+        assert main(["-p", s3_file, "build", "--max-cosets", "1"]) == 3
+        assert main(["-p", s3_file, "build"]) == 0
+        assert capsys.readouterr().out.startswith("vertices: 6\n")
+
     def test_enumerate_output_mode(self, s3_file, capsys):
         assert main(["-p", s3_file, "enumerate", "--n", "3",
                      "--mode", "unbased"]) == 0

@@ -64,6 +64,21 @@ class TestFulfillment:
         with pytest.raises(AlphabetMismatch):
             fulfills(GAMMA, other)
 
+    def test_the_alphabet_is_checked_first_with_a_pinned_message(self):
+        # a graph over other letters is reported as such, regular or not
+        ab = free_presentation(["a", "b"])
+        for g in (GAMMA, XGraph(XY_PRES.alphabet, 2, [(0, 0, 1)])):
+            for f in (fulfillment_violation, lambda g, p: subgroup_from_graph(BasedXGraph(g, 0), p)):
+                with pytest.raises(AlphabetMismatch) as e:
+                    f(g, ab)
+                assert str(e.value) == "graph and presentation alphabets differ"
+        sg = subgroup_from_graph(BasedXGraph(GAMMA, 0), XY_PRES)
+        other = coset_enumerate(ab, [Word([1]), Word([2])])
+        for check in (sg.isomorphic_based_to, sg.isomorphic_unbased_to):
+            with pytest.raises(AlphabetMismatch) as e:
+                check(other)
+            assert str(e.value) == "graphs live over different alphabets"
+
 
 class TestSubgroupFromGraph:
     def test_accepts_and_canonicalizes(self):

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from stallings import (
     Alphabet,
+    AlphabetMismatch,
     BasedXGraph,
+    Morphism,
     Word,
     XGraph,
     bouquet,
@@ -22,6 +24,7 @@ from stallings import (
     is_regular,
     isomorphic_based,
     isomorphic_unbased,
+    letter_index,
     spanning_tree,
     trace,
     wedge_of_words,
@@ -358,3 +361,183 @@ def test_bfs_outputs_match_word_building_reference():
                                      for (u, li, v) in g.edges if (u, li, v) not in tree]
         checked += 1
     assert checked > 100
+
+
+# wedge_of_words, bouquet and the target searches as they were before the
+# vertex-path wedge and the shared search: the wedge steps letter by letter
+# with prev/nxt state, and each search keeps its own loop over targets.
+def reference_wedge(alphabet, generators):
+    edges = []
+    n = 1
+    for w in generators:
+        w = free_reduce(w)
+        if w.is_identity():
+            continue
+        if w.max_index() >= len(alphabet):
+            raise AlphabetMismatch("generator uses letters outside the alphabet")
+        prev = 0
+        for i, lt in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else n
+            if nxt != 0:
+                n += 1
+            li = letter_index(lt)
+            if lt > 0:
+                edges.append((prev, li, nxt))
+            else:
+                edges.append((nxt, li, prev))
+            prev = nxt
+    return BasedXGraph(XGraph(alphabet, n, edges), 0)
+
+
+def reference_bouquet(alphabet):
+    return BasedXGraph(XGraph(alphabet, 1, [(0, li, 0) for li in range(len(alphabet))]), 0)
+
+
+def reference_propagate(g1, v1, g2, v2, bijective):
+    fmap = {v1: v2}
+    queue = [v1]
+    while queue:
+        u = queue.pop()
+        for col, t in g1._arc_list()[u]:
+            theirs = g2._ends(fmap[u], col)
+            if len(theirs) > 1 or len(g1._ends(u, col)) > 1:
+                raise ValueError("graphs must be folded")
+            if not theirs:
+                return None
+            if t in fmap:
+                if fmap[t] != theirs[0]:
+                    return None
+            else:
+                fmap[t] = theirs[0]
+                queue.append(t)
+    if len(fmap) != g1.vertex_count:
+        return None
+    if bijective and len(set(fmap.values())) != g1.vertex_count:
+        return None
+    return tuple(fmap[v] for v in range(g1.vertex_count))
+
+
+def reference_check_alphabets(g1, g2):
+    if g1.alphabet != g2.alphabet:
+        raise AlphabetMismatch("graphs live over different alphabets")
+
+
+def reference_isomorphic_based(g1, g2):
+    reference_check_alphabets(g1.graph, g2.graph)
+    if g1.vertex_count != g2.vertex_count or len(g1.graph.edges) != len(g2.graph.edges):
+        return None
+    vmap = reference_propagate(g1.graph, g1.base, g2.graph, g2.base, bijective=True)
+    return Morphism(vmap) if vmap is not None else None
+
+
+def reference_isomorphic_unbased(g1, g2):
+    reference_check_alphabets(g1, g2)
+    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
+        return None
+    for v2 in range(g2.vertex_count):
+        vmap = reference_propagate(g1, 0, g2, v2, bijective=True)
+        if vmap is not None:
+            return Morphism(vmap)
+    return None
+
+
+def reference_find_morphism(src, dst):
+    reference_check_alphabets(src.graph, dst)
+    for v2 in range(dst.vertex_count):
+        vmap = reference_propagate(src.graph, src.base, dst, v2, bijective=False)
+        if vmap is not None:
+            return Morphism(vmap)
+    return None
+
+
+def outcome(f, *args):
+    """The result, or the type and message of the ValueError raised."""
+    try:
+        return f(*args)
+    except ValueError as e:  # AlphabetMismatch is a ValueError
+        return type(e), str(e)
+
+
+ALPHABETS = [Alphabet(["a"]), AB, Alphabet(["a", "b", "c"])]
+
+
+def random_words(rng, k, foreign=0.1):
+    """Up to five words over k letters, and at a ``foreign`` share of the
+    draws one letter more: some empty, some of one letter, some cancelling."""
+    letters = [s * i for i in range(1, k + 1) for s in (1, -1)]
+    if rng.random() < foreign:
+        letters.append(k + 1)
+    lengths = [0, 1, 1, 2, 3, 5, 8, 13, 40]
+    return [Word(rng.choice(letters) for _ in range(rng.choice(lengths)))
+            for _ in range(rng.randint(0, 5))]
+
+
+def test_wedge_and_bouquet_match_the_per_letter_reference():
+    rng = random.Random(1983)
+    for ab in ALPHABETS:
+        assert bouquet(ab) == reference_bouquet(ab)
+    for _ in range(2000):
+        ab = rng.choice(ALPHABETS)
+        gens = random_words(rng, rng.randint(1, len(ab)))
+        assert outcome(wedge_of_words, ab, gens) == outcome(reference_wedge, ab, gens), gens
+
+
+def permuted(g, rng):
+    """A copy of ``g`` with its vertices shuffled."""
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return XGraph(g.alphabet, g.vertex_count, [(perm[u], li, perm[v]) for (u, li, v) in g.edges])
+
+
+def random_regular(rng, alphabet, n):
+    """A regular graph of n vertices: a random permutation per letter."""
+    edges = []
+    for li in range(len(alphabet)):
+        image = list(range(n))
+        rng.shuffle(image)
+        edges += [(v, li, t) for v, t in enumerate(image)]
+    return XGraph(alphabet, n, edges)
+
+
+def random_pair(rng):
+    """Two graphs over one alphabet (or, at a tenth of the draws, over two):
+    a graph and a shuffled copy, two regular graphs, a folded core and a
+    regular graph, or two multigraphs that may be unfolded."""
+    ab = rng.choice(ALPHABETS)
+    kind = rng.randrange(4)
+    if kind == 0:
+        g1 = random_multigraph(rng)
+        g1 = fold(g1)[0] if rng.random() < 0.5 else g1
+        g2 = permuted(g1, rng)
+    elif kind == 1:
+        n = rng.randint(1, 8)
+        g1, g2 = random_regular(rng, ab, n), random_regular(rng, ab, rng.choice([n, n + 1]))
+    elif kind == 2:
+        g1 = free_subgroup_graph(ab, random_words(rng, len(ab), foreign=0)).graph
+        g2 = random_regular(rng, ab, rng.randint(1, 8))
+    else:
+        g1, g2 = random_multigraph(rng), random_multigraph(rng)
+    if rng.random() < 0.1:
+        other = rng.choice([a for a in ALPHABETS if a != g2.alphabet])
+        g2 = XGraph(other, g2.vertex_count, [e for e in g2.edges if e[1] < len(other)])
+    return g1, g2
+
+
+def test_isomorphisms_and_morphisms_match_the_per_search_reference():
+    rng = random.Random(2002)
+    found = {"based": 0, "unbased": 0, "morphism": 0, "raised": 0}
+    for _ in range(3000):
+        g1, g2 = random_pair(rng)
+        if g1.vertex_count == 0 or g2.vertex_count == 0:
+            continue
+        b1 = BasedXGraph(g1, rng.randrange(g1.vertex_count))
+        b2 = BasedXGraph(g2, rng.randrange(g2.vertex_count))
+        for name, f, ref, args in (
+                ("based", isomorphic_based, reference_isomorphic_based, (b1, b2)),
+                ("unbased", isomorphic_unbased, reference_isomorphic_unbased, (g1, g2)),
+                ("morphism", find_morphism, reference_find_morphism, (b1, g2))):
+            result = outcome(f, *args)
+            assert result == outcome(ref, *args), (name, g1.edges, g2.edges)
+            found[name] += isinstance(result, Morphism)
+            found["raised"] += isinstance(result, tuple)
+    assert min(found.values()) > 50, found

@@ -9,7 +9,8 @@ from one pair to the next.  Writes the machine (CPU model,
 per workload and metric, each side's median and quartiles, how many
 pairs the change won and a verdict from the metric's bound, each run's
 ``attempted`` and ``failed`` operation counts, and the line count of
-``src/stallings/*.py`` on each side.  No metric of a workload gets ``gain``
+``src/stallings/*.py`` on each side, in total and for each module whose
+count differs.  No metric of a workload gets ``gain``
 where the change failed a larger share of its operations than the parent:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
@@ -54,9 +55,23 @@ def same_benchmark(parent: Path) -> bool:
     return files(parent) == files(ROOT)
 
 
+def module_lines(checkout: Path) -> dict[str, int]:
+    """Per file of ``src/stallings/*.py`` in ``checkout``, its lines as ``wc -l`` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((checkout / "src" / "stallings").glob("*.py"))}
+
+
 def source_lines(checkout: Path) -> int:
     """The lines of ``src/stallings/*.py`` in ``checkout``, as ``wc -l`` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "stallings").glob("*.py"))
+    return sum(module_lines(checkout).values())
+
+
+def changed_modules(before: dict[str, int], after: dict[str, int]) -> dict:
+    """The before and after line counts of each module whose count differs;
+    a module that one side lacks has 0 lines there."""
+    return {name: {"before": before.get(name, 0), "after": after.get(name, 0)}
+            for name in sorted(before.keys() | after.keys())
+            if before.get(name, 0) != after.get(name, 0)}
 
 
 def compile_tree(checkout: Path) -> None:
@@ -151,6 +166,7 @@ def main(argv=None) -> int:
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
         src_lines = {"before": source_lines(parent), "after": source_lines(ROOT)}
+        by_module = changed_modules(module_lines(parent), module_lines(ROOT))
         for checkout in (parent, ROOT):
             compile_tree(checkout)
         workloads, machine = {}, None
@@ -189,6 +205,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": args.seeds,
         "src_lines": src_lines,
+        "src_lines_by_module": by_module,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
         "workloads": workloads,
     }
@@ -201,6 +218,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     print(f"src/stallings/*.py lines: {src_lines['before']} -> {src_lines['after']}",
           file=sys.stderr)
+    for name, lines in by_module.items():
+        print(f"  {name}: {lines['before']} -> {lines['after']}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
