@@ -52,6 +52,8 @@ class _Search:
     every used vertex u >= 1 is a base."""
 
     def __init__(self, presentation: Presentation, n: int, budget: int, unbased: bool = False):
+        if type(budget) is not int or budget < 1:
+            raise ValueError(f"node_budget must be a positive integer, not {budget!r}")
         self.n = n
         self.layout = _layout(presentation)
         self.table = [[None] * len(self.layout.inverse)]

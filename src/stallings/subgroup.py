@@ -61,18 +61,24 @@ def _forward_columns(g: XGraph, presentation: Presentation) -> list[list[int]]:
     return forward
 
 
-def _relator_violation(table: dict, relators: Sequence[Word]) -> Optional[tuple]:
+def _relator_violation(table: dict, presentation: Presentation) -> Optional[tuple]:
     """The first (vertex, relator, terminus), relators outer and vertices
-    inner, where a relator traced through the table does not close."""
+    inner, where a relator (``s s``: s == s^-1; else a root's power by squaring) fails."""
     identity = list(range(len(table[1])))
-    for r in relators:
-        ends = identity
-        for lt in r:
-            col = table[lt]
+    for r, root, e in _layout(presentation).powers:
+        if len(root) == 1 and e == 2 and table[root[0]] == table[-root[0]]:
+            continue
+        ends = list(table[root[0]])
+        for col in map(table.__getitem__, root[1:]):
             ends = [col[v] for v in ends]
-        if ends != identity:
-            v = next(v for v, t in enumerate(ends) if t != v)
-            return (v, r, ends[v])
+        power = ends
+        for bit in bin(e)[3:]:
+            power = [power[v] for v in power]
+            if bit == "1":
+                power = [ends[v] for v in power]
+        if power != identity:
+            v = next(v for v, t in enumerate(power) if t != v)
+            return (v, r, power[v])
     return None
 
 
@@ -110,7 +116,7 @@ def fulfillment_violation(
     Requires an X-regular graph so that every trace is total.
     """
     table = _table(_forward_columns(g, presentation), len(g.alphabet))
-    return _relator_violation(table, presentation.relators)
+    return _relator_violation(table, presentation)
 
 
 def fulfills(g: XGraph, presentation: Presentation) -> bool:
@@ -153,7 +159,7 @@ class SubgroupGraph:
         order, new, parent = _bfs(table, base)
         if len(order) != n:
             raise ValueError("graph is not connected")
-        violation = _relator_violation(table, presentation.relators)
+        violation = _relator_violation(table, presentation)
         if violation is not None:
             raise FulfillmentFailed(*violation)
         if order != [*range(n)]:
@@ -316,9 +322,10 @@ class _Layout:
     without repeats and without ``s s``, which holds by construction: each
     relator cycle through an entry (alpha, col) is one of these read at
     alpha.  A cycle is a pair ``(cols, back)``, ``back`` the inverse columns
-    of ``cols`` in reverse order, which the scan reads backwards."""
+    of ``cols`` in reverse order, which the scan reads backwards.  ``powers``
+    holds ``(r, root, e)`` per relator r: r is ``root`` repeated e times."""
 
-    __slots__ = ("forward", "inverse", "cycles")
+    __slots__ = ("forward", "inverse", "cycles", "powers")
 
     def __init__(self, presentation: Presentation):
         involutions = {abs(r[0]) for r in presentation.relators if len(r) == 2 and r[0] == r[1]}
@@ -333,6 +340,9 @@ class _Layout:
                                for k in range(len(w)))
         self.cycles = tuple(tuple(self.cycle(w) for w in cycles if w[0] == col and w != (col, col))
                             for col in range(len(self.inverse)))
+        self.powers = tuple((r, r.letters[:d], len(r) // d) for r in presentation.relators
+                            for d in [next(d for d in range(1, len(r) + 1)
+                                           if r.letters[:d] * (len(r) // d) == r.letters)])
 
     def columns(self, w: Word) -> tuple[int, ...]:
         return tuple(self.forward[lt - 1] if lt > 0 else self.inverse[self.forward[-lt - 1]]
@@ -381,7 +391,7 @@ def _scan(table: Sequence[Sequence[Optional[int]]], alpha: int, cycle: tuple) ->
 class _Enumeration(_PartialTable):
     """Felsch-style coset enumeration over a partial table whose columns the
     presentation's ``_Layout`` sets: one per involution, two per other
-    generator.
+    generator.  ``run`` makes each definition in the loop that runs scans.
 
     Each definition and each deduction pushes its entry (alpha, col) on the
     deduction stack ``stack``.  ``run`` pops it and, while alpha is live,
@@ -400,11 +410,7 @@ class _Enumeration(_PartialTable):
         self.layout = _layout(presentation)
         super().__init__(self.layout.inverse, 1)
         self.stack: list[tuple[int, int]] = []
-        # a relator of length one binds a coset to itself before any other entry exists
-        self.loops = [c for c in self.layout.forward
-                      if any(len(cols) == 1 for cols, _ in self.layout.cycles[c])]
-        self.coincidences = self.deductions = self.scans = 0
-        self.peak = 1
+        self.coincidences = self.deductions = self.scans = self.peak = 0
 
     def _merge(self, a: int, b: int) -> bool:
         merged = super()._merge(a, b)
@@ -414,33 +420,22 @@ class _Enumeration(_PartialTable):
             self.stack.extend((survivor, col) for col in range(self.ncols))
         return merged
 
-    def _bind_loops(self, beta: int) -> None:
-        for c in self.loops:
-            self.table[beta][c] = self.table[beta][self.inverse[c]] = beta
-            self.stack.append((beta, c))
-
-    def _define(self, alpha: int, col: int) -> None:
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
-        self.parent.append(beta)
-        self.alive += 1
-        self.peak = max(self.peak, self.alive)
-        self._install(alpha, col, beta)
-        self.stack.append((alpha, col))
-        self._bind_loops(beta)
-
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
         table, parent, stack, layout = self.table, self.parent, self.stack, self.layout
+        loops = [c for c in layout.forward if any(len(cols) == 1 for cols, _ in layout.cycles[c])]
         # one more column: the subgroup generators, scanned at the base
         # (coset 0, as merges keep the smaller id) whenever the stack empties
         gens_col = self.ncols
         cycles = [*layout.cycles, [layout.cycle(cols) for cols in
                                    (layout.columns(free_reduce(w)) for w in subgens) if cols]]
-        self._bind_loops(0)
         first, col = 0, None  # every coset below first is dead or complete, and stays so
-        deductions = scans = 0
+        deductions, scans, peak = 0, 0, 1
         try:
             while True:
+                beta = len(table) - 1  # the coset defined last
+                for c in loops:  # a relator of length one, bound before any other entry
+                    table[beta][c] = table[beta][self.inverse[c]] = beta
+                    stack.append((beta, c))
                 # close under the deductions and the generators until a scan
                 # of the generators deduces nothing
                 while stack or col != gens_col:
@@ -454,7 +449,7 @@ class _Enumeration(_PartialTable):
                             break  # its row moved to the survivor, which was pushed
                         scans += 1
                         found = _scan(table, alpha, w)
-                        if len(found) == 2:
+                        if found and len(found) == 2:  # most scans find nothing
                             self._coincidence(*found)
                         elif found:
                             f, c, b, inv = found
@@ -466,16 +461,25 @@ class _Enumeration(_PartialTable):
                     return
                 if self.alive >= max_cosets:
                     raise CosetLimitExceeded(max_cosets)
-                self._define(first, table[first].index(None))
+                beta, col = len(table), table[first].index(None)
+                table[first][col] = beta
+                table.append([None] * self.ncols)
+                table[beta][self.inverse[col]] = first
+                parent.append(beta)
+                stack.append((first, col))
+                self.alive += 1
+                peak = max(peak, self.alive)
         finally:
-            self.deductions, self.scans = deductions, scans
+            self.deductions, self.scans, self.peak = deductions, scans, peak
 
     def forward_columns(self) -> list[tuple[int, ...]]:
-        """The closed table's forward columns, renumbered by BFS from coset 0,
-        which reads live rows only: no live row references a dead coset."""
-        cols = dict(enumerate(zip(*self.table)))
-        order, new, _ = _bfs(cols, 0)
-        return [tuple([new[col[v]] for v in order]) for col in map(cols.get, self.layout.forward)]
+        """The closed table's forward columns on its live cosets in id order,
+        the table's own if none died; no live row references a dead coset."""
+        forward = [col for c, col in enumerate(zip(*self.table)) if c in self.layout.forward]
+        if self.alive < len(self.table):
+            new = {v: i for i, v in enumerate(v for v, p in enumerate(self.parent) if p == v)}
+            forward = [tuple([new[col[v]] for v in new]) for col in forward]
+        return forward
 
 
 def coset_enumerate(
@@ -488,10 +492,12 @@ def coset_enumerate(
     Deterministic: before each definition the table is closed under every
     consequence of the relators and the generators, and the definition
     fills the first empty entry (lowest letter, positive before inverse) of
-    the lowest live coset.  Raises CosetLimitExceeded when the
-    table does not close within the bound, which signals an index above the
-    bound or an infinite one.
+    the lowest live coset, so without a coincidence cosets come in BFS order.
+    Raises ValueError unless ``max_cosets`` is a positive int, and
+    CosetLimitExceeded past that many live cosets: a larger or infinite index.
     """
+    if type(max_cosets) is not int or max_cosets < 1:
+        raise ValueError(f"max_cosets must be a positive integer, not {max_cosets!r}")
     for w in subgens:
         if free_reduce(w).max_index() >= len(presentation.alphabet):
             raise AlphabetMismatch("subgroup generator outside the alphabet")

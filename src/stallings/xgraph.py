@@ -235,7 +235,7 @@ def core(g: BasedXGraph) -> BasedXGraph:
 
     Computed as the base's connected component with every degree-1 vertex
     other than the base deleted iteratively, from a worklist of vertices
-    whose degree has dropped to one or less.
+    whose degree has dropped to one or less; a core comes back as it is.
     """
     alive = _component(g.graph, g.base)
     arcs = g.graph._arc_list()
@@ -251,6 +251,8 @@ def core(g: BasedXGraph) -> BasedXGraph:
                 deg[w] -= 1
                 if deg[w] <= 1 and w != g.base:
                     stack.append(w)
+    if len(alive) == g.vertex_count:
+        return g
     order = sorted(alive)
     renum = {v: i for i, v in enumerate(order)}
     new_edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges

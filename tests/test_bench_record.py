@@ -1,6 +1,7 @@
 """The verdict ``tools/bench_record.py`` gives a metric from ten pairs, and
-the source line count it records."""
+the source line count and digest it records."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -72,6 +73,27 @@ def test_changed_modules_list_only_the_counts_that_differ(tmp_path):
         "new.py": {"before": 0, "after": 3},
     }
 
+
+
+def test_source_sha256_covers_the_package_modules_in_name_order(tmp_path):
+    package = tmp_path / "src" / "stallings"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text("y = 2\n")
+    (package / "a.py").write_text("x = 1\n")
+    (package / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    digest = bench_record.source_sha256(tmp_path)
+    assert digest == hashlib.sha256(b"a.py\n6\nx = 1\nb.py\n6\ny = 2\n").hexdigest()
+    (package / "notes.txt").write_text("changed\n")
+    (tmp_path / "src" / "other.py").write_text("changed\n")
+    assert bench_record.source_sha256(tmp_path) == digest
+    # the same bytes split differently between the files
+    (package / "a.py").write_text("x = 1\ny")
+    (package / "b.py").write_text(" = 2\n")
+    assert bench_record.source_sha256(tmp_path) != digest
+    (package / "a.py").write_text("x = 1\n")
+    (package / "b.py").write_text("y = 3\n")
+    assert bench_record.source_sha256(tmp_path) != digest
 
 
 def _pairs(after_wall, after_failed, attempted=100):

@@ -18,6 +18,9 @@ cycles.  The two must agree on tables, cosets defined and the counters
 ``coincidences`` (merges) and ``peak`` (most live cosets); the layout pops
 no more ``deductions`` (entries popped).  Every merge kills one defined
 coset, so ``coincidences`` is the number defined less the index.
+
+``forward_columns`` numbers the live cosets in id order, so the two are
+compared as canonical tables, the ``SubgroupGraph`` of each side's columns.
 """
 
 import random
@@ -25,9 +28,11 @@ from itertools import permutations
 
 import pytest
 
-from stallings import CosetLimitExceeded, Presentation, Word, coset_enumerate, free_reduce
+from stallings import (CosetLimitExceeded, Presentation, SubgroupGraph, Word, coset_enumerate,
+                       free_reduce)
+from stallings import subgroup
 from stallings.enumerator import _Search
-from stallings.subgroup import _Enumeration, _layout
+from stallings.subgroup import _Enumeration, _bfs, _layout, _table
 from stallings.xgraph import _PartialTable
 
 
@@ -370,13 +375,14 @@ class ReferenceEnumeration(_PartialTable):
         return list(zip(*canonical_rows(zip(*self.table), [0])))[0::2]
 
 
-def _outcome(enum, gens, max_cosets):
-    """What a run leaves: the closed table's forward columns, or the live
-    cosets when the budget stopped it, with the cosets defined and the
-    counters, ``deductions`` last."""
+def _outcome(enum, pres, gens, max_cosets):
+    """What a run leaves: the canonical table and Schreier vector of its
+    closed table, or the live cosets when the budget stopped it, with the
+    cosets defined and the counters, ``deductions`` last."""
     try:
         enum.run(gens, max_cosets)
-        result = [tuple(col) for col in enum.forward_columns()]
+        sg = SubgroupGraph(pres, enum.forward_columns())
+        result = (sg._table, sg._parent)
     except CosetLimitExceeded:
         result = ("budget", enum.alive)
     return result, len(enum.table), enum.coincidences, enum.peak, enum.deductions
@@ -403,8 +409,8 @@ def test_inlined_loop_matches_the_reference(random_presentation):
         jobs.append((pres, gens, 200))
     budget_hits = involutions = 0
     for pres, gens, max_cosets in jobs:
-        got = _outcome(_Enumeration(pres), gens, max_cosets)
-        expected = _outcome(ReferenceEnumeration(pres), gens, max_cosets)
+        got = _outcome(_Enumeration(pres), pres, gens, max_cosets)
+        expected = _outcome(ReferenceEnumeration(pres), pres, gens, max_cosets)
         assert got[:-1] == expected[:-1], (pres, gens, max_cosets)
         assert got[-1] <= expected[-1]
         budget_hits += got[0][0] == "budget"
@@ -435,3 +441,79 @@ def test_relator_cycles_are_built_once_and_shared():
             assert sorted(cycles) == sorted(w for w in mapped if w[0] == col and w != (col, col))
             assert all(back == tuple(layout.inverse[c] for c in reversed(cols))
                        for cols, back in ws)
+
+
+def test_one_bfs_per_enumeration(monkeypatch):
+    """``forward_columns`` only compacts the live cosets, so the BFS of
+    ``SubgroupGraph`` is the only one a call runs, with or without
+    coincidences."""
+    calls = []
+    bfs = subgroup._bfs
+
+    def counted(*args):
+        calls.append(args[1])
+        return bfs(*args)
+
+    monkeypatch.setattr(subgroup, "_bfs", counted)
+    merged = 0
+    for group, gens, index, defined in DEFINED:
+        pres = GROUPS[group]
+        calls.clear()
+        assert coset_enumerate(pres, [pres.word(w) for w in gens]).index() == index
+        assert calls == [0]
+        merged += defined > index
+    assert merged >= 15
+
+
+def test_without_a_coincidence_the_cosets_come_in_bfs_order():
+    """A definition fills the first empty entry of the lowest live coset, so
+    with no coincidence the cosets are defined in BFS order from coset 0
+    and ``SubgroupGraph`` keeps the columns as they are."""
+    enum = _Enumeration(GROUPS["S5"])
+    enum.run([], 10_000)
+    assert enum.coincidences == 0
+    forward = enum.forward_columns()
+    order, new, _ = _bfs(_table(forward, 4), 0)
+    assert order == new == list(range(120))
+    assert SubgroupGraph(GROUPS["S5"], forward).coset_table().permutations == tuple(forward)
+    kept = 0
+    for group, gens, index, defined in DEFINED:
+        if defined == index:
+            pres = GROUPS[group]
+            enum = _Enumeration(pres)
+            enum.run([pres.word(w) for w in gens], 10_000)
+            forward = enum.forward_columns()
+            assert _bfs(_table(forward, len(pres.alphabet)), 0)[0] == list(range(index))
+            kept += 1
+    assert kept >= 15
+
+
+def test_forward_columns_compact_the_live_cosets():
+    """After coincidences the live cosets keep their order and are numbered
+    0, 1, ... in it."""
+    pres = GROUPS["B3"]
+    enum = _Enumeration(pres)
+    enum.run([pres.word("s1 s2 s1 s1 s2 t")], 10_000)
+    live = [v for v in range(len(enum.table)) if enum.rep(v) == v]
+    assert len(enum.table) == 18 and len(live) == 12
+    forward = enum.forward_columns()
+    assert forward == [tuple(live.index(enum.table[v][c]) for v in live)
+                       for c in enum.layout.forward]
+
+
+TRIVIAL = Presentation.parse(["a"], ["a"])
+Z2 = Presentation.parse(["a"], ["a a"])
+
+
+@pytest.mark.parametrize("max_cosets", [0, -1, 2.5, True, "10", None])
+@pytest.mark.parametrize("pres", [TRIVIAL, Z2], ids=["<a|a>", "<a|a a>"])
+def test_max_cosets_must_be_a_positive_int(pres, max_cosets):
+    with pytest.raises(ValueError, match="max_cosets must be a positive integer"):
+        coset_enumerate(pres, max_cosets=max_cosets)
+
+
+def test_one_coset_is_the_least_budget():
+    assert coset_enumerate(TRIVIAL, max_cosets=1).index() == 1
+    with pytest.raises(CosetLimitExceeded, match="within 1 cosets"):
+        coset_enumerate(Z2, max_cosets=1)
+    assert coset_enumerate(Z2, max_cosets=2).index() == 2

@@ -86,6 +86,20 @@ def test_budget(f2):
         enumerate_graphs(EnumerationTask(f2, 6), node_budget=10)
 
 
+@pytest.mark.parametrize("budget", [0, -1, 2.5, True, "10", None])
+def test_node_budget_must_be_a_positive_int(s3, budget):
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        enumerate_graphs(EnumerationTask(s3, 3), node_budget=budget)
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        hall_search(s3, 6, 2, node_budget=budget)
+
+
+def test_one_node_is_the_least_budget(s3):
+    assert len(enumerate_graphs(EnumerationTask(free_presentation(["a"]), 1), node_budget=1)) == 1
+    with pytest.raises(SearchBudgetExceeded, match="node budget of 1$"):
+        enumerate_graphs(EnumerationTask(s3, 3), node_budget=1)
+
+
 def test_search_grows_its_table_with_its_vertices(s3):
     search = _Search(s3, 10**9, 10)
     assert len(search.table) == 1

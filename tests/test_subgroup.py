@@ -3,6 +3,7 @@ import random
 import pytest
 
 from stallings import (
+    Alphabet,
     AlphabetMismatch,
     BasedXGraph,
     CosetLimitExceeded,
@@ -17,10 +18,11 @@ from stallings import (
     enumerate_graphs,
     free_presentation,
     fulfillment_violation,
+    free_reduce,
     fulfills,
     subgroup_from_graph,
 )
-from stallings.subgroup import _Enumeration, _bfs, _table
+from stallings.subgroup import _Enumeration, _bfs, _layout, _relator_violation, _table
 from test_coset_enumeration import canonical_rows, symmetric
 
 XY_PRES = Presentation.parse(["x", "y"], ["x x", "y y", "x y x y x y"])
@@ -355,3 +357,110 @@ class TestForwardGuards:
         # x a 3-cycle, y the identity: x x fails at the base
         with pytest.raises(FulfillmentFailed):
             SubgroupGraph(XY_PRES, [[1, 2, 0], [0, 1, 2]])
+
+
+def reference_violation(table, relators):
+    """The relator check before powers: each relator traced letter by letter
+    from every vertex at once, relators outer and vertices inner."""
+    identity = list(range(len(table[1])))
+    for r in relators:
+        ends = identity
+        for lt in r:
+            col = table[lt]
+            ends = [col[v] for v in ends]
+        if ends != identity:
+            v = next(v for v, t in enumerate(ends) if t != v)
+            return (v, r, ends[v])
+    return None
+
+
+def random_relator(rng, k):
+    """A freely reduced relator over k letters: ``s s`` or ``s^-1 s^-1``, a
+    power of a word of one to three letters, a random word, or a conjugate,
+    so some are not cyclically reduced."""
+    def word(length):
+        return [rng.choice([1, -1]) * rng.randint(1, k) for _ in range(length)]
+    while True:
+        kind = rng.randrange(4)
+        if kind == 0:
+            letters = [rng.choice([1, -1]) * rng.randint(1, k)] * 2
+        elif kind == 1:
+            letters = word(rng.randint(1, 3)) * rng.randint(2, 7)
+        elif kind == 2:
+            letters = word(rng.randint(1, 6))
+        else:
+            u = Word(word(rng.randint(1, 2)))
+            letters = (u * Word(word(rng.randint(1, 3)) * rng.randint(1, 3)) * u.inverse()).letters
+        r = free_reduce(Word(letters))
+        if len(r):
+            return r
+
+
+def random_guard_case(rng):
+    """A presentation over 1-3 generators and a random permutation table on
+    1-8 vertices, some generators fixed or involutions.  Most relators are
+    drawn until one holds, so that failures reach the later positions."""
+    k, n = rng.randint(1, 3), rng.randint(1, 8)
+    forward = []
+    for _ in range(k):
+        p = list(range(n))
+        shape = rng.randrange(4)
+        if shape == 1:  # an involution
+            for i in range(0, rng.randint(0, n // 2) * 2, 2):
+                p[i], p[i + 1] = p[i + 1], p[i]
+        elif shape > 1:
+            rng.shuffle(p)
+        forward.append(p)
+    table = _table(forward, k)
+    relators = []
+    for _ in range(rng.randint(1, 4)):
+        for _ in range(30):
+            r = random_relator(rng, k)
+            if rng.random() < 0.25 or reference_violation(table, [r]) is None:
+                break
+        relators.append(r)
+    return Presentation(Alphabet(["a", "b", "c"][:k]), relators), table
+
+
+class TestRelatorGuard:
+    """``_relator_violation`` checks each relator as a power of its root,
+    and ``s s`` as s equal to its inverse, and must give the witness of the
+    letter-by-letter trace."""
+
+    def test_powers_of_the_layout(self):
+        pres = Presentation.parse(["x", "y"], ["x x", "y^-1 y^-1", "x y x y x y x y x y x y x y",
+                                               "x y y x^-1", "x^6", "x y x y^-1"])
+        assert [(root, e) for _, root, e in _layout(pres).powers] == [
+            ((1,), 2), ((-2,), 2), ((1, 2), 7), ((1, 2, 2, -1), 1), ((1,), 6), ((1, 2, 1, -2), 1)]
+        assert all(r.letters == root * e for r, root, e in _layout(pres).powers)
+
+    def test_a6_on_a_four_cycle(self):
+        pres = Presentation.parse(["a"], ["a^6"])
+        table = _table([[1, 2, 3, 0]], 1)
+        witness = (0, pres.relators[0], 2)
+        assert _relator_violation(table, pres) == reference_violation(table, pres.relators)
+        assert _relator_violation(table, pres) == witness
+        assert _relator_violation(_table([[1, 0, 3, 2]], 1), pres) is None
+
+    def test_matches_the_letter_by_letter_reference(self):
+        rng = random.Random(19)
+        holds = 0
+        failed_at, kinds = set(), dict.fromkeys(["s s", "s^-1 s^-1", "power", "conjugate"], 0)
+        for _ in range(2500):
+            pres, table = random_guard_case(rng)
+            expected = reference_violation(table, pres.relators)
+            assert _relator_violation(table, pres) == expected, (pres, table)
+            if expected is None:
+                holds += 1
+                continue
+            r = expected[1]
+            failed_at.add(pres.relators.index(r))
+            root, e = next((root, e) for s, root, e in _layout(pres).powers if s == r)
+            if len(r) == 2 and r[0] == r[1]:
+                kinds["s s" if r[0] > 0 else "s^-1 s^-1"] += 1
+            elif e > 1 and len(root) > 1:
+                kinds["power"] += 1
+            elif r[0] == -r[-1]:
+                kinds["conjugate"] += 1
+        assert failed_at == {0, 1, 2, 3}
+        assert holds >= 300 and min(kinds.values()) >= 50, (holds, kinds)

@@ -316,6 +316,27 @@ def test_core_matches_pruning_reference():
             assert core(based) == pruned_core(based)
 
 
+def test_a_core_comes_back_as_it_is():
+    """``core`` returns a graph it prunes nothing from as it is, so its arc
+    list is kept, and any other graph as the reference prunes it."""
+    rng = random.Random(2019)
+    kept = pruned = 0
+    for _ in range(600):
+        g = random_multigraph(rng)
+        for h in (g, fold(g)[0]):
+            based = BasedXGraph(h, rng.randrange(h.vertex_count))
+            c = core(based)
+            assert c == pruned_core(based)
+            if c.vertex_count == h.vertex_count:
+                assert c is based
+                kept += 1
+            else:
+                assert c is not based
+                pruned += 1
+            assert core(c) is c
+    assert kept >= 100 and pruned >= 100, (kept, pruned)
+
+
 def test_core_prunes_a_long_hanging_path():
     path = [(i, 0, i + 1) for i in range(2000)]
     c = core(BasedXGraph(XGraph(XY, 2001, [(0, 1, 0)] + path), 0))

@@ -8,9 +8,10 @@ from one pair to the next.  Writes the machine (CPU model,
 ``nproc``, Python version), the seeds, every run's end-to-end metrics and,
 per workload and metric, each side's median and quartiles, how many
 pairs the change won and a verdict from the metric's bound, each run's
-``attempted`` and ``failed`` operation counts, and the line count of
+``attempted`` and ``failed`` operation counts, the line count of
 ``src/stallings/*.py`` on each side, in total and for each module whose
-count differs.  No metric of a workload gets ``gain``
+count differs, and a SHA-256 of those files on each side, which names an
+uncommitted working tree too.  No metric of a workload gets ``gain``
 where the change failed a larger share of its operations than the parent:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
@@ -25,6 +26,7 @@ interpreter writes no bytecode of its own.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -64,6 +66,17 @@ def module_lines(checkout: Path) -> dict[str, int]:
 def source_lines(checkout: Path) -> int:
     """The lines of ``src/stallings/*.py`` in ``checkout``, as ``wc -l`` counts them."""
     return sum(module_lines(checkout).values())
+
+
+def source_sha256(checkout: Path) -> str:
+    """A SHA-256 over the files of ``src/stallings/*.py`` in ``checkout``, in
+    name order, each hashed as its name, its size in bytes and its bytes."""
+    h = hashlib.sha256()
+    for p in sorted((checkout / "src" / "stallings").glob("*.py")):
+        data = p.read_bytes()
+        h.update(f"{p.name}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def changed_modules(before: dict[str, int], after: dict[str, int]) -> dict:
@@ -167,6 +180,7 @@ def main(argv=None) -> int:
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
         src_lines = {"before": source_lines(parent), "after": source_lines(ROOT)}
         by_module = changed_modules(module_lines(parent), module_lines(ROOT))
+        src_sha256 = {"before": source_sha256(parent), "after": source_sha256(ROOT)}
         for checkout in (parent, ROOT):
             compile_tree(checkout)
         workloads, machine = {}, None
@@ -206,6 +220,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "src_lines": src_lines,
         "src_lines_by_module": by_module,
+        "src_sha256": src_sha256,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
         "workloads": workloads,
     }
