@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("certify", cmd_certify, "verify the sweep property of a graph", "graphfile")
     p.add_argument("--word", required=True)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=_positive_int)
 
     return parser
 

@@ -13,9 +13,8 @@ glued at single vertices; the one chain builder, ``_chain``, builds them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import GluingInvalid
 from .words import (
@@ -65,15 +64,13 @@ class GluingSpec:
             raise ValueError("pair count must be positive")
 
 
-def _sweep(trace_from, w: Word, base: int, n: int) -> tuple[bool, list[int]]:
-    """Trace ``w`` n times from ``base`` with ``trace_from(vertex, word)``:
-    the flag says the first n vertices visited are distinct and the n-th
-    trace returns to the base."""
-    w = free_reduce(w)
-    orbit = [base]
-    v = base
+def _sweep(step: Callable[[int], Optional[int]], base: int, n: int) -> tuple[bool, list[int]]:
+    """Apply ``step``, a vertex's image under a word or None where the word
+    does not trace, n times from ``base``: the flag says the first n vertices
+    visited are distinct and the n-th step returns to the base."""
+    orbit, v = [base], base
     for _ in range(n):
-        v = trace_from(v, w)
+        v = step(v)
         if v is None:
             return False, orbit
         orbit.append(v)
@@ -87,17 +84,16 @@ def verify_reachability(g: BasedXGraph, w: Word) -> tuple[bool, list[int]]:
 
     Returns the flag and the orbit actually visited.
     """
-    return _sweep(partial(trace, g.graph), w, g.base, g.vertex_count)
+    w = free_reduce(w)
+    return _sweep(lambda v: trace(g.graph, v, w), g.base, g.vertex_count)
 
 
 def certify(sg: SubgroupGraph, w: Word) -> OrbitCertificate:
     """The certificate that the powers of ``w`` sweep the vertices of
     ``sg`` from the base; raises GluingInvalid if they do not."""
-    ok, orbit = _sweep(sg.trace, w, sg.base, sg.index())
+    ok, orbit = _sweep(sg._step(w).__getitem__, sg.base, sg.index())
     if not ok:
-        raise GluingInvalid(
-            "powers of the word do not sweep the vertices from the base"
-        )
+        raise GluingInvalid("powers of the word do not sweep the vertices from the base")
     return OrbitCertificate(sg, free_reduce(w), sg.index(), tuple(orbit))
 
 
@@ -202,7 +198,7 @@ def extend_with_loops(
 
 def _check_coset_cycle(sg: SubgroupGraph, w: Word, side: str) -> None:
     """The powers of ``w`` from the base must visit all vertices and return."""
-    ok, _ = _sweep(sg.trace, w, sg.base, sg.index())
+    ok, _ = _sweep(sg._step(w).__getitem__, sg.base, sg.index())
     if not ok:
         raise GluingInvalid(
             f"powers of the {side} word are not a full set of coset "

@@ -61,6 +61,14 @@ def _forward_columns(g: XGraph, presentation: Presentation) -> list[list[int]]:
     return forward
 
 
+def _action(table: dict, letters: Sequence[int]) -> list[int]:
+    """v -> the end of the trace of ``letters`` from v, composed column by column."""
+    ends = list(table[letters[0]] if letters else range(len(table[1])))
+    for col in map(table.__getitem__, letters[1:]):
+        ends = [col[v] for v in ends]
+    return ends
+
+
 def _relator_violation(table: dict, presentation: Presentation) -> Optional[tuple]:
     """The first (vertex, relator, terminus), relators outer and vertices
     inner, where a relator (``s s``: s == s^-1; else a root's power by squaring) fails."""
@@ -68,10 +76,7 @@ def _relator_violation(table: dict, presentation: Presentation) -> Optional[tupl
     for r, root, e in _layout(presentation).powers:
         if len(root) == 1 and e == 2 and table[root[0]] == table[-root[0]]:
             continue
-        ends = list(table[root[0]])
-        for col in map(table.__getitem__, root[1:]):
-            ends = [col[v] for v in ends]
-        power = ends
+        power = ends = _action(table, root)
         for bit in bin(e)[3:]:
             power = [power[v] for v in power]
             if bit == "1":
@@ -207,6 +212,13 @@ class SubgroupGraph:
         except KeyError:
             raise AlphabetMismatch("word uses letters outside the alphabet") from None
         return v
+
+    def _step(self, w: Word) -> list[int]:
+        """The map v -> ``trace(v, w)``: one step of a sweep by powers of w."""
+        try:
+            return _action(self._table, free_reduce(w).letters)
+        except KeyError:
+            raise AlphabetMismatch("word uses letters outside the alphabet") from None
 
     def contains(self, w: Word) -> bool:
         """Membership of the image of ``w`` in the subgroup."""

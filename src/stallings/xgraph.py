@@ -24,7 +24,8 @@ from .words import Alphabet, Word, free_reduce, letter_index
 
 
 class XGraph:
-    """A finite directed multigraph with alphabet-labeled edges."""
+    """A finite directed multigraph with alphabet-labeled edges.  ``edges`` holds each
+    edge once, sorted by (origin, label, terminus), in linear time from sorted input."""
 
     __slots__ = ("alphabet", "vertex_count", "edges", "_arcs")
 
@@ -35,7 +36,7 @@ class XGraph:
         self.alphabet = alphabet
         self.vertex_count = vertex_count
         k = len(alphabet)
-        edges = tuple(sorted(set(edges)))
+        edges = tuple(sorted(dict.fromkeys(edges)))
         for (u, li, v) in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u}, {li}, {v}) out of range")
@@ -216,18 +217,19 @@ def fold(g: XGraph) -> tuple[XGraph, Morphism]:
     Each edge is installed in a partial table with a row per vertex, and
     where an entry is already set the two ends merge, as in a coincidence
     of coset enumeration.  Returns the folded graph, its vertices numbered
-    by least member, and the quotient morphism, which preserves the
-    subgroup of loop labels at any vertex.
+    by least member and its edges mapped in input order (nearly sorted), and
+    the quotient morphism, which keeps the subgroup of loop labels at a vertex.
     """
     t = _PartialTable([c ^ 1 for c in range(2 * len(g.alphabet))], g.vertex_count)
     for (u, li, v) in g.edges:
         t._install(t.rep(u), 2 * li, t.rep(v))
     t._process()
-    roots = [v for v in range(g.vertex_count) if t.rep(v) == v]
-    renum = {r: i for i, r in enumerate(roots)}
-    vmap = tuple(renum[t.rep(v)] for v in range(g.vertex_count))
-    edges = {(vmap[u], li, vmap[v]) for (u, li, v) in g.edges}
-    return XGraph(g.alphabet, len(roots), edges), Morphism(vmap)
+    reps = [t.rep(v) for v in range(g.vertex_count)]
+    renum = {r: i for i, r in enumerate(v for v, r in enumerate(reps) if r == v)}
+    vmap = tuple([renum[r] for r in reps])
+    # lazily, so that no list holds every duplicate and sets off the collector
+    edges = ((vmap[u], li, vmap[v]) for (u, li, v) in g.edges)
+    return XGraph(g.alphabet, len(renum), edges), Morphism(vmap)
 
 
 def core(g: BasedXGraph) -> BasedXGraph:

@@ -64,6 +64,11 @@ CASES = {
     "duplicate-vertices": (["index", "{duplicate_vertices}"], "line 2: duplicate vertices line"),
     "duplicate-base": (["cosets", "{duplicate_base}"], "line 3: duplicate base line"),
     "huge-vertex-count": (["index", "{huge_vertex_count}"], "not X-regular"),
+    # a non-positive vertex count is malformed, not a computed "no" (exit 1)
+    "certify-prime-zero": (["certify", "{index2}", "--word", "b", "--prime", "0"],
+                           "argument --prime: must be a positive integer, got '0'"),
+    "certify-prime-negative": (["certify", "{index2}", "--word", "b", "--prime", "-3"],
+                               "argument --prime: must be a positive integer, got '-3'"),
     "dot-to-unwritable-path": (["build", "-g", "a", "-g", "b", "--dot", "{graph}/x.dot"],
                                "Not a directory"),
 }

@@ -1,11 +1,17 @@
+import random
+
 import pytest
 
 from stallings import (
+    AlphabetMismatch,
+    BasedXGraph,
+    EnumerationTask,
     FulfillmentFailed,
     GluingInvalid,
     GluingSpec,
     Presentation,
     Word,
+    XGraph,
     admissible_primes,
     build_amalgam,
     build_glued,
@@ -14,16 +20,20 @@ from stallings import (
     build_type2,
     chain_primes,
     coset_enumerate,
+    enumerate_graphs,
     extend_with_loops,
     free_presentation,
+    free_reduce,
     free_subgroup_graph,
     fulfills,
+    is_folded,
     is_prime,
     is_regular,
     subgroup_from_graph,
     verify_coprime_certificate,
     verify_reachability,
 )
+from stallings.families import _sweep, certify
 
 
 def check_certificate(cert):
@@ -311,3 +321,92 @@ class TestPrimes:
         assert admissible_primes(1, 4, 3) == [3, 5, 7, 11]
         assert admissible_primes(2, 3, 3) == [3, 5, 7]
         assert admissible_primes(3, 3, 7) == [7, 13, 19]
+
+
+# The sweep as it was before it stepped through the word's permutation:
+# one trace of the reduced word per vertex.
+def trace_sweep(trace_from, w, base, n):
+    w = free_reduce(w)
+    orbit = [base]
+    v = base
+    for _ in range(n):
+        v = trace_from(v, w)
+        if v is None:
+            return False, orbit
+        orbit.append(v)
+    ok = len(set(orbit[:n])) == n and orbit[n] == base
+    return ok, orbit[:n]
+
+
+def _sweep_graphs():
+    """Enumerated classes of small index over free, modular and braid
+    presentations, and type 1 certificates."""
+    f2 = free_presentation(["a", "b"])
+    psl = Presentation.parse(["a", "b"], ["a a", "b b b"])
+    b3 = Presentation.parse(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
+    graphs = [sg for presentation, n in ((f2, 3), (f2, 4), (psl, 6), (b3, 4))
+              for sg in enumerate_graphs(EnumerationTask(presentation, n))]
+    graphs += [build_type1(f2, letter, p).graph for letter in (0, 1) for p in (1, 2, 7, 11)]
+    return graphs
+
+
+def _sweep_words(rng):
+    """The empty word, single letters and their inverses, and random words,
+    half of them with a cancelling pair spliced in."""
+    words = [Word(), Word([1]), Word([-1]), Word([2]), Word([-2]), Word([1, -1])]
+    for _ in range(8):
+        letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.5:
+            i, lt = rng.randint(0, len(letters)), rng.choice([1, -1, 2, -2])
+            letters[i:i] = [lt, -lt]
+        words.append(Word(letters))
+    return words
+
+
+def test_sweep_matches_the_trace_per_vertex_reference():
+    rng = random.Random(2003)
+    pairs = sweeping = 0
+    for sg in _sweep_graphs():
+        for w in _sweep_words(rng):
+            expected = trace_sweep(sg.trace, w, sg.base, sg.index())
+            assert _sweep(sg._step(w).__getitem__, sg.base, sg.index()) == expected
+            assert verify_reachability(sg.graph, w) == expected
+            if expected[0]:
+                assert certify(sg, w).orbit == tuple(expected[1])
+            else:
+                with pytest.raises(GluingInvalid):
+                    certify(sg, w)
+            pairs += 1
+            sweeping += expected[0]
+    assert pairs >= 1500 and 300 <= sweeping <= pairs - 300, (pairs, sweeping)
+
+
+def test_a_foreign_letter_is_an_alphabet_mismatch(f2):
+    sg = build_type1(f2, 0, 5).graph
+    for w in (Word([3]), Word([1, -3]), Word([-3, 2, 2])):
+        with pytest.raises(AlphabetMismatch, match="^word uses letters outside the alphabet$"):
+            certify(sg, w)
+
+
+def test_the_gluing_messages_are_pinned(f2, z3_factor, z2_factor):
+    with pytest.raises(GluingInvalid, match="^powers of the word do not sweep the "
+                                            "vertices from the base$"):
+        certify(build_type2(f2, 0, 2, 1, 2, 2).graph, Word([1]))
+    (h1, w1), (h2, w2) = z3_factor, z2_factor
+    for spec, side in ((GluingSpec(h1, w1 ** 3, h2, w2, 2), "left"),
+                       (GluingSpec(h1, w1, h2, w2 ** 2, 2), "right")):
+        with pytest.raises(GluingInvalid, match=f"^powers of the {side} word are not a full "
+                                                f"set of coset representatives of the "
+                                                f"{side} factor$"):
+            build_glued(spec)
+
+
+def test_reachability_on_a_folded_graph_that_is_not_regular():
+    """The trace runs out of edges partway: the orbit ends where it did."""
+    ab = free_presentation(["a", "b"]).alphabet
+    path = BasedXGraph(XGraph(ab, 4, [(0, 0, 1), (1, 0, 2), (2, 1, 3)]), 0)
+    assert is_folded(path.graph) and not is_regular(path.graph)
+    assert verify_reachability(path, Word([1])) == (False, [0, 1, 2])
+    assert verify_reachability(path, Word([1, 1, -1])) == (False, [0, 1, 2])
+    assert verify_reachability(path, Word([2])) == (False, [0])
+    assert verify_reachability(path, Word()) == (False, [0, 0, 0, 0])

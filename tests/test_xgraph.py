@@ -17,6 +17,7 @@ from stallings import (
     find_morphism,
     fold,
     free_basis,
+    free_presentation,
     free_reduce,
     free_subgroup_graph,
     is_connected,
@@ -25,10 +26,14 @@ from stallings import (
     isomorphic_based,
     isomorphic_unbased,
     letter_index,
+    parse_graph,
+    serialize_graph,
     spanning_tree,
+    subgroup_from_graph,
     trace,
     wedge_of_words,
 )
+from stallings.xgraph import _PartialTable
 
 AB = Alphabet(["a", "b"])
 XY = Alphabet(["x", "y"])
@@ -562,3 +567,123 @@ def test_isomorphisms_and_morphisms_match_the_per_search_reference():
             found[name] += isinstance(result, Morphism)
             found["raised"] += isinstance(result, tuple)
     assert min(found.values()) > 50, found
+
+
+# XGraph and fold as they were before construction deduped into a dict: a
+# set dedupes, which scrambles the order, and the sort starts from scratch.
+def set_xgraph_edges(alphabet, n, edges):
+    """The edges the set-based constructor kept, or the message it raised."""
+    edges = tuple(sorted(set(edges)))
+    for (u, li, v) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u}, {li}, {v}) out of range"
+        if not 0 <= li < len(alphabet):
+            return f"edge label index {li} out of range"
+    return edges
+
+
+def set_fold(g):
+    t = _PartialTable([c ^ 1 for c in range(2 * len(g.alphabet))], g.vertex_count)
+    for (u, li, v) in g.edges:
+        t._install(t.rep(u), 2 * li, t.rep(v))
+    t._process()
+    roots = [v for v in range(g.vertex_count) if t.rep(v) == v]
+    renum = {r: i for i, r in enumerate(roots)}
+    vmap = tuple(renum[t.rep(v)] for v in range(g.vertex_count))
+    edges = {(vmap[u], li, vmap[v]) for (u, li, v) in g.edges}
+    return XGraph(g.alphabet, len(roots), edges), Morphism(vmap)
+
+
+def xgraph_edges(alphabet, n, edges):
+    try:
+        return XGraph(alphabet, n, edges).edges
+    except ValueError as e:
+        return str(e)
+
+
+def test_edges_match_the_set_based_constructor():
+    """Sorted, reversed, shuffled and nearly sorted edge lists, some heavily
+    duplicated and some with an edge or a label out of range, given as lists
+    and as generators."""
+    rng = random.Random(2020)
+    shapes = {"sorted": 0, "reversed": 0, "shuffled": 0, "nearly sorted": 0, "raised": 0}
+    for i in range(2400):
+        ab = rng.choice(ALPHABETS)
+        n = rng.randint(1, 12)
+        edges = [(rng.randrange(n), rng.randrange(len(ab)), rng.randrange(n))
+                 for _ in range(rng.randint(0, 4 * n))]
+        if i % 3 == 0 and edges:  # heavy duplication
+            edges = [rng.choice(edges[:3]) for _ in range(10 * len(edges))]
+        if rng.random() < 0.1:
+            bad = rng.choice([(n, 0, 0), (0, 0, -1), (0, len(ab), 0), (0, -1, 0)])
+            edges.insert(rng.randint(0, len(edges)), bad)
+        shape = rng.choice(["sorted", "reversed", "shuffled", "nearly sorted"])
+        edges.sort(reverse=shape == "reversed")
+        if shape == "shuffled":
+            rng.shuffle(edges)
+        elif shape == "nearly sorted" and len(edges) > 1:
+            for _ in range(2):
+                j = rng.randrange(len(edges) - 1)
+                edges[j], edges[j + 1] = edges[j + 1], edges[j]
+        expected = set_xgraph_edges(ab, n, edges)
+        assert xgraph_edges(ab, n, edges) == expected
+        assert xgraph_edges(ab, n, iter(edges)) == expected
+        assert xgraph_edges(ab, n, (e for e in edges)) == expected
+        shapes[shape] += 1
+        shapes["raised"] += isinstance(expected, str)
+    assert min(shapes.values()) > 100, shapes
+
+
+def test_fold_core_and_canonicalize_match_the_set_based_fold():
+    """Random wedges, a share of them many copies of one word or of its
+    inverse: the folded graph, the quotient morphism and what core and
+    canonicalize make of them are the set-based fold's."""
+    rng = random.Random(2021)
+    for i in range(300):
+        ab = rng.choice(ALPHABETS)
+        gens = random_words(rng, len(ab), foreign=0)
+        if i % 3 == 0 and gens:
+            w = rng.choice(gens)
+            gens = [w if rng.random() < 0.8 else w.inverse() for _ in range(rng.randint(2, 30))]
+        wedge = wedge_of_words(ab, gens)
+        ref, ref_m = set_fold(wedge.graph)
+        ref_core = core(BasedXGraph(ref, ref_m(wedge.base)))
+        ref_canonical = canonicalize(ref_core)
+        folded, m = fold(wedge.graph)
+        assert (folded, m) == (ref, ref_m)
+        cored = core(BasedXGraph(folded, m(wedge.base)))
+        assert cored == ref_core
+        assert canonicalize(cored) == ref_canonical
+        assert free_subgroup_graph(ab, gens) == ref_canonical[0]
+
+
+def test_fold_of_fifty_copies_of_one_long_word():
+    """50 loops of one cyclically reduced 1000-letter word fold onto one."""
+    rng = random.Random(7)
+    letters = [1]
+    while len(letters) < 1000:
+        lt = rng.choice([1, -1, 2, -2])
+        if lt != -letters[-1] and (len(letters) < 999 or lt != -1):
+            letters.append(lt)
+    wedge = wedge_of_words(AB, [Word(letters)] * 50)
+    assert len(wedge.graph.edges) == 50_000
+    folded, m = fold(wedge.graph)
+    assert (folded, m) == set_fold(wedge.graph)
+    assert folded.vertex_count == len(folded.edges) == 1000
+
+
+def test_coset_tables_and_canonical_files_list_their_edges_sorted():
+    """The producers whose edges XGraph sorts in linear time: a coset
+    table's edges and a canonical graph file's edge lines come sorted."""
+    rng = random.Random(2022)
+    f2 = free_presentation(["a", "b"])
+    for _ in range(50):
+        g = free_subgroup_graph(AB, random_words(rng, 2, foreign=0))
+        regular = random_regular(rng, AB, rng.randint(1, 9))
+        text = serialize_graph(g)
+        lines = [line.split()[1:] for line in text.splitlines() if line.startswith("edge:")]
+        listed = [(int(u), AB._index[x], int(v)) for u, x, v in lines]
+        assert listed == sorted(set(listed)) == list(parse_graph(text, AB).graph.edges)
+        if is_connected(regular):
+            sg = subgroup_from_graph(BasedXGraph(regular, 0), f2)
+            assert list(sg.edges()) == sorted(set(sg.edges()))
