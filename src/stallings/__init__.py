@@ -39,7 +39,6 @@ from .xgraph import (
     bouquet,
     canonicalize,
     core,
-    coset_rep_words,
     find_morphism,
     fold,
     free_basis,
@@ -47,9 +46,6 @@ from .xgraph import (
     is_connected,
     is_folded,
     is_regular,
-    isomorphic_based,
-    isomorphic_unbased,
-    spanning_tree,
     trace,
     wedge_of_words,
 )

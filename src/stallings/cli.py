@@ -47,12 +47,16 @@ def _load_subgroup(path: str, pres: Presentation) -> SubgroupGraph:
     return subgroup_from_graph(g, pres)
 
 
-def _emit(args, sg: SubgroupGraph) -> None:
-    """Write the DOT file if ``--dot`` was given, then print the graph file,
-    both from the coset table: it is canonical, so no ``XGraph`` is built."""
+def _emit(args, sg: SubgroupGraph, *head: str) -> None:
+    """Write the DOT file if ``--dot`` was given, then print the ``head``
+    lines and the graph file, so a DOT file that cannot be written leaves
+    stdout empty.  Both files come from the coset table: it is canonical,
+    so no ``XGraph`` is built."""
     graph = (sg.presentation.alphabet.names, sg.index(), sg.base)
     if getattr(args, "dot", None):
         Path(args.dot).write_text(fileio.dot_text(*graph, sg.edges()))
+    for line in head:
+        print(line)
     print(fileio.graph_text(*graph, sg.edges()), end="")
 
 
@@ -126,11 +130,8 @@ def cmd_normal(args, pres):
 def cmd_normalizer(args, pres):
     sg = _load_subgroup(args.graphfile, pres)
     reps, nsg = sg.normalizer()
-    print("coset representatives over the subgroup:")
-    for rep in reps:
-        print(f"  {_fmt(pres, rep)}")
-    print(f"normalizer index: {nsg.index()}")
-    _emit(args, nsg)
+    _emit(args, nsg, "coset representatives over the subgroup:",
+          *(f"  {_fmt(pres, rep)}" for rep in reps), f"normalizer index: {nsg.index()}")
     return EXIT_OK
 
 
@@ -221,10 +222,9 @@ def cmd_gamma(args, pres):
                 d_text, psi_text = ident.split("=", 1)
                 pairs.append((left_pres.word(d_text), right_pres.word(psi_text)))
             cert = families.build_amalgam(spec, pairs)
-    print(f"vertices: {cert.vertex_count}")
-    print(f"word: {cert.presentation().alphabet.format_word(cert.word)}")
-    print(f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
-    _emit(args, cert.graph)
+    _emit(args, cert.graph, f"vertices: {cert.vertex_count}",
+          f"word: {cert.presentation().alphabet.format_word(cert.word)}",
+          f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
     return EXIT_OK
 
 

@@ -13,6 +13,13 @@ vertices and lie after the first empty entry, so the tables and their order
 stay those of branching at every entry.  An unbased class keeps its least
 canonical form over all bases: a partial table that another base already
 renumbers into a smaller one is cut.
+Each class enters ``SubgroupGraph`` through ``_canonical``, which checks
+only the relators, not X-regularity, connectivity or BFS numbering.  That
+is sound because the search makes those hold: every entry is set together
+with its inverse entry, so a complete table's columns are permutations,
+each the inverse of its partner, and each new vertex is the next id,
+reached from a smaller one in scan order, so BFS from vertex 0 numbers the
+vertices in id order.
 """
 
 from __future__ import annotations
@@ -150,9 +157,12 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     """The classes of ``task`` one at a time, in canonical order."""
     search = _Search(task.presentation, task.vertex_count, node_budget,
                      unbased=task.mode == "unbased")
+    layout = search.layout
+    keys = [(sign * (i + 1), c if sign > 0 else layout.inverse[c])
+            for i, c in enumerate(layout.forward) for sign in (1, -1)]
     for rows in search._extend():
         cols = list(zip(*rows))
-        yield SubgroupGraph(task.presentation, [cols[c] for c in search.layout.forward])
+        yield SubgroupGraph._canonical(task.presentation, {lt: cols[c] for lt, c in keys})
 
 
 def enumerate_graphs(

@@ -19,7 +19,7 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
     """The intersection, and per pair the vertex of it that the pair is, or
     -1 off the base orbit.  The orbit is numbered by BFS from the base pair,
     scanning both column directions in scan order, so its table is already
-    canonical."""
+    canonical and enters through ``SubgroupGraph._canonical``."""
     left._check_presentation(right)
     n2 = right.index()
     cols = list(zip(left._table.values(), right._table.values()))
@@ -36,7 +36,7 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
                 order.append(q)
             row.append(vertex[q])
         rows.append(row)
-    return vertex, SubgroupGraph(left.presentation, list(zip(*rows))[0::2])
+    return vertex, SubgroupGraph._canonical(left.presentation, dict(zip(left._table, zip(*rows))))
 
 
 def _components(left: SubgroupGraph, right: SubgroupGraph,

@@ -3,8 +3,12 @@
 A subgroup graph is a connected X-regular graph that fulfills every relator:
 the Schreier coset graph of a finite-index subgroup, whose vertices are the
 right cosets.  It is held as a coset table, a forward and an inverse column
-per generator, numbered by BFS from the base (vertex 0), and the Schreier
-vector of that BFS, which yields the coset representatives on first use.
+per generator, numbered by BFS from the base (vertex 0).  A table enters
+through one of two entries: the constructor, which checks any table and
+renumbers it, and ``SubgroupGraph._canonical``, for the tables the low-index
+search and the intersection build already canonical, which checks only the
+relators.  The Schreier vector of the BFS, and from it the coset
+representatives, is built on first use.
 Based graphs in that form are isomorphic exactly when their tables are
 equal, so conjugacy and isomorphism compare the table renumbered from other
 bases; normality and the normalizer come from the table's automorphism
@@ -140,11 +144,14 @@ class CosetTable:
 class SubgroupGraph:
     """A finite-index subgroup, held as the coset table of its subgroup graph.
 
-    Vertices are numbered canonically (BFS from the base), the base is
-    vertex 0 and ``_parent`` is the Schreier vector of the BFS: per vertex,
-    its tree parent and the signed letter read from there.  ``coset_reps[v]``,
-    the label of the tree path from the base to ``v``, and ``graph``, the
-    same graph as a BasedXGraph, are built on first use.
+    Vertices are numbered canonically (BFS from the base) and the base is
+    vertex 0.  The constructor takes any table and checks it;
+    ``_canonical`` takes a table that is canonical by construction and
+    checks only that it fulfills the relators.  ``_parent``, the Schreier
+    vector of the BFS (per vertex, its tree parent and the signed letter
+    read from there), ``coset_reps[v]``, the label of the tree path from
+    the base to ``v``, and ``graph``, the same graph as a BasedXGraph, are
+    built on first use.
     """
 
     __slots__ = ("presentation", "_parent", "_coset_reps", "_table", "_graph")
@@ -175,14 +182,35 @@ class SubgroupGraph:
         self._table = table
         self._graph = None
 
+    @classmethod
+    def _canonical(cls, presentation: Presentation, table: dict) -> "SubgroupGraph":
+        """Wrap a table that is complete and canonical by construction: its
+        columns keyed by signed letter in ``_table``'s order, each the
+        inverse of its partner, numbered by BFS from vertex 0.  Only the
+        relators are checked (FulfillmentFailed as the constructor raises
+        it), so only the low-index search and ``products._meet`` call this."""
+        violation = _relator_violation(table, presentation)
+        if violation is not None:
+            raise FulfillmentFailed(*violation)
+        sg = cls.__new__(cls)
+        sg.presentation, sg._table = presentation, table
+        sg._parent = sg._coset_reps = sg._graph = None
+        return sg
+
     @property
     def base(self) -> int:
         return 0
 
+    def _schreier(self) -> list:
+        """The Schreier vector ``_parent``, built by BFS on first use."""
+        if self._parent is None:
+            self._parent = _bfs(self._table, 0)[2]
+        return self._parent
+
     @property
     def coset_reps(self) -> tuple[Word, ...]:
         if self._coset_reps is None:
-            self._coset_reps = tuple(_tree_words(range(self.index()), self._parent))
+            self._coset_reps = tuple(_tree_words(range(self.index()), self._schreier()))
         return self._coset_reps
 
     @property
@@ -236,7 +264,7 @@ class SubgroupGraph:
     def free_basis(self) -> list[Word]:
         """A free basis of the loop language at the base: the loops closed
         by the edges outside the spanning tree, by origin, then label."""
-        return _loop_words(self.edges(), self._parent, self.coset_reps)
+        return _loop_words(self.edges(), self._schreier(), self.coset_reps)
 
     def generators(self) -> list[Word]:
         """Words whose images generate the subgroup of G."""

@@ -319,19 +319,6 @@ def _loop_words(edges: Iterable[tuple[int, int, int]], parent, reps: Sequence[Wo
             if parent[v] != (u, li + 1) and parent[u] != (v, -li - 1)]
 
 
-def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
-    """Deterministic breadth-first spanning tree from the base."""
-    order, parent = _bfs(g)
-    return {(v, lt - 1, t) if lt > 0 else (t, -lt - 1, v)
-            for t in order[1:] for v, lt in [parent[t]]}
-
-
-def coset_rep_words(g: BasedXGraph) -> list[Word]:
-    """Tree-path label from the base to each vertex; the base gets the
-    empty word."""
-    return _tree_words(*_bfs(g))
-
-
 def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
     """Renumber vertices in BFS discovery order from the base; a graph
     already so numbered comes back as it is, with the identity."""
@@ -359,14 +346,11 @@ def _check_same_alphabet(a1: Alphabet, a2: Alphabet) -> None:
         raise AlphabetMismatch("graphs live over different alphabets")
 
 
-def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int,
-               bijective: bool) -> Optional[Morphism]:
+def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int) -> Optional[Morphism]:
     """Propagate v1 -> v2 along the arcs of folded graphs.
 
-    Returns the morphism, total on g1's component of ``v1``, or None on
-    conflict.  With ``bijective`` the map must be injective, which makes it
-    an isomorphism between graphs of equal vertex and edge counts (the
-    callers check both); otherwise a mere morphism check is performed.
+    Returns the morphism, or None on a conflict or unless g1 is connected
+    from ``v1``.
     """
     fmap: dict[int, int] = {v1: v2}
     queue = [v1]
@@ -386,34 +370,8 @@ def _propagate(g1: XGraph, v1: int, g2: XGraph, v2: int,
                 queue.append(t)
     if len(fmap) != g1.vertex_count:
         return None  # g1 not connected from v1
-    if bijective and len(set(fmap.values())) != g1.vertex_count:
-        return None
     # every vertex is mapped, so every arc of g1 was matched at its image
     return Morphism(tuple(fmap[v] for v in range(g1.vertex_count)))
-
-
-def _first_map(g1: XGraph, v1: int, g2: XGraph, bijective: bool) -> Optional[Morphism]:
-    """The first map found with each g2 vertex, in ascending id order, as v1's image."""
-    maps = (_propagate(g1, v1, g2, v2, bijective) for v2 in range(g2.vertex_count))
-    return next((m for m in maps if m is not None), None)
-
-
-def isomorphic_based(g1: BasedXGraph, g2: BasedXGraph) -> Optional[Morphism]:
-    """The unique base-preserving isomorphism of folded connected graphs,
-    or None."""
-    _check_same_alphabet(g1.alphabet, g2.alphabet)
-    if g1.vertex_count != g2.vertex_count or len(g1.graph.edges) != len(g2.graph.edges):
-        return None
-    return _propagate(g1.graph, g1.base, g2.graph, g2.base, bijective=True)
-
-
-def isomorphic_unbased(g1: XGraph, g2: XGraph) -> Optional[Morphism]:
-    """First isomorphism found by trying each g2 vertex as the image of
-    g1's vertex 0, in ascending id order."""
-    _check_same_alphabet(g1.alphabet, g2.alphabet)
-    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
-        return None
-    return _first_map(g1, 0, g2, bijective=True)
 
 
 def find_morphism(src: BasedXGraph, dst: XGraph) -> Optional[Morphism]:
@@ -423,7 +381,8 @@ def find_morphism(src: BasedXGraph, dst: XGraph) -> Optional[Morphism]:
     order, and propagates deterministically.
     """
     _check_same_alphabet(src.alphabet, dst.alphabet)
-    return _first_map(src.graph, src.base, dst, bijective=False)
+    maps = (_propagate(src.graph, src.base, dst, v2) for v2 in range(dst.vertex_count))
+    return next((m for m in maps if m is not None), None)
 
 
 def bouquet(alphabet: Alphabet) -> BasedXGraph:

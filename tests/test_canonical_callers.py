@@ -1,0 +1,26 @@
+"""``SubgroupGraph._canonical`` checks only the relators, so only tables that
+are canonical by construction may enter through it: the low-index search's
+classes and the intersection's orbit.  Untrusted tables (graph files, the
+CLI, ``subgroup_from_graph``) keep the constructor, which checks them all."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [*(ROOT / "src" / "stallings").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+
+
+def _name(node: ast.AST):
+    """The name a bare name or an attribute refers to, else None."""
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_canonical_entry_has_two_callers():
+    assert len(SOURCES) > 10
+    nodes = [(path.relative_to(ROOT).as_posix(), node) for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))]
+    calls = sorted(name for name, node in nodes
+                   if isinstance(node, ast.Call) and _name(node.func) == "_canonical")
+    # every reference is one of these calls, so no alias can call it elsewhere
+    mentions = sorted(name for name, node in nodes if _name(node) == "_canonical")
+    assert calls == mentions == ["src/stallings/enumerator.py", "src/stallings/products.py"]

@@ -71,6 +71,11 @@ CASES = {
                                "argument --prime: must be a positive integer, got '-3'"),
     "dot-to-unwritable-path": (["build", "-g", "a", "-g", "b", "--dot", "{graph}/x.dot"],
                                "Not a directory"),
+    # the header lines come after the DOT file, so none reach stdout
+    "normalizer-dot-to-unwritable-path": (["normalizer", "{index2}", "--dot", "{graph}/x.dot"],
+                                          "Not a directory"),
+    "gamma-dot-to-unwritable-path": (["gamma", "type1", "--letter", "a", "--p", "3",
+                                      "--dot", "{graph}/x.dot"], "Not a directory"),
 }
 
 

@@ -166,7 +166,10 @@ def test_labels_match_the_reference_bfs():
         assert pg.base_component == component[0]
         vertex, meet = _reference_meet(h, k)
         got = intersect(h, k)
+        assert got.coset_reps == meet.coset_reps  # builds the Schreier vector
         assert (got._table, got._parent) == (meet._table, meet._parent)
+        assert list(got._table) == list(meet._table)
+        assert got.free_basis() == meet.free_basis()
         for v1 in range(h.index()):
             v2 = (7 * v1 + 3) % k.index()
             p = v1 * k.index() + v2

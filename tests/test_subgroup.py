@@ -276,11 +276,40 @@ class TestCanonicalCheck:
         classes = enumerate_graphs(EnumerationTask(pres, n))
         assert len(classes) == {6: 3447, 21: 189}[n]
         for sg in classes:
+            # the search's tables skip the constructor's checks, which run here
+            assert sg._parent is None
+            reps = sg.coset_reps  # builds the Schreier vector
             order, new, parent = _bfs(sg._table, 0)
             assert order == new == list(range(n)) and parent == sg._parent
             assert _renumbered(sg._table) == (sg._table, sg._parent)
             again = SubgroupGraph(pres, sg.coset_table().permutations)
             assert (again._table, again._parent) == (sg._table, sg._parent)
+            assert list(again._table) == list(sg._table)
+            assert again.coset_reps == reps and again.free_basis() == sg.free_basis()
+
+    def test_canonical_entry_raises_the_constructors_witness(self):
+        """``_canonical`` checks the relators as the constructor does: on
+        every class of F2 at index 4 and 6, read over (2,3,7) and over
+        XY_PRES, both accept the same tables or raise the same witness."""
+        f2 = free_presentation(["a", "b"])
+        tables = [sg.coset_table().permutations for n in (4, 6)
+                  for sg in enumerate_graphs(EnumerationTask(f2, n))]
+        failed = 0
+        for pres in (T237, XY_PRES):
+            for forward in tables:
+                try:
+                    expected = SubgroupGraph(pres, forward)
+                except FulfillmentFailed as e:
+                    with pytest.raises(FulfillmentFailed) as got:
+                        SubgroupGraph._canonical(pres, _table(forward, 2))
+                    witness = (got.value.vertex, got.value.relator, got.value.terminus)
+                    assert witness == (e.vertex, e.relator, e.terminus)
+                    assert str(got.value) == str(e)
+                    failed += 1
+                else:
+                    sg = SubgroupGraph._canonical(pres, _table(forward, 2))
+                    assert sg._table == expected._table
+        assert 0 < failed < 2 * len(tables)
 
     @pytest.mark.parametrize("gens", S5_SUBGROUPS)
     def test_coset_enumeration_matches_renumbering(self, gens):

@@ -3,7 +3,7 @@
 Hall's formula counts the finite-index subgroups of free groups; coset
 enumeration must rebuild every class that low-index search finds; the
 table calculus must agree with the edge-propagating isomorphism test of
-``xgraph`` run on the ``.graph`` views.
+``test_xgraph`` (on ``xgraph._propagate``) run on the ``.graph`` views.
 """
 
 from math import factorial
@@ -23,14 +23,12 @@ from stallings import (
     build_type2,
     coset_enumerate,
     coset_meet,
-    coset_rep_words,
     enumerate_graphs,
     free_basis,
     free_presentation,
     intersect,
-    isomorphic_based,
-    isomorphic_unbased,
 )
+from test_xgraph import coset_rep_words, isomorphic_based, isomorphic_unbased
 
 S4 = Presentation.parse(["a", "b"], ["a a", "b b b", "a b a b a b a b"])
 Q8 = Presentation.parse(["a", "b"], ["a a a a", "a a b^-1 b^-1", "b^-1 a b a"])

@@ -13,7 +13,6 @@ from stallings import (
     bouquet,
     canonicalize,
     core,
-    coset_rep_words,
     find_morphism,
     fold,
     free_basis,
@@ -23,20 +22,59 @@ from stallings import (
     is_connected,
     is_folded,
     is_regular,
-    isomorphic_based,
-    isomorphic_unbased,
     letter_index,
     parse_graph,
     serialize_graph,
-    spanning_tree,
     subgroup_from_graph,
     trace,
     wedge_of_words,
 )
-from stallings.xgraph import _PartialTable
+from stallings.xgraph import _PartialTable, _bfs, _check_same_alphabet, _propagate, _tree_words
 
 AB = Alphabet(["a", "b"])
 XY = Alphabet(["x", "y"])
+
+
+# Free-graph helpers that the package does not need, kept here on the
+# package's BFS and propagation as the reference for the table calculus
+# (tests/test_tables.py) and checked below against word-building ones.
+def spanning_tree(g: BasedXGraph) -> set[tuple[int, int, int]]:
+    """Deterministic breadth-first spanning tree from the base."""
+    order, parent = _bfs(g)
+    return {(v, lt - 1, t) if lt > 0 else (t, -lt - 1, v)
+            for t in order[1:] for v, lt in [parent[t]]}
+
+
+def coset_rep_words(g: BasedXGraph) -> list[Word]:
+    """Tree-path label from the base to each vertex; the base gets the
+    empty word."""
+    return _tree_words(*_bfs(g))
+
+
+def _isomorphism(g1: XGraph, v1: int, g2: XGraph, v2: int):
+    """The morphism propagated from v1 -> v2 if it is injective, so an
+    isomorphism of graphs with equal vertex and edge counts, else None."""
+    m = _propagate(g1, v1, g2, v2)
+    return m if m is not None and len(set(m.vertex_map)) == g1.vertex_count else None
+
+
+def isomorphic_based(g1: BasedXGraph, g2: BasedXGraph):
+    """The unique base-preserving isomorphism of folded connected graphs,
+    or None."""
+    _check_same_alphabet(g1.alphabet, g2.alphabet)
+    if g1.vertex_count != g2.vertex_count or len(g1.graph.edges) != len(g2.graph.edges):
+        return None
+    return _isomorphism(g1.graph, g1.base, g2.graph, g2.base)
+
+
+def isomorphic_unbased(g1: XGraph, g2: XGraph):
+    """First isomorphism found by trying each g2 vertex as the image of
+    g1's vertex 0, in ascending id order."""
+    _check_same_alphabet(g1.alphabet, g2.alphabet)
+    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
+        return None
+    maps = (_isomorphism(g1, 0, g2, v2) for v2 in range(g2.vertex_count))
+    return next((m for m in maps if m is not None), None)
 
 
 def xy_graph(n, edges, base=0):
