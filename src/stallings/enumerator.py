@@ -68,18 +68,17 @@ class _Search:
         self.budget = budget
         self.nodes = self.forced = self.pruned = 0
 
-    def _extend(self, v: int = 0, c: int = 0, bases: tuple = ()
-                ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Complete the table from its first empty entry, at or after the
-        entry (v, c) filled last, comparing it with its renumberings from
-        ``bases``, those not yet found larger."""
+    def _extend(self, v: int = 0, c: int = 0, bases: tuple = ()) -> Iterator[tuple]:
+        """Yield the columns of each completion of the table from its first
+        empty entry, at or after the entry (v, c) filled last, comparing it
+        with its renumberings from ``bases``, those not yet found larger."""
         table, inverse = self.table, self.layout.inverse
         used = len(table)
         while v < used and None not in table[v][c:]:
             v, c = v + 1, 0
         if v == used:
             if used == self.n:
-                yield tuple(tuple(row) for row in table)
+                yield tuple(zip(*table))
             return
         c = table[v].index(None, c)
         inv = inverse[c]
@@ -94,7 +93,8 @@ class _Search:
             table[v][c], table[t][inv] = t, v
             trail = [(v, c, t, inv)]
             if self._deduce(trail):
-                below = self._not_larger(bases + (t,) if t == used and self.unbased else bases)
+                below = (self._not_larger(bases + (t,) if t == used else bases)
+                         if self.unbased else bases)
                 if below is not None:
                     yield from self._extend(v, c, below)
             for f, col, b, e in reversed(trail):
@@ -160,8 +160,7 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     layout = search.layout
     keys = [(sign * (i + 1), c if sign > 0 else layout.inverse[c])
             for i, c in enumerate(layout.forward) for sign in (1, -1)]
-    for rows in search._extend():
-        cols = list(zip(*rows))
+    for cols in search._extend():
         yield SubgroupGraph._canonical(task.presentation, {lt: cols[c] for lt, c in keys})
 
 

@@ -275,8 +275,7 @@ def assert_search_matches_reference(pres, n, mode):
     expected = [list(zip(*rows))[0::2] for rows in reference._extend()
                 if mode == "based" or least_from_base(rows)]
     search = _Search(pres, n, 10**7, unbased=mode == "unbased")
-    found = [[cols[c] for c in search.layout.forward]
-             for cols in (list(zip(*rows)) for rows in search._extend())]
+    found = [[cols[c] for c in search.layout.forward] for cols in search._extend()]
     assert found == expected, (pres, n, mode)
     assert search.nodes <= reference.nodes, (pres, n, mode)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from stallings import products
@@ -6,6 +8,7 @@ from stallings import (
     Presentation,
     ProductGraph,
     SubgroupGraph,
+    build_type1,
     coset_enumerate,
     coset_meet,
     enumerate_graphs,
@@ -175,6 +178,47 @@ def test_labels_match_the_reference_bfs():
             p = v1 * k.index() + v2
             expected = meet.coset_reps[vertex[p]] if p in vertex else None
             assert coset_meet(pg, v1, v2) == expected
+        assert_other_call_orders_give_the_references(h, k, component, sizes, vertex, meet)
+
+
+def assert_other_call_orders_give_the_references(h, k, component, sizes, vertex, meet):
+    """Fresh products of h and k, queried base component first or
+    ``coset_meet`` first, answer as the references do."""
+    every = [(v1, v2) for v1 in range(h.index()) for v2 in range(k.index())]
+    in_base = [c == component[0] for c in component]
+    words = [meet.coset_reps[vertex[p]] if p in vertex else None for p in range(len(every))]
+    meet_first, base_first = ProductGraph(h, k), ProductGraph(h, k)
+    with pytest.raises(ValueError) as raised:
+        coset_meet(meet_first, h.index(), 0)
+    assert str(raised.value) == f"no vertex pair ({h.index()}, 0) in the product"
+    assert meet_first._label is None and meet_first._meet is None  # nothing walked
+    assert [coset_meet(meet_first, v1, v2) for v1, v2 in every] == words
+    assert [meet_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
+    assert meet_first.component == component
+    assert list(meet_first.component_sizes().items()) == list(sizes.items())
+    assert [base_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
+    assert base_first._label == [0 if b else -1 for b in in_base]  # only the base orbit
+    assert base_first.base_component == component[0] == 0
+    assert list(base_first.component_sizes().items()) == list(sizes.items())
+    assert base_first.component == component
+    assert [base_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
+    assert [coset_meet(base_first, v1, v2) for v1, v2 in every] == words
+
+
+def test_a_product_allocates_nothing_per_pair(f2):
+    """Two 2003-vertex certificates have 4,012,009 pairs.  Building their
+    product labels none of them, so it allocates no list or tuple of labels."""
+    left, right = build_type1(f2, 0, 2003).graph, build_type1(f2, 0, 2003).graph
+    tracemalloc.start()
+    try:
+        pg = ProductGraph(left, right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert pg.pair_id(2002, 2002) == 2003 ** 2 - 1
+    with pytest.raises(ValueError, match=r"^no vertex pair \(2003, 0\) in the product$"):
+        pg.pair_id(2003, 0)
 
 
 
