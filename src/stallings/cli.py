@@ -2,7 +2,8 @@
 
 Every subcommand reads a presentation via ``-p``, emits its answer on
 stdout and diagnostics on stderr.  Exit codes: 0 success, 1 computed
-negative answer, 2 usage or parse error, 3 budget exceeded.
+negative answer, 2 usage or parse error, 3 budget exceeded, which includes
+a search deeper than the recursion limit and running out of memory.
 """
 
 from __future__ import annotations
@@ -248,10 +249,10 @@ def _positive_int(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error on one ``error:`` line, as ``main`` does."""
+    """Raises usage errors for ``main``, so only ``--help`` exits."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"error: {message}\n")
+        raise ParseError(message)
 
 
 @functools.cache  # parse_args fills a fresh namespace each call, so main shares one parser
@@ -334,26 +335,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A failure exits with the code of the first row it matches.  Recursion depth
+# and memory are budgets, as much as a search's node count is.
+EXIT_CODES = (
+    ((ParseError, OSError), EXIT_USAGE),
+    ((CosetLimitExceeded, SearchBudgetExceeded, RecursionError, MemoryError), EXIT_BUDGET),
+    ((FulfillmentFailed, GluingInvalid), EXIT_NEGATIVE),
+    ((StallingsError, ValueError), EXIT_USAGE),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
-        pres = _load_presentation(args.presentation)
-        return args.fn(args, pres)
-    except (ParseError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CosetLimitExceeded, SearchBudgetExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (FulfillmentFailed, GluingInvalid) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except (StallingsError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.fn(args, _load_presentation(args.presentation))
+    except SystemExit:  # --help
+        return EXIT_OK
+    except tuple(t for types, _ in EXIT_CODES for t in types) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return next(code for types, code in EXIT_CODES if isinstance(e, types))
 
 
 if __name__ == "__main__":

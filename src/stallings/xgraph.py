@@ -411,10 +411,9 @@ def free_subgroup_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Based
     """The folded core graph of the subgroup of F(X) generated by the words.
 
     This is the canonical based graph whose loop language at the base is the
-    subgroup; vertices are numbered in BFS order from the base.
+    subgroup; vertices are numbered in BFS order from the base.  A fold of
+    reduced loops is already a core: every other vertex has two columns.
     """
     wedge = wedge_of_words(alphabet, generators)
     folded, m = fold(wedge.graph)
-    cored = core(BasedXGraph(folded, m(wedge.base)))
-    canonical, _ = canonicalize(cored)
-    return canonical
+    return canonicalize(BasedXGraph(folded, m(wedge.base)))[0]

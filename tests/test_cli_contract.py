@@ -1,8 +1,10 @@
 """Malformed CLI input is a usage error: exit 2, nothing on stdout, and one
-``error:`` line on stderr, never a traceback."""
+``error:`` line on stderr, never a traceback.  A search deeper than the
+recursion limit, or one that runs out of memory, exits 3 the same way."""
 
 import pytest
 
+from stallings import cli
 from stallings.cli import main
 
 FILES = {
@@ -17,6 +19,7 @@ FILES = {
     "duplicate_base": "vertices: 1\nbase: 3\nbase: 0\nedge: 0 a 0\nedge: 0 b 0\n",
     # 10^12 vertices and no edges: rejected before any per-vertex work
     "huge_vertex_count": "vertices: 1000000000000\nbase: 0\n",
+    "z_pres": "gens: a\n",
 }
 
 CASES = {
@@ -79,17 +82,48 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
-def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, message):
+# The low-index search recurses once per tentative edge, so these valid
+# inputs, far inside the node budget, go deeper than the default recursion limit.
+DEEP_SEARCHES = {
+    "enumerate-cyclic-index-1000": ["-p", "{z_pres}", "enumerate", "--n", "1000"],
+    "hall-free-order-500": ["-p", "{pres}", "hall", "--order", "500", "--d", "1"],
+}
+
+
+def _run(tmp_path, capsys, argv):
+    """The exit code of ``main`` on ``argv`` and its one ``error:`` line,
+    with each ``{name}`` replaced by the path of a file holding
+    ``FILES[name]``; stdout must stay empty."""
     paths = {}
     for name, text in FILES.items():
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
-    code = main(["-p", paths["pres"]] + [arg.format(**paths) for arg in argv])
+    code = main([arg.format(**paths) for arg in argv])
     out, err = capsys.readouterr()
-    assert code == 2
     assert out == ""
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert message in lines[0]
+    return code, lines[0]
+
+
+@pytest.mark.parametrize("argv, message", CASES.values(), ids=CASES.keys())
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    code, line = _run(tmp_path, capsys, ["-p", "{pres}", *argv])
+    assert code == 2
+    assert message in line
+
+
+@pytest.mark.parametrize("argv", DEEP_SEARCHES.values(), ids=DEEP_SEARCHES.keys())
+def test_a_search_past_the_recursion_limit_is_a_budget_error(tmp_path, capsys, argv):
+    code, line = _run(tmp_path, capsys, argv)
+    assert code == 3
+    assert "maximum recursion depth exceeded" in line  # the rest varies by Python version
+
+
+def test_running_out_of_memory_is_a_budget_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "coset_enumerate", exhausted)
+    assert _run(tmp_path, capsys, ["-p", "{pres}", "build", "-g", "a"]) == (3, "error: MemoryError")

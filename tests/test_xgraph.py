@@ -273,6 +273,26 @@ def test_free_subgroup_graph_properties(gens):
         assert trace(g.graph, g.base, w) == g.base
 
 
+def test_a_folded_wedge_is_its_own_core():
+    """A fold of reduced loops at the base leaves every other vertex with
+    arcs in two columns, so ``core`` prunes nothing and
+    ``free_subgroup_graph`` skips it.  The words include unreduced ones and
+    a word next to its inverse."""
+    rng = random.Random(2023)
+    for _ in range(1200):
+        alphabet = Alphabet(["a", "b", "c"][:rng.randint(1, 3)])
+        letters = [s * (i + 1) for i in range(len(alphabet)) for s in (1, -1)]
+        gens = [Word([rng.choice(letters) for _ in range(rng.randint(0, 12))])
+                for _ in range(rng.randint(0, 5))]
+        if gens and rng.random() < 0.2:
+            gens.append(gens[0].inverse())
+        wedge = wedge_of_words(alphabet, gens)
+        folded, m = fold(wedge.graph)
+        based = BasedXGraph(folded, m(wedge.base))
+        assert core(based) is based
+        assert free_subgroup_graph(alphabet, gens) == canonicalize(core(based))[0]
+
+
 def rescan_fold(g):
     """Reference fold: rescan every edge, merging ends that share an origin
     (or terminus) and label, until a whole pass merges nothing."""
