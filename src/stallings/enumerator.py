@@ -157,11 +157,9 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     """The classes of ``task`` one at a time, in canonical order."""
     search = _Search(task.presentation, task.vertex_count, node_budget,
                      unbased=task.mode == "unbased")
-    layout = search.layout
-    keys = [(sign * (i + 1), c if sign > 0 else layout.inverse[c])
-            for i, c in enumerate(layout.forward) for sign in (1, -1)]
     for cols in search._extend():
-        yield SubgroupGraph._canonical(task.presentation, {lt: cols[c] for lt, c in keys})
+        yield SubgroupGraph._canonical(task.presentation,
+                                       {lt: cols[c] for lt, c in search.layout.keys.items()})
 
 
 def enumerate_graphs(

@@ -12,17 +12,19 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .words import Word
-from .subgroup import SubgroupGraph
+from .subgroup import SubgroupGraph, _layout
 
 
 def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], SubgroupGraph]:
     """The intersection, and per pair the vertex of it that the pair is, or
     -1 off the base orbit.  The orbit is numbered by BFS from the base pair,
-    scanning both column directions in scan order, so its table is already
-    canonical and enters through ``SubgroupGraph._canonical``."""
+    scanning the columns of ``_Layout.letters`` in scan order, so its table is
+    already canonical; keyed by ``_Layout.keys``, where an involution's two
+    keys share one tuple, it enters through ``SubgroupGraph._canonical``."""
     left._check_presentation(right)
     n2 = right.index()
-    cols = list(zip(left._table.values(), right._table.values()))
+    layout = _layout(left.presentation)
+    cols = [(left._table[lt], right._table[lt]) for lt in layout.letters]
     vertex = [-1] * (left.index() * n2)
     vertex[0] = 0
     order, rows = [0], []
@@ -36,7 +38,9 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
                 order.append(q)
             row.append(vertex[q])
         rows.append(row)
-    return vertex, SubgroupGraph._canonical(left.presentation, dict(zip(left._table, zip(*rows))))
+    columns = list(zip(*rows))
+    return vertex, SubgroupGraph._canonical(left.presentation,
+                                            {lt: columns[c] for lt, c in layout.keys.items()})
 
 
 def _components(left: SubgroupGraph, right: SubgroupGraph,

@@ -3,12 +3,13 @@
 A subgroup graph is a connected X-regular graph that fulfills every relator:
 the Schreier coset graph of a finite-index subgroup, whose vertices are the
 right cosets.  It is held as a coset table, a forward and an inverse column
-per generator, numbered by BFS from the base (vertex 0).  A table enters
-through one of two entries: the constructor, which checks any table and
-renumbers it, and ``SubgroupGraph._canonical``, for the tables the low-index
-search and the intersection build already canonical, which checks only the
-relators.  The Schreier vector of the BFS, and from it the coset
-representatives, is built on first use.
+per generator (an involution's two keys may share one tuple, and its walks
+read one), numbered by BFS from the base (vertex 0).  A table enters through
+one of two entries: the constructor, which checks any table and renumbers
+it, and ``SubgroupGraph._canonical``, for the tables the low-index search and
+the intersection build already canonical, which checks only the relators.
+The Schreier vector of the BFS, and from it the coset representatives, is
+built on first use.
 Based graphs in that form are isomorphic exactly when their tables are
 equal, so conjugacy and isomorphism compare the table renumbered from other
 bases; normality and the normalizer come from the table's automorphism
@@ -91,17 +92,18 @@ def _relator_violation(table: dict, presentation: Presentation) -> Optional[tupl
     return None
 
 
-def _bfs(table: dict, base: int, target: Optional[dict] = None) -> Optional[tuple]:
-    """BFS from ``base`` over a table of columns, scanning each row's columns
-    in table order.  Returns (order, new, parent): the vertex of each new id,
-    the new id of each vertex (-1 where unreached) and the Schreier vector on
-    the new ids.  Stops once every vertex is numbered; given ``target``, returns
-    None at the first renumbered entry that differs from it."""
-    columns = list(table.items())
+def _bfs(table: dict, base: int, target: Optional[dict] = None,
+         letters: Sequence[int] = ()) -> Optional[tuple]:
+    """BFS from ``base``, scanning per row the table's columns of ``letters``
+    (or all) in order.  Returns (order, new, parent): the vertex of each new
+    id, the new id of each vertex (-1 where unreached) and the Schreier vector
+    on the new ids.  Stops once every vertex is numbered; given ``target``,
+    returns None at the first renumbered entry that differs from it there."""
+    columns = [(lt, table[lt]) for lt in letters or table]
     new = [-1] * len(columns[0][1])
     new[base] = 0
     order, parent = [base], [None]
-    rows = None if target is None else zip(*target.values())
+    rows = None if target is None else zip(*[target[lt] for lt, _ in columns])
     for i, v in enumerate(order):
         if rows is None and len(order) == len(new):
             break
@@ -168,7 +170,7 @@ class SubgroupGraph:
         n = len(table[1])
         if not 0 <= base < n:
             raise ValueError(f"base vertex {base} out of range")
-        order, new, parent = _bfs(table, base)
+        order, new, parent = _bfs(table, base, None, _layout(presentation).letters)
         if len(order) != n:
             raise ValueError("graph is not connected")
         violation = _relator_violation(table, presentation)
@@ -204,7 +206,7 @@ class SubgroupGraph:
     def _schreier(self) -> list:
         """The Schreier vector ``_parent``, built by BFS on first use."""
         if self._parent is None:
-            self._parent = _bfs(self._table, 0)[2]
+            self._parent = _bfs(self._table, 0, None, _layout(self.presentation).letters)[2]
         return self._parent
 
     @property
@@ -274,7 +276,7 @@ class SubgroupGraph:
         """The vertices in BFS order from ``base`` if, so renumbered, the table
         equals ``other``'s (of the same index), else None as soon as a row
         differs.  Vertex i of ``other`` goes to ``order[i]`` by an isomorphism."""
-        found = _bfs(self._table, base, other._table)
+        found = _bfs(self._table, base, other._table, _layout(self.presentation).letters)
         return None if found is None else found[0]
 
     def conjugate(self, other: "SubgroupGraph") -> Optional[Word]:
@@ -363,18 +365,22 @@ class _Layout:
     relator cycle through an entry (alpha, col) is one of these read at
     alpha.  A cycle is a pair ``(cols, back)``, ``back`` the inverse columns
     of ``cols`` in reverse order, which the scan reads backwards.  ``powers``
-    holds ``(r, root, e)`` per relator r: r is ``root`` repeated e times."""
+    holds ``(r, root, e)`` per relator r: r is ``root`` repeated e times.
+    For tables keyed by signed letter, ``keys`` maps each key, in ``_table``'s
+    order, to the column it reads, and ``letters`` holds per column the
+    first key that reads it: s alone for an involution s, else s and s^-1."""
 
-    __slots__ = ("forward", "inverse", "cycles", "powers")
+    __slots__ = ("forward", "inverse", "keys", "letters", "cycles", "powers")
 
     def __init__(self, presentation: Presentation):
         involutions = {abs(r[0]) for r in presentation.relators if len(r) == 2 and r[0] == r[1]}
-        self.forward: list[int] = []
-        self.inverse: list[int] = []
+        self.forward, self.inverse, self.keys, self.letters = [], [], {}, []
         for lt in range(1, len(presentation.alphabet) + 1):
             col = len(self.inverse)
             self.forward.append(col)
             self.inverse += [col] if lt in involutions else [col + 1, col]
+            self.keys[lt], self.keys[-lt] = col, self.inverse[col]
+            self.letters += [lt] if lt in involutions else [lt, -lt]
         cycles = dict.fromkeys(w[k:] + w[:k] for r in presentation.relators
                                for w in (self.columns(r), self.columns(r.inverse()))
                                for k in range(len(w)))
@@ -385,8 +391,7 @@ class _Layout:
                                            if r.letters[:d] * (len(r) // d) == r.letters)])
 
     def columns(self, w: Word) -> tuple[int, ...]:
-        return tuple(self.forward[lt - 1] if lt > 0 else self.inverse[self.forward[-lt - 1]]
-                     for lt in w)
+        return tuple([self.keys[lt] for lt in w])
 
     def cycle(self, cols: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return cols, tuple(self.inverse[c] for c in reversed(cols))

@@ -16,7 +16,9 @@ from stallings import (
     intersect,
     is_malnormal,
 )
+from stallings.subgroup import _layout
 from test_coset_enumeration import symmetric
+from test_subgroup import all_columns_bfs, walk_pools
 
 
 @pytest.fixture
@@ -247,3 +249,87 @@ def test_malnormality_in_s5():
     assert is_malnormal(coset_enumerate(S5), 120)
     # A5 is normal of index 2: it meets each of its conjugates in itself
     assert not is_malnormal(coset_enumerate(S5, [S5.word(w) for w in S5_POOL[-1]]), 120)
+
+
+def all_columns_meet(left, right):
+    """``_meet`` as it was before it read one column per involution: pair
+    rows over every column of the table, keyed as the table is, and the
+    Schreier vector of the all-columns BFS."""
+    left._check_presentation(right)
+    n2 = right.index()
+    cols = list(zip(left._table.values(), right._table.values()))
+    vertex = [-1] * (left.index() * n2)
+    vertex[0] = 0
+    order, rows = [0], []
+    for p in order:
+        a, b = divmod(p, n2)
+        row = []
+        for lc, rc in cols:
+            q = lc[a] * n2 + rc[b]
+            if vertex[q] < 0:
+                vertex[q] = len(order)
+                order.append(q)
+            row.append(vertex[q])
+        rows.append(row)
+    meet = SubgroupGraph._canonical(left.presentation, dict(zip(left._table, zip(*rows))))
+    meet._parent = all_columns_bfs(meet._table, 0)[2]
+    return vertex, meet
+
+
+def test_meet_matches_all_columns(random_presentation):
+    """Every pair within each pool of ``walk_pools``, which holds the S5 and
+    A~2 pools above, every D4 class and seeded random presentations."""
+    involutions = 0
+    pools = walk_pools(random_presentation)
+    for h, k in ((h, k) for pool in pools for h in pool for k in pool):
+        vertex, meet = products._meet(h, k)
+        expected_vertex, expected = all_columns_meet(h, k)
+        assert vertex == expected_vertex
+        assert meet._table == expected._table and list(meet._table) == list(expected._table)
+        assert meet.coset_reps == expected.coset_reps and meet._parent == expected._parent
+        assert meet.free_basis() == expected.free_basis()
+        layout = _layout(h.presentation)
+        shared = [lt for lt in layout.letters if lt > 0 and -lt not in layout.letters]
+        assert all(meet._table[lt] is meet._table[-lt] for lt in shared)
+        involutions += bool(shared)
+    assert involutions >= 3000
+
+
+class ReadLog(dict):
+    """A table that logs the keys read from it; reading every value or item
+    logs every key."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, lt):
+        self.log.add(lt)
+        return super().__getitem__(lt)
+
+    def values(self):
+        self.log.update(self)
+        return super().values()
+
+    def items(self):
+        self.log.update(self)
+        return super().items()
+
+
+def test_walks_read_one_column_per_involution():
+    """Every generator of S5 and A~2 is an involution: the meet, and the
+    renumbering from every base of one table compared with another, read
+    only the forward columns of either table."""
+    renumbered = 0
+    for h, k in _pool_pairs()[::3]:
+        h, k = (SubgroupGraph(sg.presentation, sg.coset_table().permutations) for sg in (h, k))
+        forward = set(range(1, len(h.presentation.alphabet) + 1))
+        meet_log, map_log = set(), set()
+        h._table, k._table = ReadLog(h._table, meet_log), ReadLog(k._table, meet_log)
+        products._meet(h, k)
+        assert meet_log == forward
+        if h.index() == k.index():
+            h._table, k._table = ReadLog(h._table, map_log), ReadLog(k._table, map_log)
+            renumbered += sum(h._rebased_map(v, k) is not None for v in range(h.index()))
+            assert map_log == forward
+    assert renumbered >= 100

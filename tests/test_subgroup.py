@@ -22,8 +22,9 @@ from stallings import (
     fulfills,
     subgroup_from_graph,
 )
+from stallings import subgroup
 from stallings.subgroup import _Enumeration, _bfs, _layout, _relator_violation, _table
-from test_coset_enumeration import canonical_rows, symmetric
+from test_coset_enumeration import GROUPS, canonical_rows, symmetric, with_involutions
 
 XY_PRES = Presentation.parse(["x", "y"], ["x x", "y y", "x y x y x y"])
 
@@ -387,6 +388,24 @@ class TestForwardGuards:
         with pytest.raises(FulfillmentFailed):
             SubgroupGraph(XY_PRES, [[1, 2, 0], [0, 1, 2]])
 
+    def test_connectivity_is_checked_before_the_relators(self):
+        """The BFS scans one column of ``a`` over <a | a a>, also on tables
+        that fail ``a a``: a 3-cycle is connected and fails it with the
+        witness in the given numbering, from any base, and a disconnected
+        table is reported as such whether it fulfills ``a a`` or not."""
+        z2 = Presentation.parse(["a"], ["a a"])
+        assert _layout(z2).letters == [1]
+        for forward, base, terminus in (([1, 2, 0], 0, 2), ([1, 2, 0], 1, 2), ([2, 0, 1], 2, 1)):
+            with pytest.raises(FulfillmentFailed) as e:
+                SubgroupGraph(z2, [forward], base)
+            assert (e.value.vertex, e.value.relator, e.value.terminus) == (0, z2.relators[0],
+                                                                         terminus)
+            assert str(e.value) == ("relator does not close: tracing from vertex 0 ends at "
+                                    f"vertex {terminus}")
+        for forward in ([1, 0, 2], [1, 2, 0, 3]):
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                SubgroupGraph(z2, [forward])
+
 
 def reference_violation(table, relators):
     """The relator check before powers: each relator traced letter by letter
@@ -493,3 +512,142 @@ class TestRelatorGuard:
                 kinds["conjugate"] += 1
         assert failed_at == {0, 1, 2, 3}
         assert holds >= 300 and min(kinds.values()) >= 50, (holds, kinds)
+
+
+def all_columns_bfs(table, base, target=None):
+    """``_bfs`` as it was before it took the letters to scan: every column
+    of the table, in table order, each row compared with ``target``'s row
+    over every column."""
+    columns = list(table.items())
+    new = [-1] * len(columns[0][1])
+    new[base] = 0
+    order, parent = [base], [None]
+    rows = None if target is None else zip(*target.values())
+    for i, v in enumerate(order):
+        if rows is None and len(order) == len(new):
+            break
+        for lt, col in columns:
+            t = col[v]
+            if new[t] < 0:
+                new[t] = len(order)
+                order.append(t)
+                parent.append((i, lt))
+        if rows is not None and tuple([new[col[v]] for _, col in columns]) != next(rows):
+            return None
+    return order, new, parent
+
+
+A2 = Presentation.parse(["a", "b", "c"],
+                        ["a a", "b b", "c c", "a b a b a b", "b c b c b c", "a c a c a c"])
+MODULAR = Presentation.parse(["a", "b"], ["a a", "b b b"])  # PSL(2, Z)
+Z_Z3 = Presentation.parse(["a", "b"], ["b b b"])  # MODULAR without a a
+
+
+def walk_pools(random_presentation):
+    """Subgroup pools whose generators are all or partly involutions: the
+    S5 subgroups above, every A~2 class to index 6, every D4 class, and
+    the first ten classes at each index to 4 of 40 seeded random
+    presentations, half of them with ``s s`` or ``s^-1 s^-1`` added for
+    random generators."""
+    pools = [[coset_enumerate(S5, [S5.word(w) for w in gens]) for gens in S5_SUBGROUPS],
+             [sg for n in range(1, 7) for sg in enumerate_graphs(EnumerationTask(A2, n))],
+             [sg for n in (1, 2, 4, 8)
+              for sg in enumerate_graphs(EnumerationTask(GROUPS["D4"], n))]]
+    rng = random.Random(24)
+    while len(pools) < 43:
+        pres = random_presentation(rng, rng.randint(1, 3))
+        if len(pools) % 2:
+            pres = with_involutions(rng, pres)
+        pools.append([sg for n in range(1, 5)
+                      for sg in enumerate_graphs(EnumerationTask(pres, n))[:10]])
+    return pools
+
+
+def calculus(pool):
+    """Per subgroup, rebuilt through the constructor from its forward
+    columns: its table, Schreier vector, coset representatives, free basis,
+    normality and normalizer, and per subgroup of the pool of its index,
+    conjugacy and unbased isomorphism."""
+    pool = [SubgroupGraph(sg.presentation, sg.coset_table().permutations) for sg in pool]
+    answers = []
+    for h in pool:
+        reps, normalizer = h.normalizer()
+        answers.append((h._table, h.coset_reps, h._parent, h.free_basis(), h.is_normal(), reps,
+                        normalizer._table, normalizer.coset_reps,
+                        [(h.conjugate(k), h.isomorphic_unbased_to(k))
+                         for k in pool if k.index() == h.index()]))
+    return answers
+
+
+class TestOneColumnPerInvolution:
+    """``_bfs`` scans the layout's letters, one column per involution; the
+    walks must answer as the all-columns BFS did."""
+
+    def test_bfs_matches_all_columns(self, random_presentation):
+        involutions = 0
+        for pool in walk_pools(random_presentation):
+            for h in pool:
+                letters = _layout(h.presentation).letters
+                involutions += len(letters) < len(h._table)
+                for v in range(h.index()):
+                    assert _bfs(h._table, v, None, letters) == all_columns_bfs(h._table, v)
+                    for k in pool:
+                        if k.index() == h.index():
+                            assert (_bfs(h._table, v, k._table, letters)
+                                    == all_columns_bfs(h._table, v, k._table))
+        assert involutions >= 150
+
+    def test_calculus_matches_all_columns(self, random_presentation, monkeypatch):
+        pools = walk_pools(random_presentation)
+        got = [calculus(pool) for pool in pools]
+        monkeypatch.setattr(subgroup, "_bfs",
+                            lambda table, base, target=None, letters=(): all_columns_bfs(
+                                table, base, target))
+        assert got == [calculus(pool) for pool in pools]
+        assert sum(a[4] for answers in got for a in answers) >= 100  # normal
+        assert sum(g is not None for answers in got for a in answers for g, _ in a[-1]) >= 300
+
+    def test_constructor_matches_all_columns_on_tables_failing_relators(self, monkeypatch):
+        """Random permutation tables, many failing ``s s`` or disconnected,
+        from every base: the same table, or the same error and witness."""
+        def outcome(pres, forward, base):
+            try:
+                sg = SubgroupGraph(pres, forward, base)
+            except FulfillmentFailed as e:
+                return "relator", e.vertex, e.relator, e.terminus
+            except ValueError as e:
+                return "value", str(e)
+            return sg._table, sg._parent
+
+        rng = random.Random(24)
+        cases = []
+        for _ in range(1500):
+            pres, table = random_guard_case(rng)
+            forward = [table[i + 1] for i in range(len(pres.alphabet))]
+            cases += [(pres, forward, base) for base in range(len(forward[0]))]
+        got = [outcome(*case) for case in cases]
+        monkeypatch.setattr(subgroup, "_bfs",
+                            lambda table, base, target=None, letters=(): all_columns_bfs(
+                                table, base, target))
+        assert got == [outcome(*case) for case in cases]
+        kinds = [g[0] if g[0] in ("relator", "value") else "ok" for g in got]
+        skipped = sum(len(_layout(pres).letters) < 2 * len(pres.alphabet) for pres, _, _ in cases)
+        assert min(kinds.count(k) for k in ("relator", "value", "ok")) >= 200 and skipped >= 1000
+
+    def test_unbased_isomorphism_across_presentations(self):
+        """Over the same alphabet, only MODULAR has ``a a``: its classes read
+        over Z * Z3 through the constructor, renumbered from every base, and
+        the Z * Z3 classes, compared both ways."""
+        found = 0
+        for n in range(1, 6):
+            modular = enumerate_graphs(EnumerationTask(MODULAR, n))
+            over_z_z3 = [SubgroupGraph(Z_Z3, sg.coset_table().permutations, base)
+                         for sg in modular for base in range(n)]
+            pool = modular + over_z_z3 + enumerate_graphs(EnumerationTask(Z_Z3, n))
+            for h in pool:
+                for k in pool:
+                    expected = any(all_columns_bfs(k._table, v, h._table) is not None
+                                   for v in range(n))
+                    assert h.isomorphic_unbased_to(k) == expected
+                    found += expected and h.presentation != k.presentation
+        assert found >= 100
