@@ -1,9 +1,9 @@
 """Command-line surface.
 
-Every subcommand reads a presentation via ``-p``, emits its answer on
-stdout and diagnostics on stderr.  Exit codes: 0 success, 1 computed
-negative answer, 2 usage or parse error, 3 budget exceeded, which includes
-a search deeper than the recursion limit and running out of memory.
+``main`` loads the ``-p`` presentation, then each subgroup graph file a
+handler takes, in order.  Answers go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 computed negative answer, 2 usage or parse
+error, 3 budget exceeded, which includes running out of memory.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def cmd_build(args, pres):
 
 
 def cmd_verify(args, pres):
-    g = fileio.parse_graph(Path(args.graphfile).read_text(), pres.alphabet)
+    g = fileio.parse_graph(Path(args.path).read_text(), pres.alphabet)
     try:
         sg = subgroup_from_graph(g, pres)
     except (ValueError, FulfillmentFailed) as e:
@@ -88,33 +88,28 @@ def cmd_verify(args, pres):
     return EXIT_OK
 
 
-def cmd_index(args, pres):
-    print(_load_subgroup(args.graphfile, pres).index())
+def cmd_index(args, pres, sg):
+    print(sg.index())
     return EXIT_OK
 
 
-def cmd_cosets(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_cosets(args, pres, sg):
     for v, rep in enumerate(sg.coset_reps):
         print(f"{v}\t{_fmt(pres, rep)}")
     return EXIT_OK
 
 
-def cmd_membership(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_membership(args, pres, sg):
     return _answer(sg.contains(pres.word(args.word)), "member", "not a member")
 
 
-def cmd_basis(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_basis(args, pres, sg):
     for w in sg.free_basis():
         print(_fmt(pres, w))
     return EXIT_OK
 
 
-def cmd_conjugate(args, pres):
-    sg1 = _load_subgroup(args.graphfile1, pres)
-    sg2 = _load_subgroup(args.graphfile2, pres)
+def cmd_conjugate(args, pres, sg1, sg2):
     g = sg1.conjugate(sg2)
     if g is None:
         print("not conjugate")
@@ -123,32 +118,24 @@ def cmd_conjugate(args, pres):
     return EXIT_OK
 
 
-def cmd_normal(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_normal(args, pres, sg):
     return _answer(sg.is_normal(), "normal", "not normal")
 
 
-def cmd_normalizer(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_normalizer(args, pres, sg):
     reps, nsg = sg.normalizer()
     _emit(args, nsg, "coset representatives over the subgroup:",
           *(f"  {_fmt(pres, rep)}" for rep in reps), f"normalizer index: {nsg.index()}")
     return EXIT_OK
 
 
-def cmd_intersect(args, pres):
-    sg1 = _load_subgroup(args.graphfile1, pres)
-    sg2 = _load_subgroup(args.graphfile2, pres)
-    meet = intersect(sg1, sg2)
-    _emit(args, meet)
+def cmd_intersect(args, pres, sg1, sg2):
+    _emit(args, intersect(sg1, sg2))
     return EXIT_OK
 
 
-def cmd_coset_meet(args, pres):
-    sg1 = _load_subgroup(args.graphfile1, pres)
-    sg2 = _load_subgroup(args.graphfile2, pres)
-    pg = ProductGraph(sg1, sg2)
-    word = coset_meet(pg, args.vertex1, args.vertex2)
+def cmd_coset_meet(args, pres, sg1, sg2):
+    word = coset_meet(ProductGraph(sg1, sg2), args.vertex1, args.vertex2)
     if word is None:
         print("empty intersection")
         return EXIT_NEGATIVE
@@ -156,8 +143,7 @@ def cmd_coset_meet(args, pres):
     return EXIT_OK
 
 
-def cmd_malnormal(args, pres):
-    sg = _load_subgroup(args.graphfile, pres)
+def cmd_malnormal(args, pres, sg):
     return _answer(is_malnormal(sg, args.order), "malnormal", "not malnormal")
 
 
@@ -229,8 +215,8 @@ def cmd_gamma(args, pres):
     return EXIT_OK
 
 
-def cmd_certify(args, pres):
-    cert = families.certify(_load_subgroup(args.graphfile, pres), pres.word(args.word))
+def cmd_certify(args, pres, sg):
+    cert = families.certify(sg, pres.word(args.word))
     if args.prime is not None and cert.vertex_count != args.prime:
         print(f"vertex count {cert.vertex_count} != {args.prime}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -266,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help, *positionals):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
+        p = sub.add_parser(name, help=help)  # main passes fn a subgroup per graphfile*
+        p.set_defaults(fn=fn, graphs=[x for x in positionals if x.startswith("graphfile")])
         for positional in positionals:
             p.add_argument(positional)
         return p
@@ -278,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--dot")
 
-    add("verify", cmd_verify, "check a graph file is a subgroup graph", "graphfile")
+    p = add("verify", cmd_verify, "check a graph file is a subgroup graph")
+    p.add_argument("path", metavar="graphfile")  # cmd_verify loads it: invalid exits 1
     add("index", cmd_index, "index of the subgroup", "graphfile")
     add("cosets", cmd_cosets, "coset representatives", "graphfile")
     add("membership", cmd_membership, "test membership of a word", "graphfile", "word")
@@ -335,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A failure exits with the code of the first row it matches.  Recursion depth
-# and memory are budgets, as much as a search's node count is.
+# A failure exits with the code of the first row it matches.  Memory is a
+# budget, as much as a search's node count is.
 EXIT_CODES = (
     ((ParseError, OSError), EXIT_USAGE),
-    ((CosetLimitExceeded, SearchBudgetExceeded, RecursionError, MemoryError), EXIT_BUDGET),
+    ((CosetLimitExceeded, SearchBudgetExceeded, MemoryError), EXIT_BUDGET),
     ((FulfillmentFailed, GluingInvalid), EXIT_NEGATIVE),
     ((StallingsError, ValueError), EXIT_USAGE),
 )
@@ -348,7 +335,9 @@ EXIT_CODES = (
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args, _load_presentation(args.presentation))
+        pres = _load_presentation(args.presentation)
+        return args.fn(args, pres, *[_load_subgroup(getattr(args, name), pres)
+                                     for name in args.graphs])
     except SystemExit:  # --help
         return EXIT_OK
     except tuple(t for types, _ in EXIT_CODES for t in types) as e:

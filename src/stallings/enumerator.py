@@ -68,39 +68,50 @@ class _Search:
         self.budget = budget
         self.nodes = self.forced = self.pruned = 0
 
-    def _extend(self, v: int = 0, c: int = 0, bases: tuple = ()) -> Iterator[tuple]:
-        """Yield the columns of each completion of the table from its first
-        empty entry, at or after the entry (v, c) filled last, comparing it
-        with its renumberings from ``bases``, those not yet found larger."""
-        table, inverse = self.table, self.layout.inverse
-        used = len(table)
-        while v < used and None not in table[v][c:]:
-            v, c = v + 1, 0
-        if v == used:
-            if used == self.n:
+    def _extend(self) -> Iterator[tuple]:
+        """Yield the columns of each completion of the table.  ``stack`` holds a
+        branch entry (v, c, used, t, bases, trail) per empty entry (v, c) on the
+        current path: the row count there, the candidate t tried last, the bases
+        whose renumberings were not yet found larger, and t's fills."""
+        table, inverse, n = self.table, self.layout.inverse, self.n
+        v = c = 0
+        bases, stack = (), []
+        while True:  # descend to the first empty entry at or after (v, c)
+            used = len(table)
+            while v < used and None not in table[v][c:]:
+                v, c = v + 1, 0
+            if v < used:
+                stack.append((v, table[v].index(None, c), used, -1, bases, ()))
+            elif used == n:
                 yield tuple(zip(*table))
-            return
-        c = table[v].index(None, c)
-        inv = inverse[c]
-        for t in range(min(used + 1, self.n)):  # a used vertex, or the next new one
-            if t < used and table[t][inv] is not None:
-                continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchBudgetExceeded(self.budget)
-            if t == used:
-                table.append([None] * len(inverse))
-            table[v][c], table[t][inv] = t, v
-            trail = [(v, c, t, inv)]
-            if self._deduce(trail):
-                below = (self._not_larger(bases + (t,) if t == used else bases)
-                         if self.unbased else bases)
-                if below is not None:
-                    yield from self._extend(v, c, below)
-            for f, col, b, e in reversed(trail):
-                table[f][col] = table[b][e] = None
-            if t == used:
-                table.pop()
+            while stack:  # the deepest entry's next candidate that is accepted
+                v, c, used, t, bases, trail = stack.pop()
+                inv, below = inverse[c], None
+                while below is None:
+                    for f, col, b, e in reversed(trail):
+                        table[f][col] = table[b][e] = None
+                    del table[used:]
+                    t += 1  # a used vertex, or the next new one
+                    while t < used and table[t][inv] is not None:
+                        t += 1
+                    if t > used or t == n:
+                        break
+                    self.nodes += 1
+                    if self.nodes > self.budget:
+                        raise SearchBudgetExceeded(self.budget)
+                    if t == used:
+                        table.append([None] * len(inverse))
+                    table[v][c], table[t][inv] = t, v
+                    trail = [(v, c, t, inv)]
+                    if self._deduce(trail):
+                        below = (self._not_larger(bases + (t,) if t == used else bases)
+                                 if self.unbased else bases)
+                else:
+                    stack.append((v, c, used, t, bases, trail))
+                    bases = below
+                    break
+            else:
+                return
 
     def _deduce(self, trail: list[tuple[int, int, int, int]]) -> bool:
         """Scan the relator cycles through each filled entry (f, col, b, inv)

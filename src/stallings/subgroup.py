@@ -187,10 +187,10 @@ class SubgroupGraph:
     @classmethod
     def _canonical(cls, presentation: Presentation, table: dict) -> "SubgroupGraph":
         """Wrap a table that is complete and canonical by construction: its
-        columns keyed by signed letter in ``_table``'s order, each the
-        inverse of its partner, numbered by BFS from vertex 0.  Only the
-        relators are checked (FulfillmentFailed as the constructor raises
-        it), so only the low-index search and ``products._meet`` call this."""
+        columns keyed by signed letter, each the inverse of its partner,
+        numbered by BFS from vertex 0.  Only the relators are checked
+        (FulfillmentFailed as the constructor raises it), so only the
+        low-index search and ``products._meet`` call this."""
         violation = _relator_violation(table, presentation)
         if violation is not None:
             raise FulfillmentFailed(*violation)
@@ -261,7 +261,7 @@ class SubgroupGraph:
         return self.trace(0, w) == v
 
     def coset_table(self) -> CosetTable:
-        return CosetTable(tuple(self._table.values())[0::2])
+        return CosetTable(tuple(self._table[lt] for lt in range(1, len(self._table) // 2 + 1)))
 
     def free_basis(self) -> list[Word]:
         """A free basis of the loop language at the base: the loops closed

@@ -1,6 +1,9 @@
 """Malformed CLI input is a usage error: exit 2, nothing on stdout, and one
-``error:`` line on stderr, never a traceback.  A search deeper than the
-recursion limit, or one that runs out of memory, exits 3 the same way."""
+``error:`` line on stderr, never a traceback.  Running out of memory exits 3
+the same way."""
+
+import argparse
+import inspect
 
 import pytest
 
@@ -20,6 +23,7 @@ FILES = {
     # 10^12 vertices and no edges: rejected before any per-vertex work
     "huge_vertex_count": "vertices: 1000000000000\nbase: 0\n",
     "z_pres": "gens: a\n",
+    "bad_pres": "gens: a\nrel: c\n",
 }
 
 CASES = {
@@ -82,23 +86,52 @@ CASES = {
 }
 
 
-# The low-index search recurses once per tentative edge, so these valid
-# inputs, far inside the node budget, go deeper than the default recursion limit.
-DEEP_SEARCHES = {
-    "enumerate-cyclic-index-1000": ["-p", "{z_pres}", "enumerate", "--n", "1000"],
-    "hall-free-order-500": ["-p", "{pres}", "hall", "--order", "500", "--d", "1"],
+# Errors are reported in the order the arguments load: the presentation,
+# then each graph file in turn, then words.
+FIRST_ERROR = {
+    "conjugate": (["-p", "{pres}", "conjugate", "{bad_vertices}", "no-such.graph"],
+                  "line 1: bad vertex count"),
+    "intersect": (["-p", "{pres}", "intersect", "{bad_vertices}", "no-such.graph"],
+                  "line 1: bad vertex count"),
+    "coset-meet": (["-p", "{pres}", "coset-meet", "{bad_base}", "no-such.graph", "0", "0"],
+                   "line 2: bad base vertex"),
+    "membership": (["-p", "{pres}", "membership", "{bad_vertices}", "zz"],
+                   "line 1: bad vertex count"),
+    "certify": (["-p", "{pres}", "certify", "{bad_vertices}", "--word", "zz"],
+                "line 1: bad vertex count"),
+    "presentation": (["-p", "{bad_pres}", "index", "{bad_vertices}"],
+                     "line 2: unknown generator: 'c'"),
 }
 
+# Valid inputs, far inside the node budget, whose searches go deeper than the
+# default recursion limit, and the first line each prints.
+DEEP_SEARCHES = {
+    "enumerate-cyclic-index-1000": (["-p", "{z_pres}", "enumerate", "--n", "1000"],
+                                    "1 based classes with 1000 vertices"),
+    "hall-free-order-500": (["-p", "{pres}", "hall", "--order", "500", "--d", "1"],
+                            "vertices: 500"),
+}
 
-def _run(tmp_path, capsys, argv):
-    """The exit code of ``main`` on ``argv`` and its one ``error:`` line,
-    with each ``{name}`` replaced by the path of a file holding
-    ``FILES[name]``; stdout must stay empty."""
+# Per subcommand whose handler is passed subgroups, how many graph files it loads.
+LOADED_GRAPHS = {"index": 1, "cosets": 1, "membership": 1, "basis": 1, "conjugate": 2,
+                 "normal": 1, "normalizer": 1, "intersect": 2, "coset-meet": 2,
+                 "malnormal": 1, "certify": 1}
+
+
+def _argv(tmp_path, argv):
+    """``argv`` with each ``{name}`` replaced by the path of a file holding
+    ``FILES[name]``."""
     paths = {}
     for name, text in FILES.items():
         paths[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text)
-    code = main([arg.format(**paths) for arg in argv])
+    return [arg.format(**paths) for arg in argv]
+
+
+def _run(tmp_path, capsys, argv):
+    """The exit code of ``main`` on ``_argv(tmp_path, argv)`` and its one
+    ``error:`` line; stdout must stay empty."""
+    code = main(_argv(tmp_path, argv))
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
@@ -114,11 +147,33 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, message):
     assert message in line
 
 
-@pytest.mark.parametrize("argv", DEEP_SEARCHES.values(), ids=DEEP_SEARCHES.keys())
-def test_a_search_past_the_recursion_limit_is_a_budget_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, message", FIRST_ERROR.values(), ids=FIRST_ERROR.keys())
+def test_the_first_argument_to_fail_is_reported(tmp_path, capsys, argv, message):
     code, line = _run(tmp_path, capsys, argv)
-    assert code == 3
-    assert "maximum recursion depth exceeded" in line  # the rest varies by Python version
+    assert code == 2
+    assert message in line
+
+
+@pytest.mark.parametrize("argv, first", DEEP_SEARCHES.values(), ids=DEEP_SEARCHES.keys())
+def test_a_search_past_the_recursion_limit_answers(tmp_path, capsys, argv, first):
+    assert main(_argv(tmp_path, argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[0] == first
+
+
+def test_each_handler_takes_a_subgroup_per_graph_file():
+    # main calls fn(args, pres, *subgroups); a mismatch would be a TypeError traceback
+    [subcommands] = [action.choices for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(LOADED_GRAPHS) < set(subcommands)
+    for name, parser in subcommands.items():
+        graphs = parser.get_default("graphs")
+        positionals = [action.dest for action in parser._actions if not action.option_strings]
+        assert graphs == [dest for dest in positionals if dest.startswith("graphfile")], name
+        assert len(graphs) == LOADED_GRAPHS.get(name, 0), name
+        params = list(inspect.signature(parser.get_default("fn")).parameters)
+        assert params[:2] == ["args", "pres"] and len(params) == 2 + len(graphs), name
 
 
 def test_running_out_of_memory_is_a_budget_error(tmp_path, capsys, monkeypatch):

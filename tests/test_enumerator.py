@@ -112,6 +112,15 @@ def test_search_grows_its_table_with_its_vertices(s3):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("search", [
+    lambda: hall_search(free_presentation(["a", "b"]), 1000, 1).index() == 1000,
+    lambda: len(enumerate_graphs(EnumerationTask(free_presentation(["a"]), 2000))) == 1,
+], ids=["hall-free-order-1000", "enumerate-cyclic-index-2000"])
+def test_a_search_far_deeper_than_the_recursion_limit_answers(search):
+    # the search keeps one branch entry per empty entry on its path in a list
+    assert search()
+
+
 class TestHallSearch:
     def test_s3_witnesses(self, s3):
         for d in (1, 2, 3, 6):
