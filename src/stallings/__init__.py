@@ -20,15 +20,12 @@ from .errors import (
 )
 from .words import (
     Alphabet,
-    EMPTY_WORD,
     Presentation,
     Word,
-    cyclic_reduce,
     free_presentation,
     free_reduce,
     letter,
     letter_index,
-    letter_sign,
     merge_alphabets,
     shift_word,
 )
@@ -53,7 +50,6 @@ from .subgroup import (
     CosetTable,
     SubgroupGraph,
     coset_enumerate,
-    fulfillment_violation,
     fulfills,
     subgroup_from_graph,
 )
@@ -81,7 +77,6 @@ from .families import (
     extend_with_loops,
     is_prime,
     verify_coprime_certificate,
-    verify_reachability,
 )
 from .fileio import (
     export_dot,

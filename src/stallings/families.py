@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import GluingInvalid
 from .words import (
@@ -25,7 +25,6 @@ from .words import (
     merge_alphabets,
     shift_word,
 )
-from .xgraph import BasedXGraph, trace
 from .subgroup import SubgroupGraph
 from .products import ProductGraph
 
@@ -64,37 +63,23 @@ class GluingSpec:
             raise ValueError("pair count must be positive")
 
 
-def _sweep(step: Callable[[int], Optional[int]], base: int, n: int) -> tuple[bool, list[int]]:
-    """Apply ``step``, a vertex's image under a word or None where the word
-    does not trace, n times from ``base``: the flag says the first n vertices
-    visited are distinct and the n-th step returns to the base."""
-    orbit, v = [base], base
-    for _ in range(n):
-        v = step(v)
-        if v is None:
-            return False, orbit
-        orbit.append(v)
-    ok = len(set(orbit[:n])) == n and orbit[n] == base
-    return ok, orbit[:n]
-
-
-def verify_reachability(g: BasedXGraph, w: Word) -> tuple[bool, list[int]]:
-    """Check that the first |V| power-of-``w`` translates of the base are
-    pairwise distinct and the |V|-th returns to the base.
-
-    Returns the flag and the orbit actually visited.
-    """
-    w = free_reduce(w)
-    return _sweep(lambda v: trace(g.graph, v, w), g.base, g.vertex_count)
+def _orbit(sg: SubgroupGraph, w: Word, failure: str) -> tuple[int, ...]:
+    """The first |V| power-of-``w`` translates of the base; raises
+    GluingInvalid(failure) unless they are distinct and the next one is the
+    base again."""
+    step, orbit = sg._step(w), [sg.base]
+    for _ in range(sg.index() - 1):
+        orbit.append(step[orbit[-1]])
+    if len(set(orbit)) != len(orbit) or step[orbit[-1]] != sg.base:
+        raise GluingInvalid(failure)
+    return tuple(orbit)
 
 
 def certify(sg: SubgroupGraph, w: Word) -> OrbitCertificate:
     """The certificate that the powers of ``w`` sweep the vertices of
     ``sg`` from the base; raises GluingInvalid if they do not."""
-    ok, orbit = _sweep(sg._step(w).__getitem__, sg.base, sg.index())
-    if not ok:
-        raise GluingInvalid("powers of the word do not sweep the vertices from the base")
-    return OrbitCertificate(sg, free_reduce(w), sg.index(), tuple(orbit))
+    orbit = _orbit(sg, w, "powers of the word do not sweep the vertices from the base")
+    return OrbitCertificate(sg, free_reduce(w), sg.index(), orbit)
 
 
 def _circle(n: int) -> list[int]:
@@ -196,22 +181,13 @@ def extend_with_loops(
     return certify(SubgroupGraph(presentation, forward), cert.word)
 
 
-def _check_coset_cycle(sg: SubgroupGraph, w: Word, side: str) -> None:
-    """The powers of ``w`` from the base must visit all vertices and return."""
-    ok, _ = _sweep(sg._step(w).__getitem__, sg.base, sg.index())
-    if not ok:
-        raise GluingInvalid(
-            f"powers of the {side} word are not a full set of coset "
-            f"representatives of the {side} factor"
-        )
-
-
 def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
     left, right = spec.left, spec.right
     if left.index() < 2 or right.index() < 2:
         raise GluingInvalid("factor subgroups must be proper")
-    _check_coset_cycle(left, spec.left_word, "left")
-    _check_coset_cycle(right, spec.right_word, "right")
+    for sg, w, side in ((left, spec.left_word, "left"), (right, spec.right_word, "right")):
+        _orbit(sg, w, f"powers of the {side} word are not a full set of coset "
+                      f"representatives of the {side} factor")
     alphabet = merge_alphabets(left.presentation.alphabet, right.presentation.alphabet)
     offset = len(left.presentation.alphabet)
     relators = list(left.presentation.relators)

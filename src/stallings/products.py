@@ -1,10 +1,10 @@
 """Product graphs: intersections, coset intersections, malnormality.
 
 The product of two subgroup graphs has vertex set V1 x V2 and a same-label
-edge wherever both factors have one.  Its components, labelled on first use,
-are the orbits of pairs under the factors' forward columns, the double
-cosets H\\G/K; the orbit of the base pair, labelled first, is the
-intersection.  Pair ids are row-major: ``left_id * |V2| + right_id``.
+edge wherever both factors have one.  Its components are the orbits of pairs
+under the factors' forward columns, the double cosets H\\G/K; the orbit of
+the base pair is the intersection, and only ``is_malnormal`` walks the others.
+Pair ids are row-major: ``left_id * |V2| + right_id``.
 """
 
 from __future__ import annotations
@@ -67,33 +67,16 @@ def _components(left: SubgroupGraph, right: SubgroupGraph,
 
 
 class ProductGraph:
-    """The product of two subgroup graphs, as component labels of all pairs,
-    computed on first use, base component first.
+    """The product of two subgroup graphs.  The base pair is pair 0;
+    ``in_base_component`` labels its orbit, and ``coset_meet`` builds the
+    intersection, each on first use."""
 
-    ``component[p]`` is the least pair id in the component of pair ``p``.
-    The base pair is pair 0, so ``in_base_component`` walks only its orbit.
-    """
-
-    __slots__ = ("left", "right", "_label", "_walk", "_sizes", "_meet")
-    base_component = 0
+    __slots__ = ("left", "right", "_label", "_meet")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
         self.left, self.right = left, right
         self._label = self._meet = None
-
-    def _labels(self, every: bool):
-        """The pair labels: the base component's, and every pair's if ``every``."""
-        if self._label is None:
-            self._label = [-1] * (self.left.index() * self.right.index())
-            self._walk = _components(self.left, self.right, self._label)
-            self._sizes = dict([next(self._walk)])
-        if every and type(self._label) is list:
-            self._sizes.update(self._walk)
-            self._label = tuple(self._label)
-        return self._label
-
-    component = property(lambda self: self._labels(True))
 
     def pair_id(self, v_left: int, v_right: int) -> int:
         if not (0 <= v_left < self.left.index() and 0 <= v_right < self.right.index()):
@@ -101,11 +84,11 @@ class ProductGraph:
         return v_left * self.right.index() + v_right
 
     def in_base_component(self, v_left: int, v_right: int) -> bool:
-        return self._labels(False)[self.pair_id(v_left, v_right)] == 0
-
-    def component_sizes(self) -> dict[int, int]:
-        self._labels(True)
-        return dict(self._sizes)
+        p = self.pair_id(v_left, v_right)
+        if self._label is None:
+            self._label = [-1] * (self.left.index() * self.right.index())
+            next(_components(self.left, self.right, self._label))
+        return self._label[p] == 0
 
 
 def intersect(sg1: SubgroupGraph, sg2: SubgroupGraph) -> SubgroupGraph:

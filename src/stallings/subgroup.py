@@ -118,21 +118,11 @@ def _bfs(table: dict, base: int, target: Optional[dict] = None,
     return order, new, parent
 
 
-def fulfillment_violation(
-    g: XGraph, presentation: Presentation
-) -> Optional[tuple[int, Word, int]]:
-    """The first (vertex, relator, terminus) where a relator fails to close,
-    or None if the graph fulfills every relator.
-
-    Requires an X-regular graph so that every trace is total.
-    """
-    table = _table(_forward_columns(g, presentation), len(g.alphabet))
-    return _relator_violation(table, presentation)
-
-
 def fulfills(g: XGraph, presentation: Presentation) -> bool:
-    """True iff tracing every relator from every vertex returns to it."""
-    return fulfillment_violation(g, presentation) is None
+    """True iff tracing every relator from every vertex returns to it.
+    Raises ValueError unless ``g`` is X-regular."""
+    table = _table(_forward_columns(g, presentation), len(g.alphabet))
+    return _relator_violation(table, presentation) is None
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,6 @@ def letter_index(lt: int) -> int:
     return abs(lt) - 1
 
 
-def letter_sign(lt: int) -> int:
-    return 1 if lt > 0 else -1
-
-
 class Word:
     """A word in the free monoid over an alphabet and its formal inverses."""
 
@@ -88,9 +84,6 @@ class Word:
         return f"Word({list(self.letters)!r})"
 
 
-EMPTY_WORD = Word()
-
-
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
@@ -104,16 +97,6 @@ def free_reduce(w: Word) -> Word:
         else:
             stack.append(lt)
     return Word(stack)
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Freely reduce, then strip matching first/last inverse letters."""
-    r = free_reduce(w).letters
-    i, j = 0, len(r)
-    while j - i >= 2 and r[i] == -r[j - 1]:
-        i += 1
-        j -= 1
-    return Word(r[i:j])
 
 
 class Alphabet:
@@ -170,7 +153,7 @@ class Alphabet:
         alphabets, compact form (``aBa``); ``1`` or blank text is the identity."""
         text = text.strip()
         if not text or text == "1":
-            return EMPTY_WORD
+            return Word()
         if " " in text or "^" in text or text in self._index:
             return self._parse_spaced(text)
         if self.is_compact():

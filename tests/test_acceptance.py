@@ -34,8 +34,8 @@ from stallings import (
     subgroup_from_graph,
     trace,
     verify_coprime_certificate,
-    verify_reachability,
 )
+from test_families import graph_sweep
 
 
 def class_counts(presentation, n_max, mode):
@@ -205,7 +205,7 @@ def test_criterion_7_certificate_catalog():
             assert cert.vertex_count == p, name
             assert is_regular(g.graph.graph), name
             assert fulfills(g.graph.graph, cert.presentation()), name
-            ok, orbit = verify_reachability(g.graph, cert.word)
+            ok, orbit = graph_sweep(g.graph, cert.word)
             assert ok, name
             # coset-representative property: powers of w are pairwise
             # distinct cosets covering the vertex set
@@ -219,7 +219,7 @@ def test_criterion_8_glued_13_vertex(delta333):
     # is 4 (verified independently by exhaustive enumeration: no 3-vertex
     # fulfilling graph contains all three generators)
     assert h1.index() == 4
-    ok, _ = verify_reachability(h1.graph, delta333.word("a b c"))
+    ok, _ = graph_sweep(h1.graph, delta333.word("a b c"))
     assert ok
     z2 = Presentation.parse(["d"], ["d d"])
     h2 = coset_enumerate(z2)
@@ -231,7 +231,7 @@ def test_criterion_8_glued_13_vertex(delta333):
     assert is_prime(cert.vertex_count)
     assert is_regular(cert.graph.graph.graph)
     assert fulfills(cert.graph.graph.graph, cert.presentation())
-    ok, orbit = verify_reachability(cert.graph.graph, cert.word)
+    ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok and sorted(orbit) == list(range(13))
 
 

@@ -1,15 +1,10 @@
-"""Entries whose callers are pinned by an AST scan of the package and the
+"""The entry whose callers are pinned by an AST scan of the package and the
 demos.
 
 ``SubgroupGraph._canonical`` checks only the relators, so only tables that
 are canonical by construction may enter through it: the low-index search's
 classes and the intersection's orbit.  Untrusted tables (graph files, the
 CLI, ``subgroup_from_graph``) keep the constructor, which checks them all.
-
-``ProductGraph.component`` and ``component_sizes`` label every pair of the
-product, while ``in_base_component`` and ``coset_meet`` walk only the base
-orbit.  No caller in the package or the demos reads the former, so
-``coset-meet`` and the coprimality check stay off the all-pairs walk.
 """
 
 import ast
@@ -39,13 +34,3 @@ def test_canonical_entry_has_two_callers():
     mentions = sorted(name for name, node in nodes if _name(node) == "_canonical")
     assert calls == mentions == ["src/stallings/enumerator.py", "src/stallings/products.py"]
 
-
-def test_no_caller_labels_every_pair_of_a_product():
-    nodes = _nodes()
-    lazy = {(name, _name(node)) for name, node in nodes}
-    assert {("src/stallings/families.py", "in_base_component"),
-            ("src/stallings/cli.py", "coset_meet"), ("demos/intersections.py", "coset_meet")} <= lazy
-    reads = [(name, node.lineno) for name, node in nodes
-             if _name(node) == "component_sizes"
-             or isinstance(node, ast.Attribute) and node.attr == "component"]
-    assert reads == []

@@ -4,14 +4,12 @@ import pytest
 
 from stallings import (
     AlphabetMismatch,
-    BasedXGraph,
     EnumerationTask,
     FulfillmentFailed,
     GluingInvalid,
     GluingSpec,
     Presentation,
     Word,
-    XGraph,
     admissible_primes,
     build_amalgam,
     build_glued,
@@ -26,21 +24,20 @@ from stallings import (
     free_reduce,
     free_subgroup_graph,
     fulfills,
-    is_folded,
     is_prime,
     is_regular,
     subgroup_from_graph,
+    trace,
     verify_coprime_certificate,
-    verify_reachability,
 )
-from stallings.families import _sweep, certify
+from stallings.families import _orbit, certify
 
 
 def check_certificate(cert):
     g = cert.graph.graph.graph
     assert is_regular(g)
     assert fulfills(g, cert.presentation())
-    ok, orbit = verify_reachability(cert.graph.graph, cert.word)
+    ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok
     assert len(set(orbit)) == cert.vertex_count
     assert tuple(orbit) == cert.orbit
@@ -267,18 +264,16 @@ def test_chain_wiring_is_pinned(name):
     assert (cert.graph.coset_table().permutations, cert.orbit) == WIRING[name]
 
 
-class TestVerifyReachability:
+class TestCertify:
     def test_circle(self, f2):
         cert = build_type1(f2, 0, 5)
-        ok, orbit = verify_reachability(cert.graph.graph, Word([1]))
-        assert ok and len(orbit) == 5
+        assert sorted(certify(cert.graph, Word([1])).orbit) == [0, 1, 2, 3, 4]
 
     def test_wrong_word(self, f2):
         cert = build_type2(f2, 0, 2, 1, 2, 2)
-        ok, _ = verify_reachability(cert.graph.graph, Word([1]))
-        assert not ok  # a alone has period 2 on the chain
-        ok, _ = verify_reachability(cert.graph.graph, Word([1, 2]))
-        assert ok
+        with pytest.raises(GluingInvalid):
+            certify(cert.graph, Word([1]))  # a alone has period 2 on the chain
+        assert len(certify(cert.graph, Word([1, 2])).orbit) == 5
 
 
 class TestCoprimeCertificate:
@@ -338,6 +333,11 @@ def trace_sweep(trace_from, w, base, n):
     return ok, orbit[:n]
 
 
+def graph_sweep(g, w):
+    """``trace_sweep`` along the edges of a based X-graph."""
+    return trace_sweep(lambda v, w: trace(g.graph, v, w), w, g.base, g.vertex_count)
+
+
 def _sweep_graphs():
     """Enumerated classes of small index over free, modular and braid
     presentations, and type 1 certificates."""
@@ -369,11 +369,12 @@ def test_sweep_matches_the_trace_per_vertex_reference():
     for sg in _sweep_graphs():
         for w in _sweep_words(rng):
             expected = trace_sweep(sg.trace, w, sg.base, sg.index())
-            assert _sweep(sg._step(w).__getitem__, sg.base, sg.index()) == expected
-            assert verify_reachability(sg.graph, w) == expected
+            assert graph_sweep(sg.graph, w) == expected
             if expected[0]:
-                assert certify(sg, w).orbit == tuple(expected[1])
+                assert _orbit(sg, w, "") == certify(sg, w).orbit == tuple(expected[1])
             else:
+                with pytest.raises(GluingInvalid, match="^no sweep$"):
+                    _orbit(sg, w, "no sweep")
                 with pytest.raises(GluingInvalid):
                     certify(sg, w)
             pairs += 1
@@ -400,13 +401,3 @@ def test_the_gluing_messages_are_pinned(f2, z3_factor, z2_factor):
                                                 f"{side} factor$"):
             build_glued(spec)
 
-
-def test_reachability_on_a_folded_graph_that_is_not_regular():
-    """The trace runs out of edges partway: the orbit ends where it did."""
-    ab = free_presentation(["a", "b"]).alphabet
-    path = BasedXGraph(XGraph(ab, 4, [(0, 0, 1), (1, 0, 2), (2, 1, 3)]), 0)
-    assert is_folded(path.graph) and not is_regular(path.graph)
-    assert verify_reachability(path, Word([1])) == (False, [0, 1, 2])
-    assert verify_reachability(path, Word([1, 1, -1])) == (False, [0, 1, 2])
-    assert verify_reachability(path, Word([2])) == (False, [0])
-    assert verify_reachability(path, Word()) == (False, [0, 0, 0, 0])

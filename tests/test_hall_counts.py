@@ -8,13 +8,26 @@ number a_n of subgroups of index n, one per based class, satisfies
 (Lubotzky and Segal, *Subgroup Growth*, 2003, section 1.1).  h_n is
 counted here by brute force over tuples of permutations that satisfy the
 relators, with no package code: the first generator runs over one
-permutation per cycle type, weighted by the size of its conjugacy class,
-each generator only over the permutations that satisfy its own relators,
-and a relator in several generators is checked once they are chosen.
+permutation per conjugacy class, weighted by the size of the class, each
+generator only over the permutations that satisfy its own relators, and a
+relator in several generators is checked once they are chosen.
+
+The unbased classes of index n are the orbits of S_n, acting by
+conjugation, on the transitive homomorphisms G -> S_n.  A permutation that
+commutes with a transitive group is semiregular, n/d cycles of length d,
+and its centralizer C_d has order d^(n/d) (n/d)!, so by Burnside's lemma
+the number of unbased classes is
+
+    c_n = a_n/n + sum_{d | n, d > 1} T_d/|C_d|
+
+where T_d counts the transitive homomorphisms into C_d, by the same brute
+force (Mednykh, *Counting conjugacy classes of subgroups in a finitely
+generated group*, J. Algebra 320, 2008).
 """
 
 from fractions import Fraction
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -60,20 +73,50 @@ def _closes(perms, relator, n):
     return True
 
 
-def hom_count(k, relators, n):
-    """|Hom(G, S_n)|: the k-tuples of permutations of n points that satisfy
-    every relator, each relator checked once its generators are chosen."""
-    if n == 0:
-        return 1
-    everything = list(permutations(range(n)))
+def _tuples(k, relators, n, elements, classes, transitive=False):
+    """The k-tuples of ``elements``, a group of permutations of n points
+    given with its conjugacy classes as (representative, size) pairs, that
+    satisfy every relator (and act transitively, if asked), each relator
+    checked once its generators are chosen."""
     # generator i runs over the permutations that satisfy its own relators
     # (in i alone); once it is chosen, the others whose largest generator is i
     # are checked
-    own = {i: [p for p in everything if all(_closes({i: p}, r, n) for r in relators
-                                             if set(map(abs, r)) == {i})]
+    own = {i: [p for p in elements if all(_closes({i: p}, r, n) for r in relators
+                                          if set(map(abs, r)) == {i})]
            for i in range(1, k + 1)}
     due = {i: [r for r in relators if max(map(abs, r)) == i and set(map(abs, r)) != {i}]
            for i in range(1, k + 1)}
+
+    def extend(perms, i):
+        if i > k:
+            return not transitive or _orbit_size(perms.values()) == n
+        total = 0
+        for p in own[i]:
+            perms[i] = p
+            if all(_closes(perms, r, n) for r in due[i]):
+                total += extend(perms, i + 1)
+        return total
+
+    mine = set(own[1])
+    return sum(size * extend({1: rep}, 2) for rep, size in classes if rep in mine)
+
+
+def _orbit_size(perms):
+    """The size of the orbit of point 0 under the permutations."""
+    orbit = {0}
+    while True:
+        step = {p[v] for p in perms for v in orbit} - orbit
+        if not step:
+            return len(orbit)
+        orbit |= step
+
+
+def hom_count(k, relators, n):
+    """|Hom(G, S_n)|: the k-tuples of permutations of n points that satisfy
+    every relator; S_n's classes are its cycle types."""
+    if n == 0:
+        return 1
+    everything = list(permutations(range(n)))
     classes = {}  # cycle type -> [first permutation of that type, class size]
     for p in everything:
         seen, shape = set(), []
@@ -86,26 +129,38 @@ def hom_count(k, relators, n):
                 shape.append(length)
         entry = classes.setdefault(tuple(sorted(shape)), [p, 0])
         entry[1] += 1
-
-    def extend(perms, i):
-        if i > k:
-            return 1
-        total = 0
-        for p in own[i]:
-            perms[i] = p
-            if all(_closes(perms, r, n) for r in due[i]):
-                total += extend(perms, i + 1)
-        return total
-
-    total = 0
-    for rep, size in classes.values():
-        if rep in own[1]:
-            total += size * extend({1: rep}, 2)
-    return total
+    return _tuples(k, relators, n, everything, classes.values())
 
 
-def hall_counts(k, relators, n_max):
-    """a_1, ..., a_{n_max} by Hall's recursion."""
+def centralizer(n, d):
+    """The permutations of n points that commute with the product of the
+    cycles (0 1 ... d-1)(d ... 2d-1)...: each takes cycle i to a cycle pi(i),
+    turned by r_i steps, so there are d^(n/d) (n/d)! of them."""
+    m = n // d
+    return [tuple(pi[v // d] * d + (v + r[v // d]) % d for v in range(n))
+            for pi in permutations(range(m)) for r in product(range(d), repeat=m)]
+
+
+def conjugacy_classes(group):
+    """(representative, size) per conjugacy class of a permutation group."""
+    classes, seen = [], set()
+    for g in group:
+        if g not in seen:
+            conjugates = set()
+            for h in group:
+                c = [0] * len(g)
+                for v, t in enumerate(g):
+                    c[h[v]] = h[t]  # h^-1 g h, acting on the right
+                conjugates.add(tuple(c))
+            seen |= conjugates
+            classes.append((g, len(conjugates)))
+    return classes
+
+
+@cache
+def hall_counts(name):
+    """a_1, ..., a_{n_max} of the group ``name`` of GROUPS by Hall's recursion."""
+    k, relators, n_max = GROUPS[name]
     h = [hom_count(k, relators, n) for n in range(n_max + 1)]
     a = [None]
     for n in range(1, n_max + 1):
@@ -116,9 +171,35 @@ def hall_counts(k, relators, n_max):
     return a[1:]
 
 
-@pytest.mark.parametrize("k, relators, n_max", GROUPS.values(), ids=GROUPS.keys())
-def test_based_counts_match_halls_recursion(k, relators, n_max):
+def burnside_counts(name):
+    """c_1, ..., c_{n_max} of the group ``name`` of GROUPS by Burnside's lemma."""
+    k, relators, n_max = GROUPS[name]
+    c = []
+    for n, a in enumerate(hall_counts(name), 1):
+        value = Fraction(a, n)
+        for d in range(2, n + 1):
+            if n % d == 0:
+                group = centralizer(n, d)
+                transitive = _tuples(k, relators, n, group, conjugacy_classes(group), True)
+                value += Fraction(transitive, len(group))
+        assert value.denominator == 1
+        c.append(int(value))
+    return c
+
+
+def _search(name, mode):
+    k, relators, n_max = GROUPS[name]
     pres = Presentation(Alphabet([f"g{i}" for i in range(1, k + 1)]),
                         [Word(r) for r in relators])
-    searched = [len(enumerate_graphs(EnumerationTask(pres, n))) for n in range(1, n_max + 1)]
-    assert searched == hall_counts(k, relators, n_max)
+    return [len(enumerate_graphs(EnumerationTask(pres, n, mode=mode)))
+            for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_based_counts_match_halls_recursion(name):
+    assert _search(name, "based") == hall_counts(name)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_unbased_counts_match_burnsides_lemma(name):
+    assert _search(name, "unbased") == burnside_counts(name)

@@ -86,8 +86,8 @@ def test_malnormal_checks_group_order(s3):
 
 def test_component_sizes_partition(h_and_k):
     h, k = h_and_k
-    pg = ProductGraph(h, k)
-    assert sum(pg.component_sizes().values()) == h.index() * k.index()
+    component = [-1] * (h.index() * k.index())
+    assert sum(size for _, size in products._components(h, k, component)) == len(component)
 
 
 def test_vertices_outside_a_factor_are_rejected(f2):
@@ -166,9 +166,9 @@ def test_labels_match_the_reference_bfs():
     for h, k in pairs:
         pg = ProductGraph(h, k)
         component, sizes = _reference_components(h, k)
-        assert pg.component == component
-        assert list(pg.component_sizes().items()) == list(sizes.items())
-        assert pg.base_component == component[0]
+        labels = [-1] * len(component)
+        assert list(products._components(h, k, labels)) == list(sizes.items())
+        assert tuple(labels) == component
         vertex, meet = _reference_meet(h, k)
         got = intersect(h, k)
         assert got.coset_reps == meet.coset_reps  # builds the Schreier vector
@@ -180,10 +180,10 @@ def test_labels_match_the_reference_bfs():
             p = v1 * k.index() + v2
             expected = meet.coset_reps[vertex[p]] if p in vertex else None
             assert coset_meet(pg, v1, v2) == expected
-        assert_other_call_orders_give_the_references(h, k, component, sizes, vertex, meet)
+        assert_other_call_orders_give_the_references(h, k, component, vertex, meet)
 
 
-def assert_other_call_orders_give_the_references(h, k, component, sizes, vertex, meet):
+def assert_other_call_orders_give_the_references(h, k, component, vertex, meet):
     """Fresh products of h and k, queried base component first or
     ``coset_meet`` first, answer as the references do."""
     every = [(v1, v2) for v1 in range(h.index()) for v2 in range(k.index())]
@@ -196,32 +196,32 @@ def assert_other_call_orders_give_the_references(h, k, component, sizes, vertex,
     assert meet_first._label is None and meet_first._meet is None  # nothing walked
     assert [coset_meet(meet_first, v1, v2) for v1, v2 in every] == words
     assert [meet_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
-    assert meet_first.component == component
-    assert list(meet_first.component_sizes().items()) == list(sizes.items())
     assert [base_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
     assert base_first._label == [0 if b else -1 for b in in_base]  # only the base orbit
-    assert base_first.base_component == component[0] == 0
-    assert list(base_first.component_sizes().items()) == list(sizes.items())
-    assert base_first.component == component
-    assert [base_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
+    assert base_first._meet is None
     assert [coset_meet(base_first, v1, v2) for v1, v2 in every] == words
 
 
 def test_a_product_allocates_nothing_per_pair(f2):
     """Two 2003-vertex certificates have 4,012,009 pairs.  Building their
-    product labels none of them, so it allocates no list or tuple of labels."""
+    product labels none of them, so it allocates no list or tuple of labels,
+    and neither does a base-component query for a pair outside it, which is
+    rejected before anything is walked."""
     left, right = build_type1(f2, 0, 2003).graph, build_type1(f2, 0, 2003).graph
+    message = r"^no vertex pair \(2003, 0\) in the product$"
     tracemalloc.start()
     try:
         pg = ProductGraph(left, right)
+        with pytest.raises(ValueError, match=message):
+            pg.in_base_component(2003, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+    assert pg._label is None
     assert pg.pair_id(2002, 2002) == 2003 ** 2 - 1
-    with pytest.raises(ValueError, match=r"^no vertex pair \(2003, 0\) in the product$"):
+    with pytest.raises(ValueError, match=message):
         pg.pair_id(2003, 0)
-
 
 
 def test_coset_meet_builds_the_meet_once(monkeypatch):

@@ -17,7 +17,6 @@ from stallings import (
     coset_enumerate,
     enumerate_graphs,
     free_presentation,
-    fulfillment_violation,
     free_reduce,
     fulfills,
     subgroup_from_graph,
@@ -44,9 +43,10 @@ class TestFulfillment:
 
     def test_violation_reported(self):
         bad = Presentation.parse(["x", "y"], ["x y x y"])
-        violation = fulfillment_violation(GAMMA, bad)
-        assert violation is not None
-        v, r, t = violation
+        assert not fulfills(GAMMA, bad)
+        with pytest.raises(FulfillmentFailed) as raised:
+            subgroup_from_graph(BasedXGraph(GAMMA, 0), bad)
+        v, r, t = raised.value.vertex, raised.value.relator, raised.value.terminus
         assert t != v
         assert r == bad.relators[0]
 
@@ -71,7 +71,7 @@ class TestFulfillment:
         # a graph over other letters is reported as such, regular or not
         ab = free_presentation(["a", "b"])
         for g in (GAMMA, XGraph(XY_PRES.alphabet, 2, [(0, 0, 1)])):
-            for f in (fulfillment_violation, lambda g, p: subgroup_from_graph(BasedXGraph(g, 0), p)):
+            for f in (fulfills, lambda g, p: subgroup_from_graph(BasedXGraph(g, 0), p)):
                 with pytest.raises(AlphabetMismatch) as e:
                     f(g, ab)
                 assert str(e.value) == "graph and presentation alphabets differ"

@@ -10,11 +10,9 @@ from stallings import (
     ParseError,
     Presentation,
     Word,
-    cyclic_reduce,
     free_reduce,
     letter,
     letter_index,
-    letter_sign,
     merge_alphabets,
     shift_word,
 )
@@ -28,7 +26,7 @@ def test_letter_encoding_round_trip():
         for sign in (1, -1):
             lt = letter(idx, sign)
             assert letter_index(lt) == idx
-            assert letter_sign(lt) == sign
+            assert (lt > 0) == (sign == 1)
 
 
 def test_letter_rejects_bad_sign():
@@ -59,12 +57,6 @@ def test_free_reduce_examples():
     assert free_reduce(Word([1, 2, -2, 1])) == Word([1, 1])
 
 
-def test_cyclic_reduce():
-    assert cyclic_reduce(Word([-1, 2, 1])) == Word([2])
-    assert cyclic_reduce(Word([1, 2, -2, -1])) == Word()
-    assert cyclic_reduce(Word([1, 2])) == Word([1, 2])
-
-
 @given(words)
 def test_free_reduce_idempotent(w):
     assert free_reduce(free_reduce(w)) == free_reduce(w)
@@ -88,13 +80,6 @@ def test_inverse_involution(w):
 @given(words)
 def test_free_reduce_parity(w):
     assert (len(w) - len(free_reduce(w))) % 2 == 0
-
-
-@given(words)
-def test_cyclic_reduce_is_reduced(w):
-    r = cyclic_reduce(w)
-    assert free_reduce(r) == r
-    assert len(r) < 2 or r[0] != -r[-1]
 
 
 class TestAlphabet:
