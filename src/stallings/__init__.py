@@ -33,16 +33,13 @@ from .xgraph import (
     BasedXGraph,
     Morphism,
     XGraph,
-    bouquet,
     canonicalize,
     core,
     find_morphism,
     fold,
     free_basis,
     free_subgroup_graph,
-    is_connected,
     is_folded,
-    is_regular,
     trace,
     wedge_of_words,
 )
@@ -67,7 +64,6 @@ from .enumerator import (
 from .families import (
     GluingSpec,
     OrbitCertificate,
-    admissible_primes,
     build_amalgam,
     build_glued,
     build_parallel_circles,

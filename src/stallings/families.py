@@ -133,6 +133,8 @@ def build_parallel_circles(
     """
     if p < 1:
         raise ValueError("circle length must be positive")
+    if not 0 <= word_letter < len(presentation.alphabet):
+        raise ValueError("letter index out of range")
     forward = [_circle(p)] * len(presentation.alphabet)
     return certify(SubgroupGraph(presentation, forward), Word([word_letter + 1]))
 
@@ -299,9 +301,3 @@ def chain_primes(step: int, count: int, minimum: int = 2) -> Iterator[tuple[int,
             yield c, m
             found += 1
         c += 1
-
-
-def admissible_primes(step: int, count: int, minimum: int = 2) -> list[int]:
-    """The first ``count`` primes of the form step*c + 1 at or above
-    ``minimum``; with step = 1 this is simply consecutive primes."""
-    return [m for _, m in chain_primes(step, count, minimum)]

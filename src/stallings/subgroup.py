@@ -244,12 +244,6 @@ class SubgroupGraph:
         """Membership of the image of ``w`` in the subgroup."""
         return self.trace(0, w) == 0
 
-    def contains_coset(self, w: Word, v: int) -> bool:
-        """True iff the image of ``w`` lies in the coset carried by vertex ``v``."""
-        if not 0 <= v < self.index():
-            raise ValueError(f"vertex {v} out of range")
-        return self.trace(0, w) == v
-
     def coset_table(self) -> CosetTable:
         return CosetTable(tuple(self._table[lt] for lt in range(1, len(self._table) // 2 + 1)))
 

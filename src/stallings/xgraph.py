@@ -113,20 +113,6 @@ def is_folded(g: XGraph) -> bool:
     return all(len(dict(arcs)) == len(arcs) for arcs in g._arc_list())
 
 
-def is_regular(g: XGraph) -> bool:
-    """Per vertex and letter: exactly one out-edge and one in-edge."""
-    if len(g.edges) != len(g.alphabet) * g.vertex_count:
-        return False
-    cols = list(range(2 * len(g.alphabet)))
-    return all([c for c, _ in arcs] == cols for arcs in g._arc_list())
-
-
-def is_connected(g: XGraph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    return len(_component(g, 0)) == g.vertex_count
-
-
 def _component(g: XGraph, start: int) -> set[int]:
     arcs = g._arc_list()
     seen = {start}
@@ -383,11 +369,6 @@ def find_morphism(src: BasedXGraph, dst: XGraph) -> Optional[Morphism]:
     _check_same_alphabet(src.alphabet, dst.alphabet)
     maps = (_propagate(src.graph, src.base, dst, v2) for v2 in range(dst.vertex_count))
     return next((m for m in maps if m is not None), None)
-
-
-def bouquet(alphabet: Alphabet) -> BasedXGraph:
-    """One vertex with a loop per letter."""
-    return wedge_of_words(alphabet, [Word([i + 1]) for i in range(len(alphabet))])
 
 
 def wedge_of_words(alphabet: Alphabet, generators: Sequence[Word]) -> BasedXGraph:

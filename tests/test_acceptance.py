@@ -30,12 +30,12 @@ from stallings import (
     intersect,
     is_malnormal,
     is_prime,
-    is_regular,
     subgroup_from_graph,
     trace,
     verify_coprime_certificate,
 )
 from test_families import graph_sweep
+from test_xgraph import regular
 
 
 def class_counts(presentation, n_max, mode):
@@ -110,8 +110,8 @@ def test_criterion_4_delta333_intersection(delta333):
     def check(v_left, v_right, rep):
         g = coset_meet(pg, v_left, v_right)
         assert g is not None
-        assert h.contains_coset(g, v_left)
-        assert k.contains_coset(g, v_right)
+        assert h.trace(0, g) == v_left
+        assert k.trace(0, g) == v_right
         assert meet.contains(g * rep.inverse())
 
     check(0, 0, Word())                 # H cap K
@@ -203,7 +203,7 @@ def test_criterion_7_certificate_catalog():
             cert = build(p)
             g = cert.graph
             assert cert.vertex_count == p, name
-            assert is_regular(g.graph.graph), name
+            assert regular(g.graph.graph), name
             assert fulfills(g.graph.graph, cert.presentation()), name
             ok, orbit = graph_sweep(g.graph, cert.word)
             assert ok, name
@@ -229,7 +229,7 @@ def test_criterion_8_glued_13_vertex(delta333):
     cert = build_glued(spec)
     assert cert.vertex_count == 13
     assert is_prime(cert.vertex_count)
-    assert is_regular(cert.graph.graph.graph)
+    assert regular(cert.graph.graph.graph)
     assert fulfills(cert.graph.graph.graph, cert.presentation())
     ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok and sorted(orbit) == list(range(13))

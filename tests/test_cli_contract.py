@@ -4,9 +4,18 @@ the same way."""
 
 import argparse
 import inspect
+import random
 
 import pytest
 
+from stallings import (
+    Presentation,
+    build_type1,
+    coset_enumerate,
+    free_presentation,
+    serialize_graph,
+    serialize_presentation,
+)
 from stallings import cli
 from stallings.cli import main
 
@@ -182,3 +191,69 @@ def test_running_out_of_memory_is_a_budget_error(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "coset_enumerate", exhausted)
     assert _run(tmp_path, capsys, ["-p", "{pres}", "build", "-g", "a"]) == (3, "error: MemoryError")
+
+
+def _mutant(text: str, rng: random.Random) -> str:
+    """``text`` after one to three seeded edits: a line dropped or repeated,
+    a line cut to a prefix of at least one character (so that a later swap
+    finds a token), two tokens of a line swapped, or the lines shuffled.
+    Every file it gets has more than three lines."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        edit = rng.choice(("drop", "repeat", "shuffle", "swap", "cut"))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(j, lines[i])
+        elif edit == "shuffle":
+            rng.shuffle(lines)
+        elif edit == "swap":
+            tokens = lines[i].split()
+            a, b = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = lines[i][:rng.randrange(1, len(lines[i]) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_graph_files_keep_the_exit_contract(tmp_path, capsys):
+    """Every subcommand that loads a graph file answers a damaged one on the
+    contract: exit 2 or 3 with one ``error:`` line and nothing on stdout,
+    ``verify`` exit 1 with one ``invalid:`` line, else exit 0 or 1, where an
+    exit 1 that prints no answer has one ``error:`` line."""
+    s3 = Presentation.parse(["s1", "s2"], ["s1 s1", "s2 s2", "s1 s2 s1 s2 s1 s2"])
+    f2 = free_presentation(["a", "b"])
+    subgroups = [(s3, coset_enumerate(s3, [s3.word(w) for w in gens]), "s1")
+                 for gens in ([], ["s1"], ["s1 s2"])]
+    subgroups.append((f2, build_type1(f2, 0, 61).graph, "a b"))
+    bases = []
+    for i, (pres, sg, word) in enumerate(subgroups):
+        (tmp_path / f"{i}.pres").write_text(serialize_presentation(pres))
+        text = serialize_graph(sg.graph)
+        (tmp_path / f"{i}.graph").write_text(text)
+        bases.append((str(tmp_path / f"{i}.pres"), str(tmp_path / f"{i}.graph"), text, word))
+    mutant = tmp_path / "mutant.graph"
+    rng = random.Random(27)
+    codes = set()
+    for _ in range(300):
+        pres, valid, text, word = rng.choice(bases)
+        mutant.write_text(_mutant(text, rng))
+        for argv in (["verify", mutant], ["index", mutant], ["basis", mutant],
+                     ["membership", mutant, word], ["intersect", mutant, valid]):
+            code = main(["-p", pres, *map(str, argv)])
+            out, err = capsys.readouterr()
+            lines = err.splitlines()
+            if code in (2, 3):
+                assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), argv
+            elif argv[0] == "verify" and code == 1:
+                assert out == "" and len(lines) == 1 and lines[0].startswith("invalid: ")
+            else:
+                assert code in (0, 1), argv
+                if out:
+                    assert err == "", argv
+                else:
+                    assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+            codes.add(code)
+    assert {0, 1, 2} <= codes

@@ -12,12 +12,11 @@ from stallings import (
     free_presentation,
     fulfills,
     hall_search,
-    is_connected,
-    is_regular,
 )
 from stallings.enumerator import _Search
 from test_coset_enumeration import (
     canonical_rows, reference_scan, symmetric, uncached_cycles, with_involutions)
+from test_xgraph import connected, regular
 
 
 def counts(presentation, n_max, mode):
@@ -51,8 +50,8 @@ def test_s3_counts(s3):
 def test_emitted_graphs_are_valid(s3):
     for sg in enumerate_graphs(EnumerationTask(s3, 3)):
         g = sg.graph.graph
-        assert is_regular(g)
-        assert is_connected(g)
+        assert regular(g)
+        assert connected(g)
         assert fulfills(g, s3)
 
 

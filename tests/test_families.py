@@ -10,7 +10,6 @@ from stallings import (
     GluingSpec,
     Presentation,
     Word,
-    admissible_primes,
     build_amalgam,
     build_glued,
     build_parallel_circles,
@@ -25,17 +24,17 @@ from stallings import (
     free_subgroup_graph,
     fulfills,
     is_prime,
-    is_regular,
     subgroup_from_graph,
     trace,
     verify_coprime_certificate,
 )
 from stallings.families import _orbit, certify
+from test_xgraph import regular
 
 
 def check_certificate(cert):
     g = cert.graph.graph.graph
-    assert is_regular(g)
+    assert regular(g)
     assert fulfills(g, cert.presentation())
     ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok
@@ -81,6 +80,12 @@ class TestParallelCircles:
         b3 = Presentation.parse(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
         with pytest.raises(FulfillmentFailed):
             build_type1(b3, 0, 5)
+
+    def test_word_letter_outside_the_alphabet_is_rejected(self, f2):
+        assert build_parallel_circles(f2, 5, 1).word == Word([2])
+        for word_letter in (-2, -1, 2, 7):
+            with pytest.raises(ValueError, match="letter index out of range"):
+                build_parallel_circles(f2, 5, word_letter)
 
 
 class TestType2:
@@ -313,9 +318,9 @@ class TestPrimes:
         assert list(chain_primes(3, 3)) == [(2, 7), (4, 13), (6, 19)]
 
     def test_admissible_primes(self):
-        assert admissible_primes(1, 4, 3) == [3, 5, 7, 11]
-        assert admissible_primes(2, 3, 3) == [3, 5, 7]
-        assert admissible_primes(3, 3, 7) == [7, 13, 19]
+        assert [m for _, m in chain_primes(1, 4, 3)] == [3, 5, 7, 11]
+        assert [m for _, m in chain_primes(2, 3, 3)] == [3, 5, 7]
+        assert [m for _, m in chain_primes(3, 3, 7)] == [7, 13, 19]
 
 
 # The sweep as it was before it stepped through the word's permutation:

@@ -14,7 +14,6 @@ from stallings import (
     SubgroupGraph,
     Word,
     XGraph,
-    bouquet,
     build_amalgam,
     build_glued,
     build_parallel_circles,
@@ -32,6 +31,7 @@ from stallings import (
     serialize_graph,
     serialize_presentation,
     subgroup_from_graph,
+    wedge_of_words,
 )
 from stallings.cli import main
 
@@ -168,7 +168,7 @@ class TestGraphFiles:
 
 
 def test_export_dot_bouquet():
-    dot = export_dot(bouquet(Alphabet(["a", "b"])))
+    dot = export_dot(wedge_of_words(Alphabet(["a", "b"]), [Word([1]), Word([2])]))
     assert dot.count("->") == 2
     assert "doublecircle" in dot
 

@@ -58,8 +58,8 @@ def test_coset_meet_words(h_and_k):
                 assert not pg.in_base_component(v1, v2)
             else:
                 # g lies in both chosen cosets
-                assert h.contains_coset(g, v1)
-                assert k.contains_coset(g, v2)
+                assert h.trace(0, g) == v1
+                assert k.trace(0, g) == v2
 
 
 def test_coset_meet_base_is_identity(h_and_k):

@@ -10,7 +10,6 @@ from stallings import (
     Morphism,
     Word,
     XGraph,
-    bouquet,
     canonicalize,
     core,
     find_morphism,
@@ -19,9 +18,7 @@ from stallings import (
     free_presentation,
     free_reduce,
     free_subgroup_graph,
-    is_connected,
     is_folded,
-    is_regular,
     letter_index,
     parse_graph,
     serialize_graph,
@@ -77,6 +74,29 @@ def isomorphic_unbased(g1: XGraph, g2: XGraph):
     return next((m for m in maps if m is not None), None)
 
 
+# The X-regularity and connectivity checks, read off the edge list alone,
+# independent of the package's arc lists and coset tables.
+def regular(g: XGraph) -> bool:
+    """Per vertex and letter: exactly one out-edge and one in-edge."""
+    grid = [(v, li) for v in range(g.vertex_count) for li in range(len(g.alphabet))]
+    return (sorted((u, li) for u, li, _ in g.edges) == grid
+            and sorted((v, li) for _, li, v in g.edges) == grid)
+
+
+def connected(g: XGraph) -> bool:
+    """At most one component, the edges read in either direction."""
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for (u, _, v) in g.edges:
+        root[find(u)] = find(v)
+    return len({find(v) for v in range(g.vertex_count)}) <= 1
+
+
 def xy_graph(n, edges, base=0):
     return BasedXGraph(XGraph(XY, n, edges), base)
 
@@ -109,14 +129,13 @@ def test_edges_are_deduplicated_and_sorted():
 def test_predicates_on_reference_graphs():
     for g in (GAMMA, GAMMA_PRIME):
         assert is_folded(g.graph)
-        assert is_regular(g.graph)
-        assert is_connected(g.graph)
+        assert regular(g.graph)
+        assert connected(g.graph)
 
 
 def test_folded_but_not_regular():
     g = XGraph(AB, 2, [(0, 0, 1)])
     assert is_folded(g)
-    assert not is_regular(g)
     assert not is_folded(XGraph(AB, 2, [(0, 0, 1), (0, 0, 0)]))
 
 
@@ -238,7 +257,7 @@ def test_find_morphism_into_larger_graph():
 
 
 def test_bouquet_and_wedge():
-    b = bouquet(AB)
+    b = wedge_of_words(AB, [Word([1]), Word([2])])
     assert b.vertex_count == 1
     assert len(b.graph.edges) == 2
     w = wedge_of_words(AB, [AB.parse_word("a b a^-1")])
@@ -265,7 +284,7 @@ words_strategy = st.lists(
 def test_free_subgroup_graph_properties(gens):
     g = free_subgroup_graph(AB, gens)
     assert is_folded(g.graph)
-    assert is_connected(g.graph)
+    assert connected(g.graph)
     for w in gens:
         assert trace(g.graph, g.base, free_reduce(w)) == g.base
     # the basis generates the same loops: every basis word closes at base
@@ -434,7 +453,7 @@ def test_bfs_outputs_match_word_building_reference():
     checked = 0
     for _ in range(1000):
         g = random_multigraph(rng)
-        if not is_connected(g):
+        if not connected(g):
             continue
         based = BasedXGraph(g, rng.randrange(g.vertex_count))
         order, tree, reps = word_bfs(based)
@@ -447,7 +466,7 @@ def test_bfs_outputs_match_word_building_reference():
     assert checked > 100
 
 
-# wedge_of_words, bouquet and the target searches as they were before the
+# wedge_of_words and the target searches as they were before the
 # vertex-path wedge and the shared search: the wedge steps letter by letter
 # with prev/nxt state, and each search keeps its own loop over targets.
 def reference_wedge(alphabet, generators):
@@ -471,10 +490,6 @@ def reference_wedge(alphabet, generators):
                 edges.append((nxt, li, prev))
             prev = nxt
     return BasedXGraph(XGraph(alphabet, n, edges), 0)
-
-
-def reference_bouquet(alphabet):
-    return BasedXGraph(XGraph(alphabet, 1, [(0, li, 0) for li in range(len(alphabet))]), 0)
 
 
 def reference_propagate(g1, v1, g2, v2, bijective):
@@ -558,8 +573,6 @@ def random_words(rng, k, foreign=0.1):
 
 def test_wedge_and_bouquet_match_the_per_letter_reference():
     rng = random.Random(1983)
-    for ab in ALPHABETS:
-        assert bouquet(ab) == reference_bouquet(ab)
     for _ in range(2000):
         ab = rng.choice(ALPHABETS)
         gens = random_words(rng, rng.randint(1, len(ab)))
@@ -742,6 +755,6 @@ def test_coset_tables_and_canonical_files_list_their_edges_sorted():
         lines = [line.split()[1:] for line in text.splitlines() if line.startswith("edge:")]
         listed = [(int(u), AB._index[x], int(v)) for u, x, v in lines]
         assert listed == sorted(set(listed)) == list(parse_graph(text, AB).graph.edges)
-        if is_connected(regular):
+        if connected(regular):
             sg = subgroup_from_graph(BasedXGraph(regular, 0), f2)
             assert list(sg.edges()) == sorted(set(sg.edges()))
