@@ -180,7 +180,7 @@ def cmd_gamma(args, pres):
     if args.family == "type1":
         cert = families.build_type1(pres, pres.alphabet.index(args.letter), args.p)
     elif args.family == "artin":
-        li = pres.alphabet.index(args.letter) if args.letter else 0
+        li = pres.alphabet.index(args.letter) if args.letter is not None else 0
         cert = families.build_parallel_circles(pres, args.p, li)
     elif args.family == "type2":
         cert = families.build_type2(

@@ -13,13 +13,13 @@ vertices and lie after the first empty entry, so the tables and their order
 stay those of branching at every entry.  An unbased class keeps its least
 canonical form over all bases: a partial table that another base already
 renumbers into a smaller one is cut.
-Each class enters ``SubgroupGraph`` through ``_canonical``, which checks
-only the relators, not X-regularity, connectivity or BFS numbering.  That
-is sound because the search makes those hold: every entry is set together
-with its inverse entry, so a complete table's columns are permutations,
-each the inverse of its partner, and each new vertex is the next id,
-reached from a smaller one in scan order, so BFS from vertex 0 numbers the
-vertices in id order.
+Each class enters ``SubgroupGraph`` as its columns through ``_canonical``,
+which keys them by signed letter and checks only the relators, not
+X-regularity, connectivity or BFS numbering.  That is sound because the
+search makes those hold: every entry is set together with its inverse
+entry, so a complete table's columns are permutations, each the inverse of
+its partner, and each new vertex is the next id, reached from a smaller
+one in scan order, so BFS from vertex 0 numbers the vertices in id order.
 """
 
 from __future__ import annotations
@@ -169,8 +169,7 @@ def _graphs(task: EnumerationTask, node_budget: int) -> Iterator[SubgroupGraph]:
     search = _Search(task.presentation, task.vertex_count, node_budget,
                      unbased=task.mode == "unbased")
     for cols in search._extend():
-        yield SubgroupGraph._canonical(task.presentation,
-                                       {lt: cols[c] for lt, c in search.layout.keys.items()})
+        yield SubgroupGraph._canonical(task.presentation, cols)
 
 
 def enumerate_graphs(

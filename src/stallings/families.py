@@ -176,7 +176,8 @@ def extend_with_loops(
     shapes; reachability is re-checked.
     """
     old = cert.presentation()
-    alphabet = merge_alphabets(old.alphabet, Alphabet(extra_letters))
+    alphabet = (merge_alphabets(old.alphabet, Alphabet(extra_letters)) if extra_letters
+                else old.alphabet)
     presentation = Presentation(alphabet, list(old.relators) + list(new_relators))
     loops = [range(cert.vertex_count)] * len(extra_letters)
     forward = list(cert.graph.coset_table().permutations) + loops
@@ -224,7 +225,8 @@ def build_amalgam(
     """The glued chain with amalgamation relators d * psi(d)^-1 added.
 
     Each pair (d, psi(d)) must lie in the respective factor subgroup, so
-    that both sides trace as loops at every vertex of the chain.
+    that both sides trace as loops at every vertex of the chain; a relator
+    that reduces to the identity adds no relation and is skipped.
     """
     offset = len(spec.left.presentation.alphabet)
     extra = []
@@ -238,7 +240,7 @@ def build_amalgam(
                 "identification image is not in the right factor subgroup"
             )
         extra.append(free_reduce(d * shift_word(psi_d, offset).inverse()))
-    return certify(*_assemble_glued(spec, extra))
+    return certify(*_assemble_glued(spec, [r for r in extra if r]))
 
 
 def verify_coprime_certificate(

@@ -19,12 +19,11 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
     """The intersection, and per pair the vertex of it that the pair is, or
     -1 off the base orbit.  The orbit is numbered by BFS from the base pair,
     scanning the columns of ``_Layout.letters`` in scan order, so its table is
-    already canonical; keyed by ``_Layout.keys``, where an involution's two
-    keys share one tuple, it enters through ``SubgroupGraph._canonical``."""
+    already canonical, and its columns, in ``_Layout`` order, enter through
+    ``SubgroupGraph._canonical``."""
     left._check_presentation(right)
     n2 = right.index()
-    layout = _layout(left.presentation)
-    cols = [(left._table[lt], right._table[lt]) for lt in layout.letters]
+    cols = [(left._table[lt], right._table[lt]) for lt in _layout(left.presentation).letters]
     vertex = [-1] * (left.index() * n2)
     vertex[0] = 0
     order, rows = [0], []
@@ -38,9 +37,7 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
                 order.append(q)
             row.append(vertex[q])
         rows.append(row)
-    columns = list(zip(*rows))
-    return vertex, SubgroupGraph._canonical(left.presentation,
-                                            {lt: columns[c] for lt, c in layout.keys.items()})
+    return vertex, SubgroupGraph._canonical(left.presentation, list(zip(*rows)))
 
 
 def _components(left: SubgroupGraph, right: SubgroupGraph,

@@ -92,14 +92,14 @@ def _relator_violation(table: dict, presentation: Presentation) -> Optional[tupl
     return None
 
 
-def _bfs(table: dict, base: int, target: Optional[dict] = None,
-         letters: Sequence[int] = ()) -> Optional[tuple]:
+def _bfs(table: dict, base: int, target: Optional[dict],
+         letters: Sequence[int]) -> Optional[tuple]:
     """BFS from ``base``, scanning per row the table's columns of ``letters``
-    (or all) in order.  Returns (order, new, parent): the vertex of each new
-    id, the new id of each vertex (-1 where unreached) and the Schreier vector
-    on the new ids.  Stops once every vertex is numbered; given ``target``,
+    in order.  Returns (order, new, parent): the vertex of each new id, the
+    new id of each vertex (-1 where unreached) and the Schreier vector on
+    the new ids.  Stops once every vertex is numbered; given ``target``,
     returns None at the first renumbered entry that differs from it there."""
-    columns = [(lt, table[lt]) for lt in letters or table]
+    columns = [(lt, table[lt]) for lt in letters]
     new = [-1] * len(columns[0][1])
     new[base] = 0
     order, parent = [base], [None]
@@ -175,12 +175,13 @@ class SubgroupGraph:
         self._graph = None
 
     @classmethod
-    def _canonical(cls, presentation: Presentation, table: dict) -> "SubgroupGraph":
+    def _canonical(cls, presentation: Presentation, columns: Sequence[tuple]) -> "SubgroupGraph":
         """Wrap a table that is complete and canonical by construction: its
-        columns keyed by signed letter, each the inverse of its partner,
-        numbered by BFS from vertex 0.  Only the relators are checked
-        (FulfillmentFailed as the constructor raises it), so only the
+        columns in ``_Layout`` order (keyed here by ``_Layout.keys``), each the
+        inverse of its partner, numbered by BFS from vertex 0.  Only the relators
+        are checked (FulfillmentFailed as the constructor raises it), so only the
         low-index search and ``products._meet`` call this."""
+        table = {lt: columns[c] for lt, c in _layout(presentation).keys.items()}
         violation = _relator_violation(table, presentation)
         if violation is not None:
             raise FulfillmentFailed(*violation)
@@ -431,8 +432,8 @@ class _Enumeration(_PartialTable):
     references a dead coset, so the kernel reads the table as it stands.  A
     merge pushes every column of the surviving coset, as its row now carries
     the scans that ran through the dead one.  Counters: ``coincidences``
-    (merges), ``deductions`` (entries popped), ``scans`` (kernel calls) and
-    ``peak`` (most live cosets).
+    (merges: the cosets defined less the live ones), ``deductions`` (entries
+    popped), ``scans`` (kernel calls) and ``peak`` (most live cosets).
     """
 
     def __init__(self, presentation: Presentation):
@@ -444,9 +445,7 @@ class _Enumeration(_PartialTable):
     def _merge(self, a: int, b: int) -> bool:
         merged = super()._merge(a, b)
         if merged:
-            self.coincidences += 1
-            survivor = self.rep(a)
-            self.stack.extend((survivor, col) for col in range(self.ncols))
+            self.stack.extend((self.rep(a), col) for col in range(self.ncols))
         return merged
 
     def run(self, subgens: Sequence[Word], max_cosets: int) -> None:
@@ -499,6 +498,7 @@ class _Enumeration(_PartialTable):
                 self.alive += 1
                 peak = max(peak, self.alive)
         finally:
+            self.coincidences = len(table) - self.alive
             self.deductions, self.scans, self.peak = deductions, scans, peak
 
     def forward_columns(self) -> list[tuple[int, ...]]:

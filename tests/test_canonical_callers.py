@@ -34,3 +34,11 @@ def test_canonical_entry_has_two_callers():
     mentions = sorted(name for name, node in nodes if _name(node) == "_canonical")
     assert calls == mentions == ["src/stallings/enumerator.py", "src/stallings/products.py"]
 
+
+def test_one_module_keys_layout_columns():
+    """``_canonical`` keys the ``_Layout`` columns by signed letter, so no
+    other package module reads an attribute named ``keys``."""
+    readers = {name for name, node in _nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "keys"
+               and name.startswith("src/")}
+    assert readers == {"src/stallings/subgroup.py"}

@@ -39,6 +39,9 @@ CASES = {
     # name: (arguments after -p, part of the error)
     "type1-without-p": (["gamma", "type1", "--letter", "a"], "--p"),
     "artin-without-p": (["gamma", "artin"], "--p"),
+    # an empty name is a name, not the default first generator
+    "artin-empty-letter": (["gamma", "artin", "--letter", "", "--p", "3"],
+                           "unknown generator: ''"),
     "type2-without-lengths": (["gamma", "type2", "--a", "a", "--b", "b",
                                "--pairs", "1"], "--k"),
     "type2-zero-pairs": (["gamma", "type2", "--a", "a", "--k", "2", "--b", "b",

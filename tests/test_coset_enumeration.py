@@ -473,7 +473,7 @@ def test_without_a_coincidence_the_cosets_come_in_bfs_order():
     enum.run([], 10_000)
     assert enum.coincidences == 0
     forward = enum.forward_columns()
-    order, new, _ = _bfs(_table(forward, 4), 0)
+    order, new, _ = _bfs(_table(forward, 4), 0, None, _layout(GROUPS["S5"]).letters)
     assert order == new == list(range(120))
     assert SubgroupGraph(GROUPS["S5"], forward).coset_table().permutations == tuple(forward)
     kept = 0
@@ -483,7 +483,8 @@ def test_without_a_coincidence_the_cosets_come_in_bfs_order():
             enum = _Enumeration(pres)
             enum.run([pres.word(w) for w in gens], 10_000)
             forward = enum.forward_columns()
-            assert _bfs(_table(forward, len(pres.alphabet)), 0)[0] == list(range(index))
+            table = _table(forward, len(pres.alphabet))
+            assert _bfs(table, 0, None, _layout(pres).letters)[0] == list(range(index))
             kept += 1
     assert kept >= 15
 

@@ -135,6 +135,19 @@ class TestExtendWithLoops:
             extend_with_loops(cert, ["b"], [ab.parse_word("a b a^-1 b^-2")])
         )
 
+    def test_no_extra_letters(self):
+        cert = build_type1(free_presentation(["a"]), 0, 5)
+        same = extend_with_loops(cert, [])
+        assert same.graph._table == cert.graph._table
+        assert (same.word, same.vertex_count) == (cert.word, cert.vertex_count)
+        assert same.presentation().alphabet == cert.presentation().alphabet
+
+    def test_relator_without_extra_letters_rejected(self):
+        cert = build_type1(free_presentation(["a"]), 0, 5)
+        # a a advances the circle twice
+        with pytest.raises(FulfillmentFailed):
+            extend_with_loops(cert, [], [cert.presentation().word("a a")])
+
     def test_moving_relator_rejected(self):
         cert = build_type1(free_presentation(["a"]), 0, 5)
         ab = free_presentation(["a", "b"]).alphabet
@@ -199,6 +212,12 @@ class TestAmalgam:
         (h1, w1), (h2, w2) = z3_factor, z2_factor
         spec = GluingSpec(h1, w1, h2, w2, 4)
         assert build_amalgam(spec, []).graph.graph == build_glued(spec).graph.graph
+
+    def test_identity_identified_with_itself_matches_glued(self, z3_factor, z2_factor):
+        # the identity lies in both factor subgroups and adds no relation
+        (h1, w1), (h2, w2) = z3_factor, z2_factor
+        spec = GluingSpec(h1, w1, h2, w2, 4)
+        assert build_amalgam(spec, [(Word(), Word())]).graph.graph == build_glued(spec).graph.graph
 
     def test_z4_amalgam_over_z2(self):
         pa = Presentation.parse(["a"], ["a a a a"])

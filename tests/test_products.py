@@ -271,7 +271,9 @@ def all_columns_meet(left, right):
                 order.append(q)
             row.append(vertex[q])
         rows.append(row)
-    meet = SubgroupGraph._canonical(left.presentation, dict(zip(left._table, zip(*rows))))
+    table = dict(zip(left._table, zip(*rows)))
+    meet = SubgroupGraph._canonical(left.presentation,
+                                    [table[lt] for lt in _layout(left.presentation).letters])
     meet._parent = all_columns_bfs(meet._table, 0)[2]
     return vertex, meet
 

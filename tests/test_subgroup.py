@@ -273,7 +273,7 @@ class TestCanonicalCheck:
             # the search's tables skip the constructor's checks, which run here
             assert sg._parent is None
             reps = sg.coset_reps  # builds the Schreier vector
-            order, new, parent = _bfs(sg._table, 0)
+            order, new, parent = _bfs(sg._table, 0, None, _layout(pres).letters)
             assert order == new == list(range(n)) and parent == sg._parent
             assert _renumbered(sg._table) == (sg._table, sg._parent)
             again = SubgroupGraph(pres, sg.coset_table().permutations)
@@ -284,24 +284,35 @@ class TestCanonicalCheck:
     def test_canonical_entry_raises_the_constructors_witness(self):
         """``_canonical`` checks the relators as the constructor does: on
         every class of F2 at index 4 and 6, read over (2,3,7) and over
-        XY_PRES, both accept the same tables or raise the same witness."""
+        XY_PRES, both accept the same tables or raise the same witness.  A
+        table whose involution's column is not its own inverse has no
+        ``_Layout`` columns; the constructor rejects it at that ``s s``."""
         f2 = free_presentation(["a", "b"])
         tables = [sg.coset_table().permutations for n in (4, 6)
                   for sg in enumerate_graphs(EnumerationTask(f2, n))]
         failed = 0
         for pres in (T237, XY_PRES):
+            letters = _layout(pres).letters
             for forward in tables:
+                table = _table(forward, 2)
+                if any(table[lt] != table[-lt] for lt in letters if -lt not in letters):
+                    with pytest.raises(FulfillmentFailed) as got:
+                        SubgroupGraph(pres, forward)
+                    assert len(got.value.relator) == 2
+                    failed += 1
+                    continue
+                columns = [table[lt] for lt in letters]
                 try:
                     expected = SubgroupGraph(pres, forward)
                 except FulfillmentFailed as e:
                     with pytest.raises(FulfillmentFailed) as got:
-                        SubgroupGraph._canonical(pres, _table(forward, 2))
+                        SubgroupGraph._canonical(pres, columns)
                     witness = (got.value.vertex, got.value.relator, got.value.terminus)
                     assert witness == (e.vertex, e.relator, e.terminus)
                     assert str(got.value) == str(e)
                     failed += 1
                 else:
-                    sg = SubgroupGraph._canonical(pres, _table(forward, 2))
+                    sg = SubgroupGraph._canonical(pres, columns)
                     assert sg._table == expected._table
         assert 0 < failed < 2 * len(tables)
 
@@ -325,7 +336,7 @@ class TestCanonicalCheck:
             # vertex 0 renamed 0, so still the base, then renamed rest[0]
             for sigma in ([0] + rest, rest + [0]):
                 forward = _relabeled(sg.coset_table().permutations, sigma)
-                order, new, parent = _bfs(_table(forward, 4), sigma[0])
+                order, new, parent = _bfs(_table(forward, 4), sigma[0], None, _layout(S5).letters)
                 # so order is 0..n-1 only for the identity, the one canonical relabeling
                 assert order == sigma and [new[v] for v in sigma] == list(range(n))
                 assert parent == sg._parent
@@ -341,12 +352,13 @@ class TestCanonicalCheck:
         sigma = list(range(n))
         random.Random(n).shuffle(sigma)
         relabeled = _table(_relabeled(sg.coset_table().permutations, sigma), 4)
-        found = _bfs(relabeled, sigma[0], sg._table)
-        assert found == _bfs(relabeled, sigma[0]) and found[0] == sigma
-        for lt in sg._table:  # one entry of the last row changed
+        letters = _layout(S5).letters
+        found = _bfs(relabeled, sigma[0], sg._table, letters)
+        assert found == _bfs(relabeled, sigma[0], None, letters) and found[0] == sigma
+        for lt in letters:  # one entry of the last row changed, in each column compared
             col = list(sg._table[lt])
             col[-1] = (col[-1] + 1) % n
-            assert _bfs(relabeled, sigma[0], {**sg._table, lt: tuple(col)}) is None
+            assert _bfs(relabeled, sigma[0], {**sg._table, lt: tuple(col)}, letters) is None
 
 
 class TestForwardGuards:
