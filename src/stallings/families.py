@@ -26,7 +26,7 @@ from .words import (
     shift_word,
 )
 from .subgroup import SubgroupGraph
-from .products import ProductGraph
+from .products import _orbit_sizes
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,10 @@ def verify_coprime_certificate(
     """Check the coprimality theorem instance: every coset of ``other``
     meets the certificate subgroup.
 
-    Requires w^m in the other subgroup and gcd(m, p) = 1.  A False return on
-    valid inputs indicates an implementation bug, not a mathematical fact.
+    Requires w^m in the other subgroup and gcd(m, p) = 1.  With H the
+    certificate subgroup and K the other, of index n, the product's base orbit
+    holds [G : H cap K] = p [H : H cap K] pairs, n p iff every coset of K meets
+    H.  A False return on valid inputs indicates an implementation bug.
     """
     if m <= 0:
         raise ValueError("the power m must be positive")
@@ -259,11 +261,7 @@ def verify_coprime_certificate(
         raise ValueError(f"m = {m} and p = {p} are not coprime")
     if not other.contains(cert.word ** m):
         raise ValueError("the other subgroup does not contain word^m")
-    pg = ProductGraph(other, cert.graph)
-    return all(
-        pg.in_base_component(v, cert.graph.base)
-        for v in range(other.index())
-    )
+    return next(_orbit_sizes(other, cert.graph)) == other.index() * p
 
 
 def is_prime(n: int) -> bool:

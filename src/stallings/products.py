@@ -2,9 +2,9 @@
 
 The product of two subgroup graphs has vertex set V1 x V2 and a same-label
 edge wherever both factors have one.  Its components are the orbits of pairs
-under the factors' forward columns, the double cosets H\\G/K; the orbit of
-the base pair is the intersection, and only ``is_malnormal`` walks the others.
-Pair ids are row-major: ``left_id * |V2| + right_id``.
+under the factors' forward columns, the double cosets H\\G/K.  The base
+pair's orbit, of [G : H cap K] pairs, is the intersection, and only
+``is_malnormal`` walks the others.  Pair ids: ``left_id * |V2| + right_id``.
 """
 
 from __future__ import annotations
@@ -40,52 +40,43 @@ def _meet(left: SubgroupGraph, right: SubgroupGraph) -> tuple[list[int], Subgrou
     return vertex, SubgroupGraph._canonical(left.presentation, list(zip(*rows)))
 
 
-def _components(left: SubgroupGraph, right: SubgroupGraph,
-                component: list[int]) -> Iterator[tuple[int, int]]:
-    """Label the pairs still -1 in ``component`` by the least pair of their
-    component, in place, one component at a time in order of that pair, and
-    yield it with the component's size as each is finished.  The columns are
-    permutations, so the orbits under the forward columns alone are the
-    components."""
+def _orbit_sizes(left: SubgroupGraph, right: SubgroupGraph) -> Iterator[int]:
+    """The size of each component, in order of its least pair, the base
+    pair's first.  The columns are permutations, so the orbits under the
+    forward columns alone are the components."""
+    left._check_presentation(right)
     n2 = right.index()
     cols = list(zip(left.coset_table().permutations, right.coset_table().permutations))
-    for p in range(len(component)):
-        if component[p] < 0:
-            component[p] = p
+    seen = [False] * (left.index() * n2)
+    for p in range(len(seen)):
+        if not seen[p]:
+            seen[p] = True
             stack = [p]
             for q in stack:
                 a, b = divmod(q, n2)
                 for lc, rc in cols:
                     r = lc[a] * n2 + rc[b]
-                    if component[r] < 0:
-                        component[r] = p
+                    if not seen[r]:
+                        seen[r] = True
                         stack.append(r)
-            yield p, len(stack)
+            yield len(stack)
 
 
 class ProductGraph:
     """The product of two subgroup graphs.  The base pair is pair 0;
-    ``in_base_component`` labels its orbit, and ``coset_meet`` builds the
-    intersection, each on first use."""
+    ``coset_meet`` builds the intersection, its orbit, on first use."""
 
-    __slots__ = ("left", "right", "_label", "_meet")
+    __slots__ = ("left", "right", "_meet")
 
     def __init__(self, left: SubgroupGraph, right: SubgroupGraph):
         left._check_presentation(right)
         self.left, self.right = left, right
-        self._label = self._meet = None
+        self._meet = None
 
     def pair_id(self, v_left: int, v_right: int) -> int:
         if not (0 <= v_left < self.left.index() and 0 <= v_right < self.right.index()):
             raise ValueError(f"no vertex pair ({v_left}, {v_right}) in the product")
         return v_left * self.right.index() + v_right
-
-    def in_base_component(self, v_left: int, v_right: int) -> bool:
-        p = self.pair_id(v_left, v_right)
-        if self._label is None:
-            self._label = [-1] * (self.left.index() * self.right.index())
-            next(_components(self.left, self.right, self._label))
-        return self._label[p] == 0
 
 
 def intersect(sg1: SubgroupGraph, sg2: SubgroupGraph) -> SubgroupGraph:
@@ -119,5 +110,6 @@ def is_malnormal(sg: SubgroupGraph, group_order: int) -> bool:
         raise ValueError(
             f"group order {group_order} is not a multiple of the index {sg.index()}"
         )
-    component = [-1] * sg.index() ** 2  # the base pair is pair 0, so labels its component
-    return all(size == group_order for p, size in _components(sg, sg, component) if p != 0)
+    sizes = _orbit_sizes(sg, sg)
+    next(sizes)  # the base component
+    return all(size == group_order for size in sizes)

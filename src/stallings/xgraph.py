@@ -251,12 +251,14 @@ def core(g: BasedXGraph) -> BasedXGraph:
 def trace(g: XGraph, start: int, w: Word) -> Optional[int]:
     """Follow ``w`` from ``start`` in a folded graph.
 
-    Inverse letters traverse positive edges backwards.  Returns the terminus,
-    or None if at some step no edge exists.  In an X-regular graph the result
-    always exists.  Raises ValueError unless ``start`` is a vertex.
+    Inverse letters traverse positive edges backwards.  Returns the terminus, or
+    None where no edge exists (never in an X-regular graph).  Raises ValueError
+    unless ``start`` is a vertex, AlphabetMismatch for letters outside the alphabet.
     """
     if not 0 <= start < g.vertex_count:
         raise ValueError(f"start vertex {start} out of range")
+    if w.max_index() >= len(g.alphabet):
+        raise AlphabetMismatch("word uses letters outside the alphabet")
     v = start
     for lt in w:
         step = g._ends(v, 2 * letter_index(lt) + (lt < 0))

@@ -1,5 +1,5 @@
 """The verdict ``tools/bench_record.py`` gives a metric from ten pairs, and
-the source line count and digest it records."""
+the source line counts and digest it records."""
 
 import hashlib
 import importlib.util
@@ -55,6 +55,37 @@ def test_source_lines_count_the_package_modules_only(tmp_path):
     (package / "notes.txt").write_text("not\ncode\n")
     (tmp_path / "src" / "other.py").write_text("w = 4\n")
     assert bench_record.source_lines(tmp_path) == 5
+
+
+MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment
+x = (1,
+     2)  # a two-line statement
+
+
+class C:
+    """A class docstring."""
+
+    def f(self):
+        """A function
+        docstring."""
+        return "not a docstring"
+'''
+
+
+def test_code_lines_leave_out_blank_lines_comments_and_docstrings(tmp_path):
+    assert bench_record.code_lines(MODULE) == 5
+    # after a statement the first string is no docstring: it counts once, on its first line
+    assert bench_record.code_lines("y = 1\n" + MODULE) == 7
+    package = tmp_path / "src" / "stallings"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(MODULE)
+    (package / "b.py").write_text("z = 3")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert bench_record.source_code_lines(tmp_path) == 6
+    assert bench_record.source_lines(tmp_path) == 15  # as wc -l counts, b.py has none
 
 
 def test_changed_modules_list_only_the_counts_that_differ(tmp_path):

@@ -55,6 +55,7 @@ CASES = {
     "verify-bad-vertex-count": (["verify", "{bad_vertices}"], "line 1: bad vertex count"),
     "max-cosets-zero": (["build", "-g", "a", "--max-cosets", "0"], "--max-cosets"),
     "max-cosets-negative": (["build", "--max-cosets", "-2"], "--max-cosets"),
+    "max-cosets-not-a-number": (["build", "--max-cosets", "x"], "--max-cosets"),
     "hall-zero-order": (["hall", "--order", "0", "--d", "0"], "must be positive"),
     "hall-zero-d": (["hall", "--order", "6", "--d", "0"], "must be positive"),
     "malnormal-zero-order": (["malnormal", "{graph}", "--order", "0"], "group order"),
@@ -228,23 +229,26 @@ def test_mutated_graph_files_keep_the_exit_contract(tmp_path, capsys):
     exit 1 that prints no answer has one ``error:`` line."""
     s3 = Presentation.parse(["s1", "s2"], ["s1 s1", "s2 s2", "s1 s2 s1 s2 s1 s2"])
     f2 = free_presentation(["a", "b"])
-    subgroups = [(s3, coset_enumerate(s3, [s3.word(w) for w in gens]), "s1")
+    subgroups = [(s3, coset_enumerate(s3, [s3.word(w) for w in gens]), "s1", 6)
                  for gens in ([], ["s1"], ["s1 s2"])]
-    subgroups.append((f2, build_type1(f2, 0, 61).graph, "a b"))
+    subgroups.append((f2, build_type1(f2, 0, 61).graph, "a b", 61))
     bases = []
-    for i, (pres, sg, word) in enumerate(subgroups):
+    for i, (pres, sg, word, order) in enumerate(subgroups):
         (tmp_path / f"{i}.pres").write_text(serialize_presentation(pres))
         text = serialize_graph(sg.graph)
         (tmp_path / f"{i}.graph").write_text(text)
-        bases.append((str(tmp_path / f"{i}.pres"), str(tmp_path / f"{i}.graph"), text, word))
+        bases.append((str(tmp_path / f"{i}.pres"), str(tmp_path / f"{i}.graph"), text, word,
+                      order))
     mutant = tmp_path / "mutant.graph"
     rng = random.Random(27)
     codes = set()
     for _ in range(300):
-        pres, valid, text, word = rng.choice(bases)
+        pres, valid, text, word, order = rng.choice(bases)
         mutant.write_text(_mutant(text, rng))
         for argv in (["verify", mutant], ["index", mutant], ["basis", mutant],
-                     ["membership", mutant, word], ["intersect", mutant, valid]):
+                     ["membership", mutant, word], ["intersect", mutant, valid],
+                     ["coset-meet", mutant, valid, "1", "0"],
+                     ["malnormal", mutant, "--order", order]):
             code = main(["-p", pres, *map(str, argv)])
             out, err = capsys.readouterr()
             lines = err.splitlines()

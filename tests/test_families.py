@@ -9,6 +9,7 @@ from stallings import (
     GluingInvalid,
     GluingSpec,
     Presentation,
+    PresentationMismatch,
     Word,
     build_amalgam,
     build_glued,
@@ -87,6 +88,10 @@ class TestParallelCircles:
             with pytest.raises(ValueError, match="letter index out of range"):
                 build_parallel_circles(f2, 5, word_letter)
 
+    def test_zero_length_is_rejected(self, f2):
+        with pytest.raises(ValueError, match="^circle length must be positive$"):
+            build_parallel_circles(f2, 0)
+
 
 class TestType2:
     def test_modular_group(self):
@@ -110,6 +115,9 @@ class TestType2:
             build_type2(f2, 0, 1, 1, 2, 2)
         with pytest.raises(ValueError):
             build_type2(f2, 0, 2, 0, 2, 2)
+        for a, b in ((0, 2), (-1, 1), (0, -1), (5, 1)):
+            with pytest.raises(ValueError, match="^letter index out of range$"):
+                build_type2(f2, a, 2, b, 2, 2)
         with pytest.raises(ValueError, match="pair count must be positive"):
             build_type2(f2, 0, 2, 1, 3, 0)
 
@@ -186,6 +194,12 @@ class TestGlued:
         with pytest.raises(GluingInvalid):
             build_glued(GluingSpec(whole, zd.word("d"), h2, w2, 2))
 
+    @pytest.mark.parametrize("pair_count", [0, -1])
+    def test_pair_count_must_be_positive(self, z3_factor, z2_factor, pair_count):
+        (h1, w1), (h2, w2) = z3_factor, z2_factor
+        with pytest.raises(ValueError, match="^pair count must be positive$"):
+            GluingSpec(h1, w1, h2, w2, pair_count)
+
     def test_rejects_bad_coset_word(self, z3_factor, z2_factor):
         (h1, _), (h2, w2) = z3_factor, z2_factor
         # x^2 generates the same cosets but returns early? no: x^2 has
@@ -235,8 +249,11 @@ class TestAmalgam:
     def test_identification_outside_subgroup(self, z3_factor, z2_factor):
         (h1, w1), (h2, w2) = z3_factor, z2_factor
         spec = GluingSpec(h1, w1, h2, w2, 2)
-        with pytest.raises(GluingInvalid):
-            build_amalgam(spec, [(h1.presentation.word("x"), h2.presentation.word("d d"))])
+        x, d = h1.presentation.word, h2.presentation.word
+        with pytest.raises(GluingInvalid, match="^identification element is not in the left"):
+            build_amalgam(spec, [(x("x"), d("d d"))])
+        with pytest.raises(GluingInvalid, match="^identification image is not in the right"):
+            build_amalgam(spec, [(x("x x x"), d("d"))])
 
 
 def _wiring_cases():
@@ -316,6 +333,21 @@ class TestCoprimeCertificate:
         with pytest.raises(ValueError):
             verify_coprime_certificate(cert, cert.graph, 5)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_power_must_be_positive(self, f2, index3, m):
+        with pytest.raises(ValueError, match="^the power m must be positive$"):
+            verify_coprime_certificate(build_type1(f2, 0, 5), index3, m)
+
+    def test_presentation_mismatch(self, f2):
+        # the index3 subgroup over <a, b | b^2>: it contains a^3, but its
+        # presentation is not the certificate's
+        z2_b = Presentation.parse(["a", "b"], ["b b"])
+        gens = ["a a a", "b", "a b a^-1", "a a b a^-1 a^-1"]
+        other = coset_enumerate(z2_b, [z2_b.word(t) for t in gens])
+        assert other.index() == 3 and other.contains(Word([1, 1, 1]))
+        with pytest.raises(PresentationMismatch):
+            verify_coprime_certificate(build_type1(f2, 0, 5), other, 3)
+
     def test_membership_precondition(self, f2, index3):
         cert = build_type1(f2, 0, 5)
         with pytest.raises(ValueError):
@@ -335,6 +367,26 @@ class TestPrimes:
 
     def test_chain_primes(self):
         assert list(chain_primes(3, 3)) == [(2, 7), (4, 13), (6, 19)]
+        for step in (0, -2):
+            with pytest.raises(ValueError, match="^step must be positive$"):
+                next(chain_primes(step, 3))
+
+    def test_is_prime_agrees_with_a_sieve(self):
+        n = 20_000
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for q in range(2, int(n ** 0.5) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+        assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+        assert sum(sieve) == 2262
+
+    @pytest.mark.parametrize("n", [1373653, 25326001, 3215031751, 2152302898747,
+                                   3474749660383, 341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # each is a strong pseudoprime to every prime base up to some bound,
+        # so only a later witness of the Miller-Rabin loop rejects it
+        assert not is_prime(n)
 
     def test_admissible_primes(self):
         assert [m for _, m in chain_primes(1, 4, 3)] == [3, 5, 7, 11]

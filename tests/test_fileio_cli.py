@@ -67,6 +67,18 @@ class TestPresentationFiles:
         with pytest.raises(ParseError):
             parse_presentation("")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("gens: a\ngens: b\n", 2, "duplicate gens line"),
+        ("gens:\n", 1, "empty generator list"),
+        ("gens: a a\n", 1, "generator names must be pairwise distinct"),
+        ("gens: a\nrel: a a^-1\n", None, "relator reduces to the empty word"),
+    ])
+    def test_error_messages(self, text, line, message):
+        with pytest.raises(ParseError) as e:
+            parse_presentation(text)
+        assert e.value.line == line
+        assert str(e.value) == (message if line is None else f"line {line}: {message}")
+
 
 # Valid names, valid names with a character before or after, and arbitrary text.
 VALID_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)
@@ -154,6 +166,9 @@ class TestGraphFiles:
         ("# comment\n\nvertices: 2  # count\n\n   \nbase: 0\nedge: 0 s1 1.5\n", 7,
          "bad vertex id: '1.5'"),
         ("edge: 0 s1 x\nvertices: 1\nbase: 0\n", 1, "bad vertex id: 'x'"),
+        ("vertices: 0\nbase: 0\n", None, "a based graph needs at least one vertex"),
+        ("vertices: 1\nbase: 1\nedge: 0 s1 0\nedge: 0 s2 0\n", None,
+         "base vertex out of range"),
     ])
     def test_error_messages_carry_line_numbers(self, s3, text, line, message):
         with pytest.raises(ParseError) as e:

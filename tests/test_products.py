@@ -49,17 +49,20 @@ def test_intersection_subgroup_membership(s3):
 
 
 def test_coset_meet_words(h_and_k):
+    """Each word lies in both chosen cosets, and the pairs that get one
+    number [G : H cap K], as many as there are cosets that meet, so every
+    None is right."""
     h, k = h_and_k
     pg = ProductGraph(h, k)
+    met = 0
     for v1 in range(h.index()):
         for v2 in range(k.index()):
             g = coset_meet(pg, v1, v2)
-            if g is None:
-                assert not pg.in_base_component(v1, v2)
-            else:
-                # g lies in both chosen cosets
+            if g is not None:
                 assert h.trace(0, g) == v1
                 assert k.trace(0, g) == v2
+                met += 1
+    assert met == intersect(h, k).index() == 6
 
 
 def test_coset_meet_base_is_identity(h_and_k):
@@ -86,8 +89,7 @@ def test_malnormal_checks_group_order(s3):
 
 def test_component_sizes_partition(h_and_k):
     h, k = h_and_k
-    component = [-1] * (h.index() * k.index())
-    assert sum(size for _, size in products._components(h, k, component)) == len(component)
+    assert sum(products._orbit_sizes(h, k)) == h.index() * k.index()
 
 
 def test_vertices_outside_a_factor_are_rejected(f2):
@@ -96,8 +98,6 @@ def test_vertices_outside_a_factor_are_rejected(f2):
     for v_left, v_right in [(0, 2), (0, -1), (1, -1), (2, 0), (-1, 1)]:
         with pytest.raises(ValueError):
             pg.pair_id(v_left, v_right)
-        with pytest.raises(ValueError):
-            pg.in_base_component(v_left, v_right)
         with pytest.raises(ValueError):
             coset_meet(pg, v_left, v_right)
 
@@ -131,7 +131,8 @@ def _reference_orbit(left, right, start):
 
 
 def _reference_components(left, right):
-    """Component labels and sizes, one reference orbit per component."""
+    """The size of each component keyed by its least pair, in order of that
+    pair, one reference orbit per component."""
     component = [-1] * (left.index() * right.index())
     for p in range(len(component)):
         if component[p] < 0:
@@ -140,7 +141,7 @@ def _reference_components(left, right):
     sizes = {}
     for c in component:
         sizes[c] = sizes.get(c, 0) + 1
-    return tuple(component), sizes
+    return sizes
 
 
 def _reference_meet(left, right):
@@ -163,12 +164,17 @@ def _pool_pairs():
 def test_labels_match_the_reference_bfs():
     pairs = _pool_pairs()
     assert len(pairs) == 6 ** 2 + 28 ** 2
+    every_coset_meets = 0
     for h, k in pairs:
         pg = ProductGraph(h, k)
-        component, sizes = _reference_components(h, k)
-        labels = [-1] * len(component)
-        assert list(products._components(h, k, labels)) == list(sizes.items())
-        assert tuple(labels) == component
+        orbit_sizes = list(products._orbit_sizes(h, k))
+        assert orbit_sizes == list(_reference_components(h, k).values())
+        # the coprimality check's count: the base orbit holds every pair
+        # exactly when it holds every pair (v, 0)
+        base_orbit = set(_reference_orbit(h, k, 0))
+        meets = all(v * k.index() in base_orbit for v in range(h.index()))
+        assert (orbit_sizes[0] == h.index() * k.index()) == meets
+        every_coset_meets += meets
         vertex, meet = _reference_meet(h, k)
         got = intersect(h, k)
         assert got.coset_reps == meet.coset_reps  # builds the Schreier vector
@@ -180,45 +186,40 @@ def test_labels_match_the_reference_bfs():
             p = v1 * k.index() + v2
             expected = meet.coset_reps[vertex[p]] if p in vertex else None
             assert coset_meet(pg, v1, v2) == expected
-        assert_other_call_orders_give_the_references(h, k, component, vertex, meet)
+        assert_a_rejected_pair_walks_nothing(h, k, vertex, meet)
+    assert 100 <= every_coset_meets <= len(pairs) - 100, every_coset_meets
 
 
-def assert_other_call_orders_give_the_references(h, k, component, vertex, meet):
-    """Fresh products of h and k, queried base component first or
-    ``coset_meet`` first, answer as the references do."""
+def assert_a_rejected_pair_walks_nothing(h, k, vertex, meet):
+    """A fresh product of h and k rejects a pair outside it before walking
+    anything, then answers every pair as the references do."""
     every = [(v1, v2) for v1 in range(h.index()) for v2 in range(k.index())]
-    in_base = [c == component[0] for c in component]
     words = [meet.coset_reps[vertex[p]] if p in vertex else None for p in range(len(every))]
-    meet_first, base_first = ProductGraph(h, k), ProductGraph(h, k)
+    pg = ProductGraph(h, k)
     with pytest.raises(ValueError) as raised:
-        coset_meet(meet_first, h.index(), 0)
+        coset_meet(pg, h.index(), 0)
     assert str(raised.value) == f"no vertex pair ({h.index()}, 0) in the product"
-    assert meet_first._label is None and meet_first._meet is None  # nothing walked
-    assert [coset_meet(meet_first, v1, v2) for v1, v2 in every] == words
-    assert [meet_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
-    assert [base_first.in_base_component(v1, v2) for v1, v2 in every] == in_base
-    assert base_first._label == [0 if b else -1 for b in in_base]  # only the base orbit
-    assert base_first._meet is None
-    assert [coset_meet(base_first, v1, v2) for v1, v2 in every] == words
+    assert pg._meet is None  # nothing walked
+    assert [coset_meet(pg, v1, v2) for v1, v2 in every] == words
 
 
 def test_a_product_allocates_nothing_per_pair(f2):
     """Two 2003-vertex certificates have 4,012,009 pairs.  Building their
     product labels none of them, so it allocates no list or tuple of labels,
-    and neither does a base-component query for a pair outside it, which is
-    rejected before anything is walked."""
+    and neither does a ``coset_meet`` for a pair outside it, which is
+    rejected before the meet is built."""
     left, right = build_type1(f2, 0, 2003).graph, build_type1(f2, 0, 2003).graph
     message = r"^no vertex pair \(2003, 0\) in the product$"
     tracemalloc.start()
     try:
         pg = ProductGraph(left, right)
         with pytest.raises(ValueError, match=message):
-            pg.in_base_component(2003, 0)
+            coset_meet(pg, 2003, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert pg._label is None
+    assert pg._meet is None
     assert pg.pair_id(2002, 2002) == 2003 ** 2 - 1
     with pytest.raises(ValueError, match=message):
         pg.pair_id(2003, 0)

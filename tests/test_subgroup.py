@@ -162,6 +162,13 @@ class TestSubgroupCalculus:
             with pytest.raises(ValueError, match="out of range"):
                 sg.trace(start, s3.word("s2"))
 
+    def test_trace_rejects_letters_outside_the_alphabet(self, s3):
+        sg = coset_enumerate(s3, [s3.word("s1")])
+        for w in (Word([5]), Word([1, -3])):
+            with pytest.raises(AlphabetMismatch,
+                               match="^word uses letters outside the alphabet$"):
+                sg.trace(0, w)
+
     def test_membership_reduces_first(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])
         assert sg.contains(s3.word("s2 s2^-1 s1"))

@@ -151,6 +151,16 @@ def test_trace_follows_inverse_edges():
             trace(g, start, Word())
 
 
+def test_trace_rejects_letters_outside_the_alphabet():
+    """As ``SubgroupGraph.trace`` does, not as if an edge were missing."""
+    g = free_subgroup_graph(AB, [AB.parse_word("a")]).graph
+    assert trace(g, 0, Word([1, -1, 1])) == 0
+    assert trace(g, 0, Word([2])) is None
+    for w in (Word([5]), Word([-3]), Word([1, 3]), Word([2, 3])):
+        with pytest.raises(AlphabetMismatch, match="^word uses letters outside the alphabet$"):
+            trace(g, 0, w)
+
+
 def test_fold_identifies_equal_labels():
     # two a-edges out of the base fold to one
     g = XGraph(AB, 3, [(0, 0, 1), (0, 0, 2)])

@@ -10,7 +10,8 @@ per workload and metric, each side's median and quartiles, how many
 pairs the change won and a verdict from the metric's bound, each run's
 ``attempted`` and ``failed`` operation counts, the line count of
 ``src/stallings/*.py`` on each side, in total and for each module whose
-count differs, and a SHA-256 of those files on each side, which names an
+count differs, their code lines (no blank, comment-only or docstring
+lines), and a SHA-256 of those files on each side, which names an
 uncommitted working tree too.  No metric of a workload gets ``gain``
 where the change failed a larger share of its operations than the parent:
 
@@ -26,7 +27,9 @@ interpreter writes no bytecode of its own.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -34,6 +37,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +70,30 @@ def module_lines(checkout: Path) -> dict[str, int]:
 def source_lines(checkout: Path) -> int:
     """The lines of ``src/stallings/*.py`` in ``checkout``, as ``wc -l`` counts them."""
     return sum(module_lines(checkout).values())
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` on which a token other than a comment starts,
+    leaving out docstrings: the first string statement of a module, class or
+    function.  Blank and comment-only lines start no such token."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    return len({tok.start[0] for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type not in layout
+                and not (tok.type == tokenize.STRING and tok.start[0] in docstrings)})
+
+
+def source_code_lines(checkout: Path) -> int:
+    """The code lines of ``src/stallings/*.py`` in ``checkout``, by ``code_lines``."""
+    return sum(code_lines(p.read_text())
+               for p in sorted((checkout / "src" / "stallings").glob("*.py")))
 
 
 def source_sha256(checkout: Path) -> str:
@@ -179,6 +207,7 @@ def main(argv=None) -> int:
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
         src_lines = {"before": source_lines(parent), "after": source_lines(ROOT)}
+        src_code_lines = {"before": source_code_lines(parent), "after": source_code_lines(ROOT)}
         by_module = changed_modules(module_lines(parent), module_lines(ROOT))
         src_sha256 = {"before": source_sha256(parent), "after": source_sha256(ROOT)}
         for checkout in (parent, ROOT):
@@ -219,6 +248,7 @@ def main(argv=None) -> int:
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": args.seeds,
         "src_lines": src_lines,
+        "src_code_lines": src_code_lines,
         "src_lines_by_module": by_module,
         "src_sha256": src_sha256,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
@@ -231,7 +261,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
                   f"{m['unit']}, {m['change_wins']}/{m['pairs']} won: {m['verdict']}",
                   file=sys.stderr)
-    print(f"src/stallings/*.py lines: {src_lines['before']} -> {src_lines['after']}",
+    print(f"src/stallings/*.py lines: {src_lines['before']} -> {src_lines['after']}, "
+          f"code lines: {src_code_lines['before']} -> {src_code_lines['after']}",
           file=sys.stderr)
     for name, lines in by_module.items():
         print(f"  {name}: {lines['before']} -> {lines['after']}", file=sys.stderr)
