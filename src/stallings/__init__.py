@@ -64,7 +64,6 @@ from .enumerator import (
 from .families import (
     GluingSpec,
     OrbitCertificate,
-    build_amalgam,
     build_glued,
     build_parallel_circles,
     build_type1,

@@ -199,18 +199,15 @@ def cmd_gamma(args, pres):
             right_pres.word(args.right_word),
             args.pairs,
         )
-        if args.family == "glued":
-            cert = families.build_glued(spec)
-        else:
-            pairs = []
-            for ident in args.identify or []:
-                if "=" not in ident:
-                    raise ParseError(f"bad identification (want d=psi): {ident!r}")
-                d_text, psi_text = ident.split("=", 1)
-                pairs.append((left_pres.word(d_text), right_pres.word(psi_text)))
-            cert = families.build_amalgam(spec, pairs)
+        pairs = []
+        for ident in (args.identify or []) if args.family == "amalgam" else []:
+            if "=" not in ident:
+                raise ParseError(f"bad identification (want d=psi): {ident!r}")
+            d_text, psi_text = ident.split("=", 1)
+            pairs.append((left_pres.word(d_text), right_pres.word(psi_text)))
+        cert = families.build_glued(spec, pairs)
     _emit(args, cert.graph, f"vertices: {cert.vertex_count}",
-          f"word: {cert.presentation().alphabet.format_word(cert.word)}",
+          f"word: {cert.graph.presentation.alphabet.format_word(cert.word)}",
           f"prime: {'yes' if families.is_prime(cert.vertex_count) else 'no'}")
     return EXIT_OK
 

@@ -6,8 +6,9 @@ witnesses that every coset of any subgroup containing a power of the word
 coprime to p meets the graph's subgroup; the certificate records the graph,
 the word and the verified checks.
 
-Type 2, glued and amalgam graphs are chains of circles or factor graphs
-glued at single vertices; the one chain builder, ``_chain``, builds them all.
+Type 2 and glued graphs are chains of circles or factor graphs glued at
+single vertices, all built by ``_chain``; a glued chain lives over the
+factors' amalgamated product, which is free without identifications.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class OrbitCertificate:
     word: Word
     vertex_count: int
     orbit: tuple[int, ...]
-
-    def presentation(self) -> Presentation:
-        return self.graph.presentation
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def extend_with_loops(
     presentation, which covers free, direct and semidirect product relator
     shapes; reachability is re-checked.
     """
-    old = cert.presentation()
+    old = cert.graph.presentation
     alphabet = (merge_alphabets(old.alphabet, Alphabet(extra_letters)) if extra_letters
                 else old.alphabet)
     presentation = Presentation(alphabet, list(old.relators) + list(new_relators))
@@ -184,18 +182,37 @@ def extend_with_loops(
     return certify(SubgroupGraph(presentation, forward), cert.word)
 
 
-def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
+def build_glued(spec: GluingSpec,
+                identifications: Sequence[tuple[Word, Word]] = ()) -> OrbitCertificate:
+    """Chain copies of the two factor graphs, glued at single vertices, over
+    the amalgamated product of the factor presentations.
+
+    Each identification (d, psi(d)) adds the relator d * psi(d)^-1 and must
+    lie in the respective factor subgroup, so that both sides trace as loops
+    at every vertex of the chain; a relator that reduces to the identity is
+    skipped.  With none, the product is free: the amalgam over the trivial
+    subgroup.  The result has (n1+n2-2)*pair_count + 1 vertices and is swept
+    by powers of the concatenated words; when the vertex count is prime it
+    witnesses the contractibility hypotheses for the product.
+    """
     left, right = spec.left, spec.right
+    offset = len(left.presentation.alphabet)
+    extra = []
+    for (d, psi_d) in identifications:
+        if not left.contains(d):
+            raise GluingInvalid("identification element is not in the left factor subgroup")
+        if not right.contains(psi_d):
+            raise GluingInvalid("identification image is not in the right factor subgroup")
+        extra.append(free_reduce(d * shift_word(psi_d, offset).inverse()))
     if left.index() < 2 or right.index() < 2:
         raise GluingInvalid("factor subgroups must be proper")
     for sg, w, side in ((left, spec.left_word, "left"), (right, spec.right_word, "right")):
         _orbit(sg, w, f"powers of the {side} word are not a full set of coset "
                       f"representatives of the {side} factor")
     alphabet = merge_alphabets(left.presentation.alphabet, right.presentation.alphabet)
-    offset = len(left.presentation.alphabet)
     relators = list(left.presentation.relators)
     relators += [shift_word(r, offset) for r in right.presentation.relators]
-    relators += list(extra_relators)
+    relators += [r for r in extra if r]
     presentation = Presentation(alphabet, relators)
 
     links = []  # a copy of each factor, glued on at its base's w-translate
@@ -203,44 +220,8 @@ def _assemble_glued(spec: GluingSpec, extra_relators: Sequence[Word] = ()):
         cols = {li + shift: col for li, col in enumerate(sg.coset_table().permutations)}
         links.append((cols, sg.trace(sg.base, w)))
     forward = _chain(len(alphabet), links, spec.pair_count)
-    w = free_reduce(spec.left_word) * shift_word(free_reduce(spec.right_word), offset)
-    return SubgroupGraph(presentation, forward), w
-
-
-def build_glued(spec: GluingSpec) -> OrbitCertificate:
-    """Chain copies of the two factor graphs, glued at single vertices, over
-    the free product of the factor presentations.
-
-    The result has (n1+n2-2)*pair_count + 1 vertices and is swept by powers
-    of the concatenated words; when the vertex count is prime it witnesses
-    the contractibility hypotheses for the free product.
-    """
-    return certify(*_assemble_glued(spec))
-
-
-def build_amalgam(
-    spec: GluingSpec,
-    identifications: Sequence[tuple[Word, Word]] = (),
-) -> OrbitCertificate:
-    """The glued chain with amalgamation relators d * psi(d)^-1 added.
-
-    Each pair (d, psi(d)) must lie in the respective factor subgroup, so
-    that both sides trace as loops at every vertex of the chain; a relator
-    that reduces to the identity adds no relation and is skipped.
-    """
-    offset = len(spec.left.presentation.alphabet)
-    extra = []
-    for (d, psi_d) in identifications:
-        if not spec.left.contains(d):
-            raise GluingInvalid(
-                "identification element is not in the left factor subgroup"
-            )
-        if not spec.right.contains(psi_d):
-            raise GluingInvalid(
-                "identification image is not in the right factor subgroup"
-            )
-        extra.append(free_reduce(d * shift_word(psi_d, offset).inverse()))
-    return certify(*_assemble_glued(spec, [r for r in extra if r]))
+    w = spec.left_word * shift_word(spec.right_word, offset)
+    return certify(SubgroupGraph(presentation, forward), w)
 
 
 def verify_coprime_certificate(

@@ -228,7 +228,7 @@ class SubgroupGraph:
         table = self._table
         v = start
         try:
-            for lt in free_reduce(w).letters:
+            for lt in w.letters:
                 v = table[lt][v]
         except KeyError:
             raise AlphabetMismatch("word uses letters outside the alphabet") from None
@@ -237,7 +237,7 @@ class SubgroupGraph:
     def _step(self, w: Word) -> list[int]:
         """The map v -> ``trace(v, w)``: one step of a sweep by powers of w."""
         try:
-            return _action(self._table, free_reduce(w).letters)
+            return _action(self._table, w.letters)
         except KeyError:
             raise AlphabetMismatch("word uses letters outside the alphabet") from None
 
@@ -528,7 +528,7 @@ def coset_enumerate(
     if type(max_cosets) is not int or max_cosets < 1:
         raise ValueError(f"max_cosets must be a positive integer, not {max_cosets!r}")
     for w in subgens:
-        if free_reduce(w).max_index() >= len(presentation.alphabet):
+        if w.max_index() >= len(presentation.alphabet):
             raise AlphabetMismatch("subgroup generator outside the alphabet")
     enum = _Enumeration(presentation)
     enum.run(subgens, max_cosets)

@@ -226,11 +226,11 @@ class Presentation:
         self.alphabet = alphabet
         reduced = []
         for r in relators:
+            if r.max_index() >= len(alphabet):
+                raise AlphabetMismatch("relator uses letters outside the alphabet")
             rr = free_reduce(r)
             if rr.is_identity():
                 raise ValueError("relator reduces to the empty word")
-            if rr.max_index() >= len(alphabet):
-                raise AlphabetMismatch("relator uses letters outside the alphabet")
             reduced.append(rr)
         self.relators = tuple(reduced)
         self._layout = None

@@ -229,10 +229,9 @@ def core(g: BasedXGraph) -> BasedXGraph:
     arcs = g.graph._arc_list()
     deg = {v: len(arcs[v]) for v in alive}
     stack = [v for v in alive if v != g.base and deg[v] <= 1]
+    # pushed once, at degree 1: the alive set stays connected, so only the base can drop to 0
     while stack:
         v = stack.pop()
-        if v not in alive:
-            continue
         alive.remove(v)
         for _, w in arcs[v]:
             if w in alive:
@@ -378,11 +377,11 @@ def wedge_of_words(alphabet: Alphabet, generators: Sequence[Word]) -> BasedXGrap
     edges = []
     n = 1
     for w in generators:
+        if w.max_index() >= len(alphabet):
+            raise AlphabetMismatch("generator uses letters outside the alphabet")
         w = free_reduce(w)
         if w.is_identity():
             continue
-        if w.max_index() >= len(alphabet):
-            raise AlphabetMismatch("generator uses letters outside the alphabet")
         path = [0, *range(n, n + len(w) - 1), 0]
         n += len(w) - 1
         edges += [(u, lt - 1, v) if lt > 0 else (v, -lt - 1, u)

@@ -204,7 +204,7 @@ def test_criterion_7_certificate_catalog():
             g = cert.graph
             assert cert.vertex_count == p, name
             assert regular(g.graph.graph), name
-            assert fulfills(g.graph.graph, cert.presentation()), name
+            assert fulfills(g.graph.graph, cert.graph.presentation), name
             ok, orbit = graph_sweep(g.graph, cert.word)
             assert ok, name
             # coset-representative property: powers of w are pairwise
@@ -230,7 +230,7 @@ def test_criterion_8_glued_13_vertex(delta333):
     assert cert.vertex_count == 13
     assert is_prime(cert.vertex_count)
     assert regular(cert.graph.graph.graph)
-    assert fulfills(cert.graph.graph.graph, cert.presentation())
+    assert fulfills(cert.graph.graph.graph, cert.graph.presentation)
     ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok and sorted(orbit) == list(range(13))
 

@@ -85,6 +85,7 @@ def test_code_lines_leave_out_blank_lines_comments_and_docstrings(tmp_path):
     (package / "b.py").write_text("z = 3")
     (tmp_path / "src" / "other.py").write_text("w = 4\n")
     assert bench_record.source_code_lines(tmp_path) == 6
+    assert bench_record.module_code_lines(tmp_path) == {"a.py": 5, "b.py": 1}
     assert bench_record.source_lines(tmp_path) == 15  # as wc -l counts, b.py has none
 
 
@@ -104,6 +105,22 @@ def test_changed_modules_list_only_the_counts_that_differ(tmp_path):
         "new.py": {"before": 0, "after": 3},
     }
 
+
+def test_line_counts_record_code_lines_by_module(tmp_path):
+    """A docstring turned into a statement keeps the line count and adds a code line."""
+    after = MODULE.replace('"""A class docstring."""', 'doc = "A class docstring."')
+    for side, text in (("before", MODULE), ("after", after)):
+        package = tmp_path / side / "src" / "stallings"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(text)
+        (package / "b.py").write_text("z = 3\n")
+    counts = bench_record.line_counts(tmp_path / "before", tmp_path / "after")
+    assert counts == {
+        "src_lines": {"before": 16, "after": 16},
+        "src_code_lines": {"before": 6, "after": 7},
+        "src_lines_by_module": {},
+        "src_code_lines_by_module": {"a.py": {"before": 5, "after": 6}},
+    }
 
 
 def test_source_sha256_covers_the_package_modules_in_name_order(tmp_path):

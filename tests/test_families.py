@@ -11,7 +11,6 @@ from stallings import (
     Presentation,
     PresentationMismatch,
     Word,
-    build_amalgam,
     build_glued,
     build_parallel_circles,
     build_type1,
@@ -36,7 +35,7 @@ from test_xgraph import regular
 def check_certificate(cert):
     g = cert.graph.graph.graph
     assert regular(g)
-    assert fulfills(g, cert.presentation())
+    assert fulfills(g, cert.graph.presentation)
     ok, orbit = graph_sweep(cert.graph.graph, cert.word)
     assert ok
     assert len(set(orbit)) == cert.vertex_count
@@ -127,7 +126,7 @@ class TestExtendWithLoops:
         cert = build_type1(free_presentation(["a"]), 0, 5)
         extended = extend_with_loops(cert, ["b"])
         assert extended.vertex_count == 5
-        assert len(extended.presentation().alphabet) == 2
+        assert len(extended.graph.presentation.alphabet) == 2
         check_certificate(extended)
 
     def test_direct_product_relator(self):
@@ -148,13 +147,13 @@ class TestExtendWithLoops:
         same = extend_with_loops(cert, [])
         assert same.graph._table == cert.graph._table
         assert (same.word, same.vertex_count) == (cert.word, cert.vertex_count)
-        assert same.presentation().alphabet == cert.presentation().alphabet
+        assert same.graph.presentation.alphabet == cert.graph.presentation.alphabet
 
     def test_relator_without_extra_letters_rejected(self):
         cert = build_type1(free_presentation(["a"]), 0, 5)
         # a a advances the circle twice
         with pytest.raises(FulfillmentFailed):
-            extend_with_loops(cert, [], [cert.presentation().word("a a")])
+            extend_with_loops(cert, [], [cert.graph.presentation.word("a a")])
 
     def test_moving_relator_rejected(self):
         cert = build_type1(free_presentation(["a"]), 0, 5)
@@ -222,16 +221,22 @@ class TestGlued:
 
 
 class TestAmalgam:
-    def test_empty_identifications_match_glued(self, z3_factor, z2_factor):
-        (h1, w1), (h2, w2) = z3_factor, z2_factor
-        spec = GluingSpec(h1, w1, h2, w2, 4)
-        assert build_amalgam(spec, []).graph.graph == build_glued(spec).graph.graph
+    def test_empty_identifications_match_glued(self):
+        # the free product Z4 * Z4: the factor relators and no others
+        pa = Presentation.parse(["a"], ["a a a a"])
+        pb = Presentation.parse(["b"], ["b b b b"])
+        ha = coset_enumerate(pa, [pa.word("a a")])
+        hb = coset_enumerate(pb, [pb.word("b b")])
+        spec = GluingSpec(ha, pa.word("a"), hb, pb.word("b"), 2)
+        cert = build_glued(spec, [])
+        assert cert.graph.graph == build_glued(spec).graph.graph
+        assert cert.graph.presentation.relators == (Word([1] * 4), Word([2] * 4))
 
     def test_identity_identified_with_itself_matches_glued(self, z3_factor, z2_factor):
         # the identity lies in both factor subgroups and adds no relation
         (h1, w1), (h2, w2) = z3_factor, z2_factor
         spec = GluingSpec(h1, w1, h2, w2, 4)
-        assert build_amalgam(spec, [(Word(), Word())]).graph.graph == build_glued(spec).graph.graph
+        assert build_glued(spec, [(Word(), Word())]).graph.graph == build_glued(spec).graph.graph
 
     def test_z4_amalgam_over_z2(self):
         pa = Presentation.parse(["a"], ["a a a a"])
@@ -239,11 +244,11 @@ class TestAmalgam:
         ha = coset_enumerate(pa, [pa.word("a a")])
         hb = coset_enumerate(pb, [pb.word("b b")])
         spec = GluingSpec(ha, pa.word("a"), hb, pb.word("b"), 2)
-        cert = build_amalgam(spec, [(pa.word("a a"), pb.word("b b"))])
+        cert = build_glued(spec, [(pa.word("a a"), pb.word("b b"))])
         assert cert.vertex_count == 5
         check_certificate(cert)
         assert any(
-            r == pa.word("a a") * Word([-2, -2]) for r in cert.presentation().relators
+            r == pa.word("a a") * Word([-2, -2]) for r in cert.graph.presentation.relators
         )
 
     def test_identification_outside_subgroup(self, z3_factor, z2_factor):
@@ -251,9 +256,9 @@ class TestAmalgam:
         spec = GluingSpec(h1, w1, h2, w2, 2)
         x, d = h1.presentation.word, h2.presentation.word
         with pytest.raises(GluingInvalid, match="^identification element is not in the left"):
-            build_amalgam(spec, [(x("x"), d("d d"))])
+            build_glued(spec, [(x("x"), d("d d"))])
         with pytest.raises(GluingInvalid, match="^identification image is not in the right"):
-            build_amalgam(spec, [(x("x x x"), d("d"))])
+            build_glued(spec, [(x("x x x"), d("d"))])
 
 
 def _wiring_cases():
@@ -279,7 +284,7 @@ def _wiring_cases():
         # x^2 and d^2 glue each next copy on at factor vertex 2, not 1
         "glued-z3-z5-squares": lambda: build_glued(
             GluingSpec(h1, za.word("x x"), h5, zd.word("d d"), 2)),
-        "amalgam-z4-z4": lambda: build_amalgam(amalgam, [(pa.word("a a"), pb.word("b b"))]),
+        "amalgam-z4-z4": lambda: build_glued(amalgam, [(pa.word("a a"), pb.word("b b"))]),
     }
 
 
@@ -460,7 +465,7 @@ def test_sweep_matches_the_trace_per_vertex_reference():
 
 def test_a_foreign_letter_is_an_alphabet_mismatch(f2):
     sg = build_type1(f2, 0, 5).graph
-    for w in (Word([3]), Word([1, -3]), Word([-3, 2, 2])):
+    for w in (Word([3]), Word([1, -3]), Word([-3, 2, 2]), Word([1, 3, -3])):
         with pytest.raises(AlphabetMismatch, match="^word uses letters outside the alphabet$"):
             certify(sg, w)
 

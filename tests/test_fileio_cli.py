@@ -14,7 +14,6 @@ from stallings import (
     SubgroupGraph,
     Word,
     XGraph,
-    build_amalgam,
     build_glued,
     build_parallel_circles,
     build_type1,
@@ -369,9 +368,37 @@ class TestCli:
         assert main(argv + ["--identify", "a a=b b"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("vertices: 5\nword: a b\nprime: yes\nvertices: 5\n")
-        assert main(argv + ["--identify", "a a"]) == 2
+        for ident in ("a a", "aa"):
+            assert main(argv + ["--identify", ident]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: bad identification (want d=psi): {ident!r}\n"
+
+    def test_gamma_glued_ignores_identify(self, factors, capsys):
+        # every family ignores the options it does not take
+        f = factors
+        argv = ["-p", f["zx_pres"], "gamma", "glued",
+                "--left-pres", f["zx_pres"], "--left-graph", f["z3_graph"], "--left-word", "x",
+                "--right-pres", f["zd_pres"], "--right-graph", f["z2_graph"],
+                "--right-word", "d", "--pairs", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        for ident in ("x=d", "aa"):
+            assert main(argv + ["--identify", ident]) == 0
+            assert capsys.readouterr() == plain
+
+    def test_gamma_amalgam_checks_identifications_first(self, factors, tmp_path, capsys):
+        # x is outside the left factor subgroup and the right factor is improper
+        whole = tmp_path / "whole.graph"
+        whole.write_text("vertices: 1\nbase: 0\nedge: 0 d 0\n")
+        f = factors
+        assert main(["-p", f["zx_pres"], "gamma", "amalgam",
+                     "--left-pres", f["zx_pres"], "--left-graph", f["z3_graph"],
+                     "--left-word", "x", "--right-pres", f["zd_pres"],
+                     "--right-graph", str(whole), "--right-word", "d", "--pairs", "2",
+                     "--identify", "x=d"]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: bad identification (want d=psi): 'a a'\n"
+        assert out == "" and err == (
+            "error: identification element is not in the left factor subgroup\n")
 
     def test_usage_errors(self, tmp_path, s3_file):
         assert main(["-p", str(tmp_path / "nope.pres"), "enumerate",
@@ -413,7 +440,7 @@ S3_SHUFFLED_GRAPH = "vertices: 6\nbase: 4\n" + "".join(
 
 def _certificate(cert):
     """What ``gamma`` prints before the graph, and the graph."""
-    alphabet = cert.presentation().alphabet
+    alphabet = cert.graph.presentation.alphabet
     header = (f"vertices: {cert.vertex_count}\nword: {alphabet.format_word(cert.word)}\n"
               f"prime: {'yes' if is_prime(cert.vertex_count) else 'no'}\n")
     return header, [cert.graph]
@@ -440,7 +467,7 @@ def _glued(f):
 def _amalgam(f):
     spec = GluingSpec(f["ha_graph"], f["pa_pres"].word("a"),
                       f["hb_graph"], f["pb_pres"].word("b"), 2)
-    return build_amalgam(spec, [(f["pa_pres"].word("a a"), f["pb_pres"].word("b b"))])
+    return build_glued(spec, [(f["pa_pres"].word("a a"), f["pb_pres"].word("b b"))])
 
 
 GLUED = ["--left-pres", "zx_pres", "--left-graph", "z3_graph", "--left-word", "x",

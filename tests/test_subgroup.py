@@ -143,8 +143,10 @@ class TestCosetEnumeration:
         assert a.coset_reps == b.coset_reps
 
     def test_foreign_generator_rejected(self, s3):
-        with pytest.raises(AlphabetMismatch):
-            coset_enumerate(s3, [Word([5])])
+        # checked as given, before the enumeration: foreign letters that cancel too
+        for w in (Word([5]), Word([5, -5]), Word([1, 3, -3])):
+            with pytest.raises(AlphabetMismatch, match="^subgroup generator outside the alphabet$"):
+                coset_enumerate(s3, [w])
 
 
 class TestSubgroupCalculus:
@@ -163,11 +165,23 @@ class TestSubgroupCalculus:
                 sg.trace(start, s3.word("s2"))
 
     def test_trace_rejects_letters_outside_the_alphabet(self, s3):
+        # a word is checked as given: foreign letters that cancel are foreign too
         sg = coset_enumerate(s3, [s3.word("s1")])
-        for w in (Word([5]), Word([1, -3])):
-            with pytest.raises(AlphabetMismatch,
-                               match="^word uses letters outside the alphabet$"):
-                sg.trace(0, w)
+        for w in (Word([5]), Word([1, -3]), Word([5, -5]), Word([1, 2, 5, -5])):
+            for check in (lambda w: sg.trace(0, w), sg.contains, sg._step):
+                with pytest.raises(AlphabetMismatch,
+                                   match="^word uses letters outside the alphabet$"):
+                    check(w)
+
+    def test_trace_ends_where_the_reduced_word_ends(self, s3):
+        # each column pair is a permutation and its inverse
+        rng = random.Random(3030)
+        sg = coset_enumerate(s3, [s3.word("s1")])
+        for _ in range(500):
+            w = Word(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 12)))
+            assert sg._step(w) == sg._step(free_reduce(w)), w
+            for v in range(sg.index()):
+                assert sg.trace(v, w) == sg.trace(v, free_reduce(w)), (v, w)
 
     def test_membership_reduces_first(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])

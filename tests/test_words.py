@@ -169,8 +169,11 @@ class TestPresentation:
             Presentation.parse(["a"], ["a a^-1"])
 
     def test_foreign_relator_rejected(self):
-        with pytest.raises(AlphabetMismatch):
-            Presentation(Alphabet(["a"]), [Word([2])])
+        # checked as given: a foreign relator that cancels is foreign, not empty
+        for r in (Word([2]), Word([2, -2]), Word([1, 2, -2])):
+            with pytest.raises(AlphabetMismatch,
+                               match="^relator uses letters outside the alphabet$"):
+                Presentation(Alphabet(["a"]), [r])
 
     def test_equality_and_repr(self):
         p = Presentation.parse(["a", "b"], ["a a"])

@@ -273,6 +273,11 @@ def test_bouquet_and_wedge():
     w = wedge_of_words(AB, [AB.parse_word("a b a^-1")])
     assert w.vertex_count == 3
     assert trace(w.graph, 0, AB.parse_word("a b a^-1")) == 0
+    # a generator is checked as given, so foreign letters that cancel are rejected
+    for gens in ([Word([3, -3])], [Word([1]), Word([1, 3, -3, 2])]):
+        with pytest.raises(AlphabetMismatch,
+                           match="^generator uses letters outside the alphabet$"):
+            wedge_of_words(AB, gens)
 
 
 def test_free_subgroup_graph_is_canonical_core():
@@ -483,11 +488,11 @@ def reference_wedge(alphabet, generators):
     edges = []
     n = 1
     for w in generators:
+        if w.max_index() >= len(alphabet):
+            raise AlphabetMismatch("generator uses letters outside the alphabet")
         w = free_reduce(w)
         if w.is_identity():
             continue
-        if w.max_index() >= len(alphabet):
-            raise AlphabetMismatch("generator uses letters outside the alphabet")
         prev = 0
         for i, lt in enumerate(w):
             nxt = 0 if i == len(w) - 1 else n
@@ -572,10 +577,11 @@ ALPHABETS = [Alphabet(["a"]), AB, Alphabet(["a", "b", "c"])]
 
 def random_words(rng, k, foreign=0.1):
     """Up to five words over k letters, and at a ``foreign`` share of the
-    draws one letter more: some empty, some of one letter, some cancelling."""
+    draws one letter more and its inverse: some empty, some of one letter,
+    some cancelling."""
     letters = [s * i for i in range(1, k + 1) for s in (1, -1)]
     if rng.random() < foreign:
-        letters.append(k + 1)
+        letters += [k + 1, -(k + 1)]
     lengths = [0, 1, 1, 2, 3, 5, 8, 13, 40]
     return [Word(rng.choice(letters) for _ in range(rng.choice(lengths)))
             for _ in range(rng.randint(0, 5))]

@@ -9,9 +9,9 @@ from one pair to the next.  Writes the machine (CPU model,
 per workload and metric, each side's median and quartiles, how many
 pairs the change won and a verdict from the metric's bound, each run's
 ``attempted`` and ``failed`` operation counts, the line count of
-``src/stallings/*.py`` on each side, in total and for each module whose
-count differs, their code lines (no blank, comment-only or docstring
-lines), and a SHA-256 of those files on each side, which names an
+``src/stallings/*.py`` on each side and their code lines (no blank,
+comment-only or docstring lines), each in total and for each module whose
+count differs, and a SHA-256 of those files on each side, which names an
 uncommitted working tree too.  No metric of a workload gets ``gain``
 where the change failed a larger share of its operations than the parent:
 
@@ -90,10 +90,28 @@ def code_lines(source: str) -> int:
                 and not (tok.type == tokenize.STRING and tok.start[0] in docstrings)})
 
 
+def module_code_lines(checkout: Path) -> dict[str, int]:
+    """Per file of ``src/stallings/*.py`` in ``checkout``, its code lines by ``code_lines``."""
+    return {p.name: code_lines(p.read_text())
+            for p in sorted((checkout / "src" / "stallings").glob("*.py"))}
+
+
 def source_code_lines(checkout: Path) -> int:
     """The code lines of ``src/stallings/*.py`` in ``checkout``, by ``code_lines``."""
-    return sum(code_lines(p.read_text())
-               for p in sorted((checkout / "src" / "stallings").glob("*.py")))
+    return sum(module_code_lines(checkout).values())
+
+
+def line_counts(parent: Path, change: Path) -> dict:
+    """The record's line counts: each side's lines and code lines of
+    ``src/stallings/*.py`` in total, and each module's where they differ."""
+    return {
+        "src_lines": {"before": source_lines(parent), "after": source_lines(change)},
+        "src_code_lines": {"before": source_code_lines(parent),
+                           "after": source_code_lines(change)},
+        "src_lines_by_module": changed_modules(module_lines(parent), module_lines(change)),
+        "src_code_lines_by_module": changed_modules(module_code_lines(parent),
+                                                    module_code_lines(change)),
+    }
 
 
 def source_sha256(checkout: Path) -> str:
@@ -206,9 +224,7 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "tree"
         if not same_benchmark(parent):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
-        src_lines = {"before": source_lines(parent), "after": source_lines(ROOT)}
-        src_code_lines = {"before": source_code_lines(parent), "after": source_code_lines(ROOT)}
-        by_module = changed_modules(module_lines(parent), module_lines(ROOT))
+        counts = line_counts(parent, ROOT)
         src_sha256 = {"before": source_sha256(parent), "after": source_sha256(ROOT)}
         for checkout in (parent, ROOT):
             compile_tree(checkout)
@@ -247,9 +263,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "seeds": args.seeds,
-        "src_lines": src_lines,
-        "src_code_lines": src_code_lines,
-        "src_lines_by_module": by_module,
+        **counts,
         "src_sha256": src_sha256,
         "order": "alternated: the parent runs first on the 1st, 3rd, ... seed",
         "workloads": workloads,
@@ -261,11 +275,13 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['before']['median']:.4g} -> {m['after']['median']:.4g} "
                   f"{m['unit']}, {m['change_wins']}/{m['pairs']} won: {m['verdict']}",
                   file=sys.stderr)
+    src_lines, src_code_lines = counts["src_lines"], counts["src_code_lines"]
     print(f"src/stallings/*.py lines: {src_lines['before']} -> {src_lines['after']}, "
           f"code lines: {src_code_lines['before']} -> {src_code_lines['after']}",
           file=sys.stderr)
-    for name, lines in by_module.items():
-        print(f"  {name}: {lines['before']} -> {lines['after']}", file=sys.stderr)
+    for key, suffix in (("src_lines_by_module", ""), ("src_code_lines_by_module", " code lines")):
+        for name, lines in counts[key].items():
+            print(f"  {name}{suffix}: {lines['before']} -> {lines['after']}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
