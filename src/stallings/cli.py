@@ -3,7 +3,7 @@
 ``main`` loads the ``-p`` presentation, then each subgroup graph file a
 handler takes, in order.  Answers go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 computed negative answer, 2 usage or parse
-error, 3 budget exceeded, which includes running out of memory.
+error, 3 budget exceeded or a ``MemoryError`` that reaches Python.
 """
 
 from __future__ import annotations

@@ -230,14 +230,15 @@ def verify_coprime_certificate(
     """Check the coprimality theorem instance: every coset of ``other``
     meets the certificate subgroup.
 
-    Requires w^m in the other subgroup and gcd(m, p) = 1.  With H the
-    certificate subgroup and K the other, of index n, the product's base orbit
-    holds [G : H cap K] = p [H : H cap K] pairs, n p iff every coset of K meets
+    Requires w^m in the other subgroup and gcd(m, p) = 1, with p the
+    index of the certificate's graph.  With H the certificate subgroup and
+    K the other, of index n, the product's base orbit holds
+    [G : H cap K] = p [H : H cap K] pairs, n p iff every coset of K meets
     H.  A False return on valid inputs indicates an implementation bug.
     """
     if m <= 0:
         raise ValueError("the power m must be positive")
-    p = cert.vertex_count
+    p = cert.graph.index()
     if gcd(m, p) != 1:
         raise ValueError(f"m = {m} and p = {p} are not coprime")
     if not other.contains(cert.word ** m):

@@ -61,17 +61,6 @@ class XGraph:
     def _ends(self, v: int, col: int) -> list[int]:
         return [t for c, t in self._arc_list()[v] if c == col]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, XGraph)
-            and self.alphabet == other.alphabet
-            and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.vertex_count, self.edges))
-
     def __repr__(self) -> str:
         return f"XGraph({self.vertex_count} vertices, {len(self.edges)} edges)"
 

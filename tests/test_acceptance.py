@@ -34,8 +34,9 @@ from stallings import (
     trace,
     verify_coprime_certificate,
 )
+from stallings.products import _orbit_sizes
 from test_families import graph_sweep
-from test_xgraph import regular
+from test_xgraph import held, regular
 
 
 def class_counts(presentation, n_max, mode):
@@ -68,7 +69,7 @@ def test_criterion_2_d3_catalog(d3):
     assert sg.contains(d3.word("a"))
     assert sg.contains(d3.word("a a"))
     assert not sg.contains(d3.word("b"))
-    assert sg.graph == coset_enumerate(d3, [d3.word("a")]).graph
+    assert sg.coset_table() == coset_enumerate(d3, [d3.word("a")]).coset_table()
 
 
 def test_criterion_3_free_basis():
@@ -90,7 +91,7 @@ def test_criterion_3_free_basis():
         assert trace(graph.graph, graph.base, w) == graph.base
     for w in reference:
         assert trace(other.graph, other.base, w) == other.base
-    assert other == graph
+    assert held(other) == held(graph)
 
 
 def test_criterion_4_delta333_intersection(delta333):
@@ -266,6 +267,71 @@ def test_criterion_9_coprimality_theorem():
         assert verify_coprime_certificate(cert, other, m), (name, p, m)
         checked += 1
     assert checked == 100
+
+
+def _z4_chain(pair_count, identifications=()):
+    """The chain of <a | a^4> and <b | b^4> over <a^2> and <b^2>: the free
+    product, or with (a^2, b^2) the amalgam over Z2."""
+    pa = Presentation.parse(["a"], ["a a a a"])
+    pb = Presentation.parse(["b"], ["b b b b"])
+    spec = GluingSpec(coset_enumerate(pa, [pa.word("a a")]), pa.word("a"),
+                      coset_enumerate(pb, [pb.word("b b")]), pb.word("b"), pair_count)
+    return build_glued(spec, [(pa.word(d), pb.word(e)) for d, e in identifications])
+
+
+def test_coprimality_lemma_on_every_small_index_subgroup():
+    """The lemma behind the certificates: if the powers of w sweep the p
+    vertices of H's graph, p is prime, w^m lies in K and gcd(m, p) = 1, then
+    every coset of K meets H, so [G : H cap K] = p [G : K].  Checked against
+    every based subgroup K of small index, with m the length of w's cycle
+    through K's base; the base orbit the check counts is the intersection's
+    index on every instance, and where p divides m the product can fall
+    short."""
+    families = {
+        "free": ([build_type1(FREE2, 0, p) for p in (3, 5, 7)], 5),
+        "free abelian": ([build_parallel_circles(ZXZ, p) for p in (3, 5, 7)], 6),
+        "baumslag-solitar": ([build_type1(BS23, 0, p) for p in (3, 5, 7)], 5),
+        "cyclic free product":
+            ([build_type2(Z2_FREE_Z3, 0, 2, 1, 3, c) for c in (2, 4)], 8),
+        "right-angled coxeter":
+            ([build_type2(RACG4, 0, 2, 1, 2, c) for c in (1, 2, 3)], 4),
+        "braid": ([build_parallel_circles(B3, p) for p in (3, 5, 7)], 6),
+        "glued": ([_z4_chain(c) for c in (1, 2, 3)], 6),
+        "amalgam": ([_z4_chain(c, [("a a", "b b")]) for c in (1, 2, 3)], 6),
+    }
+    tally = {}
+    for name, (certs, max_index) in families.items():
+        presentation = certs[0].graph.presentation
+        subgroups = [k for n in range(1, max_index + 1)
+                     for k in enumerate_graphs(EnumerationTask(presentation, n))]
+        counts = tally[name] = [len(subgroups), 0, 0, 0]
+        for cert in certs:
+            p = cert.vertex_count
+            for k in subgroups:
+                m, v = 1, k.trace(0, cert.word)
+                while v != 0:
+                    m, v = m + 1, k.trace(v, cert.word)
+                meet = intersect(cert.graph, k).index()
+                assert next(_orbit_sizes(k, cert.graph)) == meet, (name, p, m)
+                if gcd(m, p) == 1:
+                    assert verify_coprime_certificate(cert, k, m), (name, p, m)
+                    assert meet == p * k.index(), (name, p, m)
+                    counts[1] += 1
+                else:
+                    counts[2] += 1
+                    counts[3] += meet != p * k.index()
+    # per family: subgroups, instances the lemma covers, instances where p
+    # divides m, and of those the ones where some coset of K misses H
+    assert tally == {
+        "free": [549, 1413, 234, 2],
+        "free abelian": [33, 82, 17, 5],
+        "baumslag-solitar": [10, 28, 2, 2],
+        "cyclic free product": [123, 225, 21, 14],
+        "right-angled coxeter": [70, 207, 3, 3],
+        "braid": [43, 105, 24, 9],
+        "glued": [456, 1102, 266, 51],
+        "amalgam": [26, 63, 15, 15],
+    }
 
 
 # --- independent finite-group oracle ----------------------------------------

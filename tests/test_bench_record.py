@@ -1,8 +1,9 @@
-"""The verdict ``tools/bench_record.py`` gives a metric from ten pairs, and
-the source line counts and digest it records."""
+"""The verdict ``tools/bench_record.py`` gives a metric from ten pairs, the
+source line counts and digest it records, and the two exports it runs."""
 
 import hashlib
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -163,3 +164,42 @@ def test_no_gain_where_the_change_fails_a_larger_share():
     assert bench_record.failed_share(failing, "before") == 0
     assert bench_record.summarize(failing, SPECS)["wall_s"]["verdict"] == "within bound"
     assert bench_record.summarize(_pairs(1.30, 1), SPECS)["wall_s"]["verdict"] == "worse"
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+                           *args], cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_both_sides_are_exported_alike(tmp_path, monkeypatch):
+    """The working tree is exported as the parent is, from a tree object
+    staged through a scratch index: an edited file and an untracked module
+    are in it, ignored files are not, and ``git status`` stays as it was."""
+    repo = tmp_path / "repo"
+    package = repo / "src" / "stallings"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (repo / ".gitignore").write_text("out/\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (package / "a.py").write_text("x = 2\n")
+    (package / "b.py").write_text("y = 3\n")
+    (repo / "out").mkdir()
+    (repo / "out" / "run.json").write_text("{}\n")
+    status = _git(repo, "status", "--porcelain")
+    monkeypatch.setattr(bench_record, "ROOT", repo)
+    work = tmp_path / "work"
+    work.mkdir()
+    bench_record.export("HEAD", work / "parent")
+    bench_record.export(bench_record.working_tree(work), work / "change")
+    assert sorted(p.name for p in work.iterdir()) == ["change", "index", "parent"]
+    assert (work / "parent" / "src" / "stallings" / "a.py").read_text() == "x = 1\n"
+    assert not (work / "parent" / "src" / "stallings" / "b.py").exists()
+    assert bench_record.source_sha256(work / "change") == bench_record.source_sha256(repo)
+    assert (work / "change" / "src" / "stallings" / "b.py").read_text() == "y = 3\n"
+    assert (work / "change" / ".gitignore").exists()
+    assert not (work / "change" / "out").exists()
+    assert _git(repo, "status", "--porcelain") == status
+    assert bench_record.line_counts(work / "parent", work / "change")["src_lines"] == {
+        "before": 1, "after": 2}

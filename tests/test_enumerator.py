@@ -77,7 +77,7 @@ def test_free_group_index_two(f2):
 def test_deterministic_order(s3):
     a = enumerate_graphs(EnumerationTask(s3, 3))
     b = enumerate_graphs(EnumerationTask(s3, 3))
-    assert [x.graph for x in a] == [x.graph for x in b]
+    assert [x.coset_table() for x in a] == [x.coset_table() for x in b]
 
 
 def test_budget(f2):

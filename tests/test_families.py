@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -29,7 +30,7 @@ from stallings import (
     verify_coprime_certificate,
 )
 from stallings.families import _orbit, certify
-from test_xgraph import regular
+from test_xgraph import held, regular
 
 
 def check_certificate(cert):
@@ -217,7 +218,7 @@ class TestGlued:
         assert cert.vertex_count == 5
         merged = free_presentation(["a", "d"])
         reference = build_type2(merged, 0, 2, 1, 2, 2)
-        assert cert.graph.graph.graph == reference.graph.graph.graph
+        assert held(cert.graph.graph.graph) == held(reference.graph.graph.graph)
 
 
 class TestAmalgam:
@@ -229,14 +230,15 @@ class TestAmalgam:
         hb = coset_enumerate(pb, [pb.word("b b")])
         spec = GluingSpec(ha, pa.word("a"), hb, pb.word("b"), 2)
         cert = build_glued(spec, [])
-        assert cert.graph.graph == build_glued(spec).graph.graph
+        assert held(cert.graph.graph) == held(build_glued(spec).graph.graph)
         assert cert.graph.presentation.relators == (Word([1] * 4), Word([2] * 4))
 
     def test_identity_identified_with_itself_matches_glued(self, z3_factor, z2_factor):
         # the identity lies in both factor subgroups and adds no relation
         (h1, w1), (h2, w2) = z3_factor, z2_factor
         spec = GluingSpec(h1, w1, h2, w2, 4)
-        assert build_glued(spec, [(Word(), Word())]).graph.graph == build_glued(spec).graph.graph
+        identified = build_glued(spec, [(Word(), Word())])
+        assert held(identified.graph.graph) == held(build_glued(spec).graph.graph)
 
     def test_z4_amalgam_over_z2(self):
         pa = Presentation.parse(["a"], ["a a a a"])
@@ -357,6 +359,13 @@ class TestCoprimeCertificate:
         cert = build_type1(f2, 0, 5)
         with pytest.raises(ValueError):
             verify_coprime_certificate(cert, index3, 2)  # a^2 not in it
+
+    def test_p_is_read_from_the_graph(self, f2, index3):
+        # a vertex count that disagrees with the certificate's graph is ignored
+        forged = dataclasses.replace(build_type1(f2, 0, 7), vertex_count=5)
+        assert verify_coprime_certificate(forged, index3, 3)
+        with pytest.raises(ValueError, match="^m = 7 and p = 7 are not coprime$"):
+            verify_coprime_certificate(forged, forged.graph, 7)
 
 
 class TestPrimes:

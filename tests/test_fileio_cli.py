@@ -33,6 +33,7 @@ from stallings import (
     wedge_of_words,
 )
 from stallings.cli import main
+from test_xgraph import held
 
 S3_TEXT = """\
 # symmetric group on three letters
@@ -108,7 +109,7 @@ class TestGraphFiles:
     def test_round_trip_on_enumerated_graphs(self, s3):
         sg = coset_enumerate(s3, [s3.word("s1")])
         text = serialize_graph(sg.graph)
-        assert parse_graph(text, s3.alphabet) == sg.graph
+        assert held(parse_graph(text, s3.alphabet)) == held(sg.graph)
         assert serialize_graph(parse_graph(text, s3.alphabet)) == text
 
     def test_serialization_canonicalizes(self, s3):
@@ -133,7 +134,7 @@ class TestGraphFiles:
         ab = Alphabet(["a", "b"])
         g = parse_graph(text, ab)
         assert serialize_graph(g) == text
-        assert parse_graph(serialize_graph(g), ab) == g
+        assert held(parse_graph(serialize_graph(g), ab)) == held(g)
 
     def test_errors(self, s3):
         with pytest.raises(ParseError):

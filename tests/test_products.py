@@ -37,7 +37,7 @@ def test_intersection_of_distinct_reflections(s3, h_and_k):
 
 def test_intersection_with_self(h_and_k):
     h, _ = h_and_k
-    assert intersect(h, h).graph == h.graph
+    assert intersect(h, h).coset_table() == h.coset_table()
 
 
 def test_intersection_subgroup_membership(s3):
@@ -100,6 +100,11 @@ def test_vertices_outside_a_factor_are_rejected(f2):
             pg.pair_id(v_left, v_right)
         with pytest.raises(ValueError):
             coset_meet(pg, v_left, v_right)
+
+
+def test_the_trivial_group_of_order_one_is_malnormal_in_itself():
+    trivial = Presentation.parse(["a"], ["a"])
+    assert is_malnormal(coset_enumerate(trivial), 1)
 
 
 @pytest.mark.parametrize("order", [0, -4])

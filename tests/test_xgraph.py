@@ -32,6 +32,15 @@ AB = Alphabet(["a", "b"])
 XY = Alphabet(["x", "y"])
 
 
+def held(g):
+    """What an X-graph holds, and a based one its base too: X-graphs
+    compare by identity, so a test that asks for the same graph compares
+    these."""
+    if isinstance(g, BasedXGraph):
+        return held(g.graph), g.base
+    return g.alphabet, g.vertex_count, g.edges
+
+
 # Free-graph helpers that the package does not need, kept here on the
 # package's BFS and propagation as the reference for the table calculus
 # (tests/test_tables.py) and checked below against word-building ones.
@@ -324,7 +333,7 @@ def test_a_folded_wedge_is_its_own_core():
         folded, m = fold(wedge.graph)
         based = BasedXGraph(folded, m(wedge.base))
         assert core(based) is based
-        assert free_subgroup_graph(alphabet, gens) == canonicalize(core(based))[0]
+        assert held(free_subgroup_graph(alphabet, gens)) == held(canonicalize(core(based))[0])
 
 
 def rescan_fold(g):
@@ -389,7 +398,8 @@ def test_fold_matches_rescan_reference():
     for _ in range(1000):
         g = random_multigraph(rng)
         folded, m = fold(g)
-        assert (folded, m.vertex_map) == rescan_fold(g)
+        ref, ref_map = rescan_fold(g)
+        assert (held(folded), m.vertex_map) == (held(ref), ref_map)
         assert is_folded(folded)
 
 
@@ -410,7 +420,7 @@ def test_core_matches_pruning_reference():
         g = random_multigraph(rng)
         for h in (g, fold(g)[0]):
             based = BasedXGraph(h, rng.randrange(h.vertex_count))
-            assert core(based) == pruned_core(based)
+            assert held(core(based)) == held(pruned_core(based))
 
 
 def test_a_core_comes_back_as_it_is():
@@ -423,7 +433,7 @@ def test_a_core_comes_back_as_it_is():
         for h in (g, fold(g)[0]):
             based = BasedXGraph(h, rng.randrange(h.vertex_count))
             c = core(based)
-            assert c == pruned_core(based)
+            assert held(c) == held(pruned_core(based))
             if c.vertex_count == h.vertex_count:
                 assert c is based
                 kept += 1
@@ -437,10 +447,10 @@ def test_a_core_comes_back_as_it_is():
 def test_core_prunes_a_long_hanging_path():
     path = [(i, 0, i + 1) for i in range(2000)]
     c = core(BasedXGraph(XGraph(XY, 2001, [(0, 1, 0)] + path), 0))
-    assert c == BasedXGraph(XGraph(XY, 1, [(0, 1, 0)]), 0)
+    assert held(c) == ((XY, 1, ((0, 1, 0),)), 0)
     # a base of degree one stays, and so does the path to the loop
     lollipop = BasedXGraph(XGraph(XY, 2001, [(2000, 1, 2000)] + path), 0)
-    assert core(lollipop) == lollipop
+    assert core(lollipop) is lollipop
 
 
 def word_bfs(g):
@@ -592,7 +602,8 @@ def test_wedge_and_bouquet_match_the_per_letter_reference():
     for _ in range(2000):
         ab = rng.choice(ALPHABETS)
         gens = random_words(rng, rng.randint(1, len(ab)))
-        assert outcome(wedge_of_words, ab, gens) == outcome(reference_wedge, ab, gens), gens
+        assert (outcome(lambda: held(wedge_of_words(ab, gens)))
+                == outcome(lambda: held(reference_wedge(ab, gens)))), gens
 
 
 def permuted(g, rng):
@@ -737,11 +748,12 @@ def test_fold_core_and_canonicalize_match_the_set_based_fold():
         ref_core = core(BasedXGraph(ref, ref_m(wedge.base)))
         ref_canonical = canonicalize(ref_core)
         folded, m = fold(wedge.graph)
-        assert (folded, m) == (ref, ref_m)
+        assert (held(folded), m) == (held(ref), ref_m)
         cored = core(BasedXGraph(folded, m(wedge.base)))
-        assert cored == ref_core
-        assert canonicalize(cored) == ref_canonical
-        assert free_subgroup_graph(ab, gens) == ref_canonical[0]
+        assert held(cored) == held(ref_core)
+        canonical, renumbering = canonicalize(cored)
+        assert (held(canonical), renumbering) == (held(ref_canonical[0]), ref_canonical[1])
+        assert held(free_subgroup_graph(ab, gens)) == held(ref_canonical[0])
 
 
 def test_fold_of_fifty_copies_of_one_long_word():
@@ -755,7 +767,8 @@ def test_fold_of_fifty_copies_of_one_long_word():
     wedge = wedge_of_words(AB, [Word(letters)] * 50)
     assert len(wedge.graph.edges) == 50_000
     folded, m = fold(wedge.graph)
-    assert (folded, m) == set_fold(wedge.graph)
+    ref, ref_m = set_fold(wedge.graph)
+    assert (held(folded), m) == (held(ref), ref_m)
     assert folded.vertex_count == len(folded.edges) == 1000
 
 

@@ -1,19 +1,22 @@
 """Record a BENCH_<tag>.json: the benchmark on a parent commit and on the working tree.
 
 Runs ``perfbench/run.py --trace 0`` for each seed and each workload that
-``BENCHMARK.json`` lists, for the run length it sets, twice: once in a
-checkout of the parent commit (made with ``git archive`` in a temporary
-directory) and once in the working tree, alternating which side runs first
-from one pair to the next.  Writes the machine (CPU model,
-``nproc``, Python version), the seeds, every run's end-to-end metrics and,
-per workload and metric, each side's median and quartiles, how many
-pairs the change won and a verdict from the metric's bound, each run's
-``attempted`` and ``failed`` operation counts, the line count of
-``src/stallings/*.py`` on each side and their code lines (no blank,
-comment-only or docstring lines), each in total and for each module whose
-count differs, and a SHA-256 of those files on each side, which names an
-uncommitted working tree too.  No metric of a workload gets ``gain``
-where the change failed a larger share of its operations than the parent:
+``BENCHMARK.json`` lists, for the run length it sets, twice: once in an
+export of the parent commit and once in an export of the working tree, both
+made with ``git archive`` into one temporary directory, alternating which
+side runs first from one pair to the next.  The working tree is exported as a
+tree object staged through a scratch index, so it holds edited and untracked
+files, leaves out ignored ones, and leaves the repository's own index and
+``git status`` as they were.  Writes the machine (CPU model, ``nproc``,
+Python version), the seeds, every run's end-to-end metrics and, per workload
+and metric, each side's median and quartiles, how many pairs the change won
+and a verdict from the metric's bound, each run's ``attempted`` and
+``failed`` operation counts, the line count of ``src/stallings/*.py`` on
+each side and their code lines (no blank, comment-only or docstring lines),
+each in total and for each module whose count differs, and a SHA-256 of
+those files on each side, which names an uncommitted working tree too.  No
+metric of a workload gets ``gain`` where the change failed a larger share of
+its operations than the parent:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
@@ -44,21 +47,31 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def export(rev: str, dest: Path) -> None:
-    """Write the files of commit ``rev`` into ``dest``."""
-    archive = dest / "parent.tar"
+    """Write the files of commit or tree ``rev`` into the new directory ``dest``."""
+    archive = dest.with_name(dest.name + ".tar")
     subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), rev],
                    cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
 
 
-def same_benchmark(parent: Path) -> bool:
+def working_tree(tmp: Path) -> str:
+    """The working tree's files, ignored ones left out, as a git tree object,
+    staged through a scratch index in ``tmp`` so that the repository's own
+    index stays as it is."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp / "index")}
+    subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+    return subprocess.run(["git", "write-tree"], cwd=ROOT, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def same_benchmark(parent: Path, change: Path) -> bool:
     """True iff both checkouts hold the same perfbench/ sources and BENCHMARK.json."""
     def files(root: Path) -> dict:
         paths = [root / "BENCHMARK.json", *sorted((root / "perfbench").rglob("*.py"))]
         return {p.relative_to(root): p.read_bytes() for p in paths}
-    return files(parent) == files(ROOT)
+    return files(parent) == files(change)
 
 
 def module_lines(checkout: Path) -> dict[str, int]:
@@ -220,19 +233,20 @@ def main(argv=None) -> int:
     specs = {m["name"]: m for m in contract["end_to_end"]}
     seconds = contract["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent, Path(tmp))
-        parent = Path(tmp) / "tree"
-        if not same_benchmark(parent):
+        parent, change = Path(tmp) / "parent", Path(tmp) / "change"
+        export(args.parent, parent)
+        export(working_tree(Path(tmp)), change)
+        if not same_benchmark(parent, change):
             p.error(f"perfbench/ or BENCHMARK.json differs between {args.parent} and the working tree")
-        counts = line_counts(parent, ROOT)
-        src_sha256 = {"before": source_sha256(parent), "after": source_sha256(ROOT)}
-        for checkout in (parent, ROOT):
+        counts = line_counts(parent, change)
+        src_sha256 = {"before": source_sha256(parent), "after": source_sha256(change)}
+        for checkout in (parent, change):
             compile_tree(checkout)
         workloads, machine = {}, None
         for workload in (w["name"] for w in contract["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
-                sides = [("before", parent), ("after", ROOT)]
+                sides = [("before", parent), ("after", change)]
                 if i % 2:
                     sides.reverse()
                 pair = {"seed": seed, "first": sides[0][0]}
