@@ -27,7 +27,6 @@ from .subgroup import (
     DEFAULT_MAX_COSETS,
     SubgroupGraph,
     coset_enumerate,
-    subgroup_from_graph,
 )
 from .products import ProductGraph, coset_meet, intersect, is_malnormal
 from .enumerator import EnumerationTask, enumerate_graphs, hall_search
@@ -44,8 +43,7 @@ def _load_presentation(path: str) -> Presentation:
 
 
 def _load_subgroup(path: str, pres: Presentation) -> SubgroupGraph:
-    g = fileio.parse_graph(Path(path).read_text(), pres.alphabet)
-    return subgroup_from_graph(g, pres)
+    return fileio._subgroup_text(Path(path).read_text(), pres)
 
 
 def _emit(args, sg: SubgroupGraph, *head: str) -> None:
@@ -78,9 +76,11 @@ def cmd_build(args, pres):
 
 
 def cmd_verify(args, pres):
-    g = fileio.parse_graph(Path(args.path).read_text(), pres.alphabet)
+    text = Path(args.path).read_text()  # an undecodable file is a usage error too
     try:
-        sg = subgroup_from_graph(g, pres)
+        sg = fileio._subgroup_text(text, pres)
+    except ParseError:  # a malformed file is a usage error
+        raise
     except (ValueError, FulfillmentFailed) as e:
         print(f"invalid: {e}", file=sys.stderr)
         return EXIT_NEGATIVE

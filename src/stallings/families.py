@@ -177,7 +177,7 @@ def extend_with_loops(
     alphabet = (merge_alphabets(old.alphabet, Alphabet(extra_letters)) if extra_letters
                 else old.alphabet)
     presentation = Presentation(alphabet, list(old.relators) + list(new_relators))
-    loops = [range(cert.vertex_count)] * len(extra_letters)
+    loops = [range(cert.graph.index())] * len(extra_letters)
     forward = list(cert.graph.coset_table().permutations) + loops
     return certify(SubgroupGraph(presentation, forward), cert.word)
 

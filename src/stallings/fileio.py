@@ -8,12 +8,16 @@ Graph files:
     vertices: 3
     base: 0
     edge: 0 a 1
-Lines starting with '#' are comments.  ``graph_text`` and ``dot_text``
-write a graph given by its generator names, vertex count, base and edges
-(by origin, then letter); the CLI hands them coset tables, which are
-canonical.  ``serialize_graph`` renumbers a folded graph whose base reaches
-every vertex in BFS order from the base, so canonical files round-trip byte
-for byte; it writes any other graph as it stands, as ``export_dot`` does.
+Lines starting with '#' are comments.  ``parse_graph`` and the CLI's loader
+``_subgroup_text``, which fills table columns from the edge lines in any order,
+fail alike: line faults in file order, no vertices then no base line, a negative
+count, the least out-of-range edge, no vertex, the base out of range, then not
+X-regular, not connected, a failed relator.  ``graph_text`` and ``dot_text`` write
+a graph given by its generator names, vertex count, base and edges (by origin,
+then letter); the CLI hands them coset tables, which are canonical.
+``serialize_graph`` renumbers a folded graph whose base reaches every vertex in
+BFS order from the base, so canonical files round-trip byte for byte; it writes
+any other graph as it stands, as ``export_dot`` does.
 """
 
 from __future__ import annotations
@@ -22,21 +26,16 @@ from contextlib import suppress
 from typing import Iterable, Sequence
 
 from .errors import ParseError
+from .subgroup import SubgroupGraph
 from .words import Alphabet, Presentation
 from .xgraph import BasedXGraph, XGraph, canonicalize, is_folded
-
-
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def parse_presentation(text: str) -> Presentation:
     alphabet = None
     relators = []
-    for lineno, line in _content_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if line.startswith("gens:"):
             if alphabet is not None:
                 raise ParseError("duplicate gens line", lineno)
@@ -54,7 +53,7 @@ def parse_presentation(text: str) -> Presentation:
                 relators.append(alphabet.parse_word(line[len("rel:"):].strip()))
             except ValueError as e:
                 raise ParseError(str(e), lineno) from None
-        else:
+        elif line:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
     if alphabet is None:
         raise ParseError("missing gens line")
@@ -77,26 +76,26 @@ def _parse_int(text: str, message: str, lineno: int) -> int:
         raise ParseError(f"{message}: {text.strip()!r}", lineno) from None
 
 
-def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
-    vertices = None
-    base = None
-    edges = []
+def _graph_lines(text: str, alphabet: Alphabet) -> tuple:
+    """The vertex count, the base and per letter the edge lines' origins and termini."""
+    vertices = base = None
     index = alphabet._index
-    for lineno, line in _content_lines(text):
+    origins, termini = [[] for _ in index], [[] for _ in index]
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw if raw.startswith("edge:") and "#" not in raw else raw.split("#", 1)[0].strip()
         if line.startswith("edge:"):
             parts = line[len("edge:"):].split()
             if len(parts) != 3:
                 raise ParseError("edge needs origin, letter, terminus", lineno)
             origin, name, terminus = parts
             try:
-                u, v = int(origin), int(terminus)
-            except ValueError:  # raise for the first bad id
+                u, li, v = int(origin), index[name], int(terminus)
+            except (ValueError, KeyError):  # raise for the first bad id, else the letter
                 _parse_int(origin, "bad vertex id", lineno)
                 _parse_int(terminus, "bad vertex id", lineno)
-            li = index.get(name)
-            if li is None:
-                raise ParseError(f"unknown generator: {name!r}", lineno)
-            edges.append((u, li, v))
+                raise ParseError(f"unknown generator: {name!r}", lineno) from None
+            origins[li].append(u)
+            termini[li].append(v)
         elif line.startswith("vertices:"):
             if vertices is not None:
                 raise ParseError("duplicate vertices line", lineno)
@@ -105,16 +104,43 @@ def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
             if base is not None:
                 raise ParseError("duplicate base line", lineno)
             base = _parse_int(line[len("base:"):], "bad base vertex", lineno)
-        else:
+        elif line:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
     if vertices is None:
         raise ParseError("missing vertices line")
     if base is None:
         raise ParseError("missing base line")
+    return vertices, base, origins, termini
+
+
+def _based_graph(alphabet: Alphabet, vertices: int, base: int, origins, termini) -> BasedXGraph:
+    edges = [(u, li, v) for li, (us, vs) in enumerate(zip(origins, termini))
+             for u, v in zip(us, vs)]
     try:
         return BasedXGraph(XGraph(alphabet, vertices, edges), base)
     except ValueError as e:
         raise ParseError(str(e)) from None
+
+
+def parse_graph(text: str, alphabet: Alphabet) -> BasedXGraph:
+    return _based_graph(alphabet, *_graph_lines(text, alphabet))
+
+
+def _subgroup_text(text: str, presentation: Presentation) -> SubgroupGraph:
+    """``subgroup_from_graph(parse_graph(text, alphabet), presentation)``, errors
+    included, from forward columns that the edge lines fill without a graph."""
+    n, base, origins, termini = lines = _graph_lines(text, presentation.alphabet)
+    if not (0 <= base < n and all(0 <= min(ends, default=0) and max(ends, default=0) < n
+                                  for ends in origins + termini)):
+        _based_graph(presentation.alphabet, *lines)  # raises the count, edge or base error
+    # each letter needs n distinct edges, counted before n cells are allocated
+    if any(len(us) != n and len(set(zip(us, vs))) != n for us, vs in zip(origins, termini)):
+        raise ValueError("graph is not X-regular")
+    forward = [[-1] * n for _ in origins]  # a -1 left by a twice-used origin fails the table
+    for column, us, vs in zip(forward, origins, termini):
+        for u, v in zip(us, vs):
+            column[u] = v
+    return SubgroupGraph(presentation, forward, base)
 
 
 def graph_text(names: Sequence[str], n: int, base: int, edges: Iterable[tuple]) -> str:

@@ -249,8 +249,8 @@ class SubgroupGraph:
         return CosetTable(tuple(self._table[lt] for lt in range(1, len(self._table) // 2 + 1)))
 
     def free_basis(self) -> list[Word]:
-        """A free basis of the loop language at the base: the loops closed
-        by the edges outside the spanning tree, by origin, then label."""
+        """A free basis of the loop language at the base: the loops closed by
+        the edges outside the spanning tree, by origin, then label, reduced as built."""
         return _loop_words(self.edges(), self._schreier(), self.coset_reps)
 
     def generators(self) -> list[Word]:

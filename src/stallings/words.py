@@ -16,6 +16,7 @@ The table holds ``2 * len(names)`` entries each way and never grows.
 from __future__ import annotations
 
 import re
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, ParseError
@@ -71,7 +72,7 @@ class Word:
 
     def inverse(self) -> "Word":
         """Letter-wise reversal with sign flip."""
-        return Word(-lt for lt in reversed(self.letters))
+        return Word(map(neg, reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not self.letters

@@ -287,10 +287,10 @@ def _tree_words(order: Sequence[int], parent) -> list[Word]:
 
 
 def _loop_words(edges: Iterable[tuple[int, int, int]], parent, reps: Sequence[Word]) -> list[Word]:
-    """The freely reduced labels of the loops closed by the ``edges``
-    ``(u, li, v)`` outside the tree of the Schreier vector ``parent``, whose
-    tree words are ``reps``, in edge order."""
-    return [free_reduce(reps[u] * Word([li + 1]) * reps[v].inverse())
+    """The labels ``reps[u] x reps[v]^-1`` of the loops closed by the edges ``(u, x, v)``
+    outside the tree of the Schreier vector ``parent``, whose tree words are ``reps``, in
+    edge order; reduced in a folded graph, where x cancels only against its own edge."""
+    return [Word(reps[u].letters + (li + 1,) + reps[v].inverse().letters)
             for (u, li, v) in edges
             if parent[v] != (u, li + 1) and parent[u] != (v, -li - 1)]
 
@@ -314,7 +314,7 @@ def free_basis(g: BasedXGraph) -> list[Word]:
     language at the base; their number is ``|E| - (|V| - 1)``.
     """
     order, parent = _bfs(g)
-    return _loop_words(g.graph.edges, parent, _tree_words(order, parent))
+    return [free_reduce(w) for w in _loop_words(g.graph.edges, parent, _tree_words(order, parent))]
 
 
 def _check_same_alphabet(a1: Alphabet, a2: Alphabet) -> None:

@@ -163,6 +163,14 @@ class TestExtendWithLoops:
         with pytest.raises(FulfillmentFailed):
             extend_with_loops(cert, ["b"], [ab.parse_word("b a b^-1 a")])
 
+    def test_the_loops_are_sized_by_the_graph(self, f2):
+        # a vertex count that disagrees with the certificate's graph is ignored
+        forged = dataclasses.replace(build_type1(f2, 0, 7), vertex_count=5)
+        extended = extend_with_loops(forged, ["z"])
+        assert (extended.vertex_count, extended.graph.index()) == (7, 7)
+        assert extended.graph.coset_table().permutations[2] == tuple(range(7))
+        check_certificate(extended)
+
 
 @pytest.fixture
 def z3_factor():

@@ -8,6 +8,7 @@ from stallings import (
     Alphabet,
     BasedXGraph,
     EnumerationTask,
+    FulfillmentFailed,
     GluingSpec,
     ParseError,
     Presentation,
@@ -33,6 +34,8 @@ from stallings import (
     wedge_of_words,
 )
 from stallings.cli import main
+from stallings.fileio import _subgroup_text
+from test_cli_contract import _mutant
 from test_xgraph import held
 
 S3_TEXT = """\
@@ -180,6 +183,90 @@ class TestGraphFiles:
         text = "# edges first\nedge: 0 s1 0\n\nedge: 0 s2 0\nvertices: 1\nbase: 0\n"
         g = parse_graph(text, s3.alphabet)
         assert (g.vertex_count, g.base, g.graph.edges) == (1, 0, ((0, 0, 0), (0, 1, 0)))
+
+
+def _loaded(load, text, pres):
+    """The coset table ``load`` reads from ``text``, or the type and the
+    message of what it raises (a ``ParseError`` is a ``ValueError``)."""
+    try:
+        return load(text, pres).coset_table()
+    except (ValueError, FulfillmentFailed) as e:
+        return type(e), str(e)
+
+
+def _reference(text, pres):
+    return subgroup_from_graph(parse_graph(text, pres.alphabet), pres)
+
+
+F2_INDEX2 = "vertices: 2\nbase: 0\nedge: 0 a 0\nedge: 0 b 1\nedge: 1 a 1\nedge: 1 b 0\n"
+NOT_REGULAR = (ValueError, "graph is not X-regular")
+TOKENS = (ParseError, "line 3: edge needs origin, letter, terminus")
+
+
+def _edited(old, new):
+    return F2_INDEX2.replace(old, new)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("vertices: 1000000000000\nbase: 0\n", NOT_REGULAR),
+    (F2_INDEX2 + "edge: 0 b 1\n", 2),  # a repeated identical edge line
+    (_edited("edge: 1 a 1", "edge: 0 a 1"), NOT_REGULAR),
+    (F2_INDEX2 + "edge: 1 a 0\n", NOT_REGULAR),
+    # a conflict repeated over a duplicate: its last edges make a permutation
+    (F2_INDEX2 + "edge: 0 a 1\nedge: 1 a 0\nedge: 1 a 0\n", NOT_REGULAR),
+    ("vertices: 2\nbase: 0\nedge: 1 b 0\nedge: 1 a 1\nedge: 0 b 1\nedge: 0 a 0\n", 2),
+    ("vertices: 2\nbase: 0\nedge: 0 b 5\n", (ParseError, "edge (0, 1, 5) out of range")),
+    ("# only a comment\n  # and one after blanks\n\n" + F2_INDEX2, 2),
+    (_edited("edge: 0 a 0", "edge: 0 a 0  # a loop"), 2),
+    (_edited("edge: 0 a 0", "edge: 0 a 0#glued"), 2),
+    (_edited("edge: 0 a 0", "edge: 0 a 0 #"), 2),
+    (_edited("edge:", "  edge:"), 2),
+    (_edited("edge: 0 a 0", "edge:0 a 0"), 2),
+    (_edited("edge: 0 a 0", "edge: 0 a #0"), TOKENS),
+    (_edited("edge: 0 a 0", "edge: 0 a 0 0"), TOKENS),
+    (_edited("edge: 0 a 0", "edge: 0 c 0"), (ParseError, "line 3: unknown generator: 'c'")),
+    (_edited("edge: 0 a 0", "edge: 0 a x"), (ParseError, "line 3: bad vertex id: 'x'")),
+    (_edited("edge: 1 a 1", "edge: 1 a 2"), (ParseError, "edge (1, 0, 2) out of range")),
+    (_edited("edge: 1 a 1", "edge: 1 a -1"), (ParseError, "edge (1, 0, -1) out of range")),
+    (_edited("base: 0", "base: 2"), (ParseError, "base vertex out of range")),
+    (_edited("vertices: 2", "vertices: -2"), (ParseError, "vertex count -2 is negative")),
+    ("vertices: 0\nbase: 0\n", (ParseError, "a based graph needs at least one vertex")),
+    ("vertices: 2\nbase: 0\nedge: 0 a 0\nedge: 0 b 0\nedge: 1 a 1\nedge: 1 b 1\n",
+     (ValueError, "graph is not connected")),
+])
+def test_the_loader_answers_as_the_reference_path(f2, text, outcome):
+    """Hand cases: the loader reads the table or raises exactly as
+    ``subgroup_from_graph(parse_graph(...))`` does."""
+    got = _loaded(_subgroup_text, text, f2)
+    assert got == _loaded(_reference, text, f2)
+    assert got == outcome if isinstance(outcome, tuple) else len(got.permutations[0]) == outcome
+
+
+def test_the_loader_answers_mutated_files_as_the_reference_path(f2):
+    """Over 2,400 seeded mutants of written files, some with comments (a
+    line of blanks would leave ``_mutant`` no token to swap), the loader and
+    the reference path give the same table or raise the same error, of each
+    kind a file can fail with."""
+    s3 = Presentation.parse(["s1", "s2"], ["s1 s1", "s2 s2", "s1 s2 s1 s2 s1 s2"])
+    psl = Presentation.parse(["a", "b"], ["a a", "b b b"])
+    graphs = [(s3, coset_enumerate(s3, [s3.word(w) for w in gens])) for gens in ([], ["s1"])]
+    circle = build_type1(f2, 0, 13).graph
+    graphs += [(f2, circle), (psl, build_type2(psl, 0, 2, 1, 3, 2).graph),
+               (Presentation.parse(["a", "b"], ["a a a"]), circle)]  # a^3 fails on it
+    bases = []
+    for pres, sg in graphs:
+        text = serialize_graph(sg.graph)
+        commented = text.replace("\nedge:", "\n# a comment\nedge:", 1)
+        bases += [(pres, text), (pres, commented.replace("\n", " # end\n", 2))]
+    rng = random.Random(32)
+    kinds = Counter()
+    for _ in range(2400):
+        pres, text = rng.choice(bases)
+        mutant = _mutant(text, rng)
+        got = _loaded(_subgroup_text, mutant, pres)
+        assert got == _loaded(_reference, mutant, pres), mutant
+        kinds[got[0].__name__ if isinstance(got, tuple) else "table"] += 1
+    assert set(kinds) == {"table", "ParseError", "ValueError", "FulfillmentFailed"}, kinds
 
 
 def test_export_dot_bouquet():

@@ -14,8 +14,11 @@ from stallings import (
     SubgroupGraph,
     Word,
     XGraph,
+    build_type1,
+    build_type2,
     coset_enumerate,
     enumerate_graphs,
+    free_basis,
     free_presentation,
     free_reduce,
     fulfills,
@@ -677,3 +680,22 @@ class TestOneColumnPerInvolution:
                     assert h.isomorphic_unbased_to(k) == expected
                     found += expected and h.presentation != k.presentation
         assert found >= 100
+
+
+def test_a_table_builds_its_free_basis_reduced():
+    """``SubgroupGraph.free_basis`` does not reduce its words: a table is
+    folded, so they are the words the X-graph path reduces, over subgroups
+    of S5, PSL(2, Z) (whose involution has one column), A~2 and F2."""
+    f2 = free_presentation(["a", "b"])
+    pools = [[coset_enumerate(S5, [S5.word(w) for w in gens]) for gens in S5_SUBGROUPS]]
+    pools += [[sg for n in range(1, top + 1) for sg in enumerate_graphs(EnumerationTask(pres, n))]
+              for pres, top in ((MODULAR, 8), (A2, 6), (f2, 4))]
+    pools.append([build_type1(f2, 1, 31).graph, build_type2(MODULAR, 0, 2, 1, 3, 4).graph])
+    checked = 0
+    for sg in (sg for pool in pools for sg in pool):
+        basis = sg.free_basis()
+        assert basis == free_basis(sg.graph)
+        assert all(free_reduce(w) == w for w in basis)
+        assert len(basis) == sg.index() * (len(sg.presentation.alphabet) - 1) + 1
+        checked += 1
+    assert checked == 250

@@ -233,6 +233,17 @@ def test_free_basis_rank():
         assert trace(GAMMA_PRIME.graph, 0, w) == 0
 
 
+def test_an_unfolded_graph_has_its_loop_words_reduced():
+    # 1 hangs off the base by a^-1 and 2 off 1 by a, so 2's tree word is a^-1 a
+    g = BasedXGraph(XGraph(Alphabet(["a", "b"]), 3, [(1, 0, 0), (1, 0, 2), (2, 1, 2)]), 0)
+    assert coset_rep_words(g)[2] == Word([-1, 1])
+    assert free_basis(g) == [Word([2])]
+    # a wedge of reduced words is unfolded only at the base, which has no tree edge
+    ab = Alphabet(["a", "b"])
+    wedge = wedge_of_words(ab, [ab.parse_word(w) for w in ("a b a^-1", "a b^-1", "b a")])
+    assert all(free_reduce(w) == w for w in free_basis(wedge))
+
+
 def test_isomorphic_based():
     shuffled = xy_graph(3, [(1, 0, 2), (2, 0, 1), (0, 0, 0),
                             (1, 1, 1), (2, 1, 0), (0, 1, 2)], base=1)
