@@ -8,26 +8,32 @@ Graph files:
     vertices: 3
     base: 0
     edge: 0 a 1
-Lines starting with '#' are comments.  ``parse_graph`` and the CLI's loader
-``_subgroup_text``, which fills table columns from the edge lines in any order,
-fail alike: line faults in file order, no vertices then no base line, a negative
-count, the least out-of-range edge, no vertex, the base out of range, then not
-X-regular, not connected, a failed relator.  ``graph_text`` and ``dot_text`` write
-a graph given by its generator names, vertex count, base and edges (by origin,
-then letter); the CLI hands them coset tables, which are canonical.
-``serialize_graph`` renumbers a folded graph whose base reaches every vertex in
-BFS order from the base, so canonical files round-trip byte for byte; it writes
-any other graph as it stands, as ``export_dot`` does.
+Lines starting with '#' are comments.  Both graph readers get the header values
+and each letter's edge ends from ``_graph_lines``.  It reads a file in the layout
+``graph_text`` writes for a coset table (single spaces, ASCII digits, the names
+running through the alphabet in order, a final newline) by one regex match and
+token slices; any other text, and every fault, goes to ``_graph_line_loop``, the
+reference.  ``parse_graph`` and the CLI's loader ``_subgroup_text``, which fills
+table columns from the edge lines in any order, fail alike: line faults in file
+order, no vertices then no base line, a negative count, the least out-of-range
+edge, no vertex, the base out of range, then not X-regular, not connected, a
+failed relator.  ``graph_text`` and ``dot_text`` write a graph given by its
+generator names, vertex count, base and edges (by origin, then letter); the CLI
+hands them coset tables, which are canonical.  ``serialize_graph`` renumbers a
+folded graph whose base reaches every vertex in BFS order from the base, so
+canonical files round-trip byte for byte; it writes any other graph as it
+stands, as ``export_dot`` does.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import suppress
 from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .subgroup import SubgroupGraph
-from .words import Alphabet, Presentation
+from .words import _NAME_RE, Alphabet, Presentation
 from .xgraph import BasedXGraph, XGraph, canonicalize, is_folded
 
 
@@ -76,8 +82,28 @@ def _parse_int(text: str, message: str, lineno: int) -> int:
         raise ParseError(f"{message}: {text.strip()!r}", lineno) from None
 
 
+# the layout ``graph_text`` writes; an id of over 4300 digits matches and fails ``int``
+_BULK_RE = re.compile(r"vertices: ([0-9]+)\nbase: ([0-9]+)\n"
+                      rf"((?:edge: [0-9]+ {_NAME_RE.pattern} [0-9]+\n)*)")
+
+
 def _graph_lines(text: str, alphabet: Alphabet) -> tuple:
-    """The vertex count, the base and per letter the edge lines' origins and termini."""
+    """The vertex count, the base and per letter the edge lines' origins and
+    termini, in bulk from a table's file, else by ``_graph_line_loop``."""
+    m = _BULK_RE.fullmatch(text)
+    if m is not None:
+        toks, k = m[3].split(), len(alphabet)
+        # every letter in turn at every origin (so no unknown name), as a table is written
+        if toks[2::4] == list(alphabet.names) * (len(toks) // (4 * k)):
+            with suppress(ValueError):
+                us, vs = list(map(int, toks[1::4])), list(map(int, toks[3::4]))
+                return (int(m[1]), int(m[2]),
+                        [us[li::k] for li in range(k)], [vs[li::k] for li in range(k)])
+    return _graph_line_loop(text, alphabet)
+
+
+def _graph_line_loop(text: str, alphabet: Alphabet) -> tuple:
+    """``_graph_lines`` line by line, for any text: the reference reader."""
     vertices = base = None
     index = alphabet._index
     origins, termini = [[] for _ in index], [[] for _ in index]

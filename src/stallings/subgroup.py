@@ -209,8 +209,9 @@ class SubgroupGraph:
     @property
     def graph(self) -> BasedXGraph:
         if self._graph is None:
+            # a table's edges, by origin, then letter, are distinct, sorted and in range
             self._graph = BasedXGraph(
-                XGraph(self.presentation.alphabet, self.index(), self.edges()), 0)
+                XGraph._of(self.presentation.alphabet, self.index(), self.edges()), 0)
         return self._graph
 
     def edges(self) -> Iterator[tuple[int, int, int]]:

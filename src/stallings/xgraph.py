@@ -25,7 +25,10 @@ from .words import Alphabet, Word, free_reduce, letter_index
 
 class XGraph:
     """A finite directed multigraph with alphabet-labeled edges.  ``edges`` holds each
-    edge once, sorted by (origin, label, terminus), in linear time from sorted input."""
+    edge once, sorted by (origin, label, terminus), in linear time from sorted input.
+    ``_of`` stores, in the given order and with no check, edges that its caller
+    guarantees distinct, sorted and in range; only producers whose edges are so by
+    construction call it."""
 
     __slots__ = ("alphabet", "vertex_count", "edges", "_arcs")
 
@@ -44,6 +47,13 @@ class XGraph:
                 raise ValueError(f"edge label index {li} out of range")
         self.edges = edges
         self._arcs = None
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, vertex_count: int,
+            edges: Iterable[tuple[int, int, int]]) -> "XGraph":
+        g = cls.__new__(cls)
+        g.alphabet, g.vertex_count, g.edges, g._arcs = alphabet, vertex_count, tuple(edges), None
+        return g
 
     def _arc_list(self) -> list[list[tuple[int, int]]]:
         """Per vertex, its ``(column, end)`` arcs sorted by column; a loop
@@ -231,9 +241,10 @@ def core(g: BasedXGraph) -> BasedXGraph:
         return g
     order = sorted(alive)
     renum = {v: i for i, v in enumerate(order)}
+    # a monotone renumbering of a subset of sorted edges keeps them sorted
     new_edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges
                  if u in alive and v in alive]
-    return BasedXGraph(XGraph(g.alphabet, len(order), new_edges), renum[g.base])
+    return BasedXGraph(XGraph._of(g.alphabet, len(order), new_edges), renum[g.base])
 
 
 def trace(g: XGraph, start: int, w: Word) -> Optional[int]:
@@ -303,8 +314,9 @@ def canonicalize(g: BasedXGraph) -> tuple[BasedXGraph, Morphism]:
         return g, Morphism(tuple(order))
     renum = {v: i for i, v in enumerate(order)}
     edges = [(renum[u], li, renum[v]) for (u, li, v) in g.graph.edges]
+    edges.sort()  # a bijective renumbering keeps the edges distinct and in range
     vmap = tuple(renum[v] for v in range(g.vertex_count))
-    return BasedXGraph(XGraph(g.alphabet, g.vertex_count, edges), 0), Morphism(vmap)
+    return BasedXGraph(XGraph._of(g.alphabet, g.vertex_count, edges), 0), Morphism(vmap)
 
 
 def free_basis(g: BasedXGraph) -> list[Word]:

@@ -2,6 +2,7 @@
 source line counts and digest it records, and the two exports it runs."""
 
 import hashlib
+import json
 import importlib.util
 import subprocess
 from pathlib import Path
@@ -203,3 +204,43 @@ def test_both_sides_are_exported_alike(tmp_path, monkeypatch):
     assert _git(repo, "status", "--porcelain") == status
     assert bench_record.line_counts(work / "parent", work / "change")["src_lines"] == {
         "before": 1, "after": 2}
+
+
+BUSY = {"parent": 0.5, "change": 0.25}
+
+
+def test_each_workload_records_one_traced_run_per_side(tmp_path, monkeypatch):
+    """On stubbed exports and runs: after a workload's alternated pairs, one
+    ``--trace 1`` run per side, on the seed after the largest, of the traced
+    length, whose metric values are stored under ``layers`` with no verdict."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 20, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    calls = []
+
+    def run(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, seconds, trace))
+        metrics = ({"fileio.parse_graph.busy_s": {"value": BUSY[checkout.name], "unit": "s"}}
+                   if trace else {"wall_s": {"value": 1.0, "unit": "s"}})
+        return {"context": {"cpu": "c", "nproc": 2, "python": "3"}, "correct": True,
+                "attempted": 4, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    def export(rev, dest):
+        (dest / "src" / "stallings").mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text("{}\n")
+
+    monkeypatch.setattr(bench_record, "export", export)
+    monkeypatch.setattr(bench_record, "working_tree", lambda tmp: "tree")
+    monkeypatch.setattr(bench_record, "compile_tree", lambda checkout: None)
+    monkeypatch.setattr(bench_record, "run", run)
+    assert bench_record.main(["--parent", "p", "--tag", "t", "--seeds", "5", "3"]) == 0
+    assert calls == [("parent", "w", 5, 20, 0), ("change", "w", 5, 20, 0),
+                     ("change", "w", 3, 20, 0), ("parent", "w", 3, 20, 0),
+                     ("parent", "w", 6, bench_record.TRACE_SECONDS, 1),
+                     ("change", "w", 6, bench_record.TRACE_SECONDS, 1)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["workloads"]["w"]["layers"] == {
+        "seed": 6, "seconds": bench_record.TRACE_SECONDS,
+        "before": {"fileio.parse_graph.busy_s": 0.5}, "after": {"fileio.parse_graph.busy_s": 0.25}}
+    assert list(record["workloads"]["w"]["metrics"]) == ["wall_s"]

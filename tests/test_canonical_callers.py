@@ -1,10 +1,14 @@
-"""The entry whose callers are pinned by an AST scan of the package and the
+"""The entries whose callers are pinned by an AST scan of the package and the
 demos.
 
 ``SubgroupGraph._canonical`` checks only the relators, so only tables that
 are canonical by construction may enter through it: the low-index search's
 classes and the intersection's orbit.  Untrusted tables (graph files, the
 CLI, ``subgroup_from_graph``) keep the constructor, which checks them all.
+``XGraph._of`` checks nothing, so only edges that are distinct, sorted and in
+range by construction enter through it: a coset table's, and what ``core``
+and ``canonicalize`` renumber; ``fold``, ``wedge_of_words`` and
+``parse_graph`` keep the constructor.
 """
 
 import ast
@@ -33,6 +37,15 @@ def test_canonical_entry_has_two_callers():
     # every reference is one of these calls, so no alias can call it elsewhere
     mentions = sorted(name for name, node in nodes if _name(node) == "_canonical")
     assert calls == mentions == ["src/stallings/enumerator.py", "src/stallings/products.py"]
+
+
+def test_unchecked_graph_entry_has_three_callers():
+    nodes = _nodes()
+    calls = sorted(name for name, node in nodes
+                   if isinstance(node, ast.Call) and _name(node.func) == "_of")
+    mentions = sorted(name for name, node in nodes if _name(node) == "_of")
+    assert calls == mentions == ["src/stallings/subgroup.py", "src/stallings/xgraph.py",
+                                 "src/stallings/xgraph.py"]
 
 
 def test_one_module_keys_layout_columns():

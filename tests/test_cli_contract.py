@@ -199,9 +199,10 @@ def test_running_out_of_memory_is_a_budget_error(tmp_path, capsys, monkeypatch):
 
 def _mutant(text: str, rng: random.Random) -> str:
     """``text`` after one to three seeded edits: a line dropped or repeated,
-    a line cut to a prefix of at least one character (so that a later swap
-    finds a token), two tokens of a line swapped, or the lines shuffled.
-    Every file it gets has more than three lines."""
+    a line cut to a prefix of at least one character, two tokens of a line
+    swapped, or the lines shuffled.  A swap or cut of a line with no token
+    leaves it as it is, drawing no more than the edit.  Every file it gets
+    has more than three lines."""
     lines = text.splitlines()
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
@@ -212,6 +213,8 @@ def _mutant(text: str, rng: random.Random) -> str:
             lines.insert(j, lines[i])
         elif edit == "shuffle":
             rng.shuffle(lines)
+        elif not lines[i].split():
+            continue
         elif edit == "swap":
             tokens = lines[i].split()
             a, b = rng.randrange(len(tokens)), rng.randrange(len(tokens))

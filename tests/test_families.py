@@ -30,7 +30,7 @@ from stallings import (
     verify_coprime_certificate,
 )
 from stallings.families import _orbit, certify
-from test_xgraph import held, regular
+from test_xgraph import held, rechecked, regular
 
 
 def check_certificate(cert):
@@ -318,6 +318,7 @@ WIRING = {
 def test_chain_wiring_is_pinned(name):
     cert = _wiring_cases()[name]()
     assert (cert.graph.coset_table().permutations, cert.orbit) == WIRING[name]
+    assert held(cert.graph.graph) == rechecked(cert.graph.graph)
 
 
 class TestCertify:
@@ -465,6 +466,7 @@ def test_sweep_matches_the_trace_per_vertex_reference():
     rng = random.Random(2003)
     pairs = sweeping = 0
     for sg in _sweep_graphs():
+        assert held(sg.graph) == rechecked(sg.graph)
         for w in _sweep_words(rng):
             expected = trace_sweep(sg.trace, w, sg.base, sg.index())
             assert graph_sweep(sg.graph, w) == expected

@@ -23,6 +23,7 @@ from stallings import (
     enumerate_graphs,
     export_dot,
     free_reduce,
+    free_subgroup_graph,
     hall_search,
     intersect,
     is_prime,
@@ -33,10 +34,11 @@ from stallings import (
     subgroup_from_graph,
     wedge_of_words,
 )
+from stallings import fileio
 from stallings.cli import main
 from stallings.fileio import _subgroup_text
 from test_cli_contract import _mutant
-from test_xgraph import held
+from test_xgraph import AB, held
 
 S3_TEXT = """\
 # symmetric group on three letters
@@ -243,10 +245,9 @@ def test_the_loader_answers_as_the_reference_path(f2, text, outcome):
 
 
 def test_the_loader_answers_mutated_files_as_the_reference_path(f2):
-    """Over 2,400 seeded mutants of written files, some with comments (a
-    line of blanks would leave ``_mutant`` no token to swap), the loader and
-    the reference path give the same table or raise the same error, of each
-    kind a file can fail with."""
+    """Over 2,400 seeded mutants of written files, some with comments, the
+    loader and the reference path give the same table or raise the same
+    error, of each kind a file can fail with."""
     s3 = Presentation.parse(["s1", "s2"], ["s1 s1", "s2 s2", "s1 s2 s1 s2 s1 s2"])
     psl = Presentation.parse(["a", "b"], ["a a", "b b b"])
     graphs = [(s3, coset_enumerate(s3, [s3.word(w) for w in gens])) for gens in ([], ["s1"])]
@@ -267,6 +268,90 @@ def test_the_loader_answers_mutated_files_as_the_reference_path(f2):
         assert got == _loaded(_reference, mutant, pres), mutant
         kinds[got[0].__name__ if isinstance(got, tuple) else "table"] += 1
     assert set(kinds) == {"table", "ParseError", "ValueError", "FulfillmentFailed"}, kinds
+
+
+def _read(reader, text, alphabet):
+    """What ``reader`` reads from ``text``, or the type and the message of what it raises."""
+    try:
+        return reader(text, alphabet)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+AB_NAMES = Alphabet(["a", "ab"])  # one name a prefix of the other
+
+# Texts at the edges of the layout ``graph_text`` writes, by the alphabet read over.
+BULK_EDGES = [(AB, text) for text in (
+    F2_INDEX2,
+    F2_INDEX2[:-1],  # no final newline
+    F2_INDEX2.replace("\n", "\r\n"),
+    _edited("edge: 1 a 1", "edge: 1 a \u0661"),  # an Arabic-Indic digit one, which int reads
+    _edited("edge: 1 a 1", "edge: +1 a 1"),
+    _edited("edge: 1 a 1", "edge: 01 a 001"),
+    _edited("vertices: 2", "vertices: 02"),
+    _edited("edge: 1 a 1", "edge: 1\ta 1"),
+    _edited("edge: 1 a 1", "edge:  1 a 1"),
+    _edited("edge: 1 a 1", "edge: 1 a 1 "),
+    "vertices: 1000000000000\nbase: 0\n",
+    "vertices: 1\nbase: 0\n",
+    "vertices: 0\nbase: 0\n",
+    "base: 0\nvertices: 1\n",
+    _edited("edge: 0 a 0", "edge: 0 c 0"),
+    _edited("edge: 0 a 0", "edge: 0 a " + "0" * 5000),
+    _edited("edge: 0 a 0", "edge: 0 a " + "1" * 5000),  # past int's 4300 digits
+    _edited("edge: 0 a 0", "edge: 0 a 0\n"),  # a blank line
+    _edited("edge: 0 a 0", "edge: 0 a 0 # a loop"),
+    "",
+)] + [(AB_NAMES, text) for text in (
+    F2_INDEX2.replace(" b ", " ab "),
+    F2_INDEX2,  # b is unknown
+    F2_INDEX2.replace(" b ", " abc "),  # a known name is a prefix of it
+    F2_INDEX2.replace(" a ", " A "),
+)] + [(Alphabet(["ab", "b"]), F2_INDEX2)]  # a is a prefix of a known name
+
+
+def test_the_bulk_reader_reads_as_the_line_loop(monkeypatch, f2):
+    """Over hand cases at the edges of the bulk layout and 5,000 seeded
+    mutants of written files, some with comments, blank lines or leading
+    blanks, ``_graph_lines`` reads what the line loop reads or raises its
+    error, and both its paths run."""
+    loop = fileio._graph_line_loop
+    looped = []
+
+    def counted(text, alphabet):
+        looped.append(text)
+        return loop(text, alphabet)
+
+    monkeypatch.setattr(fileio, "_graph_line_loop", counted)
+
+    def agrees(text, alphabet):
+        before = len(looped)
+        got = _read(fileio._graph_lines, text, alphabet)
+        assert got == _read(loop, text, alphabet), text
+        return "bulk" if len(looped) == before else "line loop"
+
+    hand = Counter(agrees(text, alphabet) for alphabet, text in BULK_EDGES)
+    assert hand == {"bulk": 7, "line loop": len(BULK_EDGES) - 7}, hand
+    s3 = Presentation.parse(["s1", "s2"], ["s1 s1", "s2 s2", "s1 s2 s1 s2 s1 s2"])
+    z7 = Presentation.parse(["a"], ["a a a a a a a"])
+    abc = Alphabet(["a", "b", "c"])
+    graphs = [coset_enumerate(s3, [s3.word(w) for w in gens]).graph for gens in ([], ["s1"])]
+    graphs += [build_type1(f2, 0, 13).graph.graph, coset_enumerate(z7, []).graph,
+               free_subgroup_graph(abc, [abc.parse_word(w) for w in ("a b c^-1 a", "c c b")])]
+    bases = []
+    for g in graphs:
+        text = serialize_graph(g)
+        commented = text.replace("\nedge:", "\n# a comment\nedge:", 1)
+        bases += [(g.alphabet, text)] * 3 + [
+                  (g.alphabet, commented.replace("\n", " # end\n", 2)),
+                  (g.alphabet, text.replace("\nedge:", "\n\nedge:", 1)),
+                  (g.alphabet, text.replace("\nedge:", "\n  edge:"))]
+    rng = random.Random(33)
+    paths = Counter()
+    for _ in range(5000):
+        alphabet, text = rng.choice(bases)
+        paths[agrees(_mutant(text, rng), alphabet)] += 1
+    assert min(paths.values()) > 100, paths
 
 
 def test_export_dot_bouquet():

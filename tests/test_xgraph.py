@@ -41,6 +41,13 @@ def held(g):
     return g.alphabet, g.vertex_count, g.edges
 
 
+def rechecked(g: BasedXGraph):
+    """``held(g)`` of ``g`` rebuilt through the checking constructor, which
+    dedupes, sorts and range-checks the edges that ``XGraph._of`` stores as
+    given: equal to ``held(g)`` iff they were distinct, sorted and in range."""
+    return held(BasedXGraph(XGraph(g.alphabet, g.vertex_count, g.graph.edges), g.base))
+
+
 # Free-graph helpers that the package does not need, kept here on the
 # package's BFS and propagation as the reference for the table calculus
 # (tests/test_tables.py) and checked below against word-building ones.
@@ -746,8 +753,11 @@ def test_edges_match_the_set_based_constructor():
 def test_fold_core_and_canonicalize_match_the_set_based_fold():
     """Random wedges, a share of them many copies of one word or of its
     inverse: the folded graph, the quotient morphism and what core and
-    canonicalize make of them are the set-based fold's."""
+    canonicalize make of them are the set-based fold's.  Hung with a spur and
+    shuffled, the core comes back from core and canonicalize as it was, and
+    what they store unchecked is what the checking constructor keeps."""
     rng = random.Random(2021)
+    renumbered = 0
     for i in range(300):
         ab = rng.choice(ALPHABETS)
         gens = random_words(rng, len(ab), foreign=0)
@@ -761,10 +771,20 @@ def test_fold_core_and_canonicalize_match_the_set_based_fold():
         folded, m = fold(wedge.graph)
         assert (held(folded), m) == (held(ref), ref_m)
         cored = core(BasedXGraph(folded, m(wedge.base)))
-        assert held(cored) == held(ref_core)
+        assert held(cored) == held(ref_core) == rechecked(cored)
         canonical, renumbering = canonicalize(cored)
         assert (held(canonical), renumbering) == (held(ref_canonical[0]), ref_canonical[1])
+        assert held(canonical) == rechecked(canonical)
         assert held(free_subgroup_graph(ab, gens)) == held(ref_canonical[0])
+        renumbered += canonical is not cored
+        n = cored.vertex_count
+        shuffled = rng.sample(range(n + 2), n + 2)
+        spur = [*cored.graph.edges, (rng.randrange(n), rng.randrange(len(ab)), n), (n + 1, 0, n)]
+        spurred = XGraph(ab, n + 2, [(shuffled[u], li, shuffled[v]) for u, li, v in spur])
+        cut = core(BasedXGraph(spurred, shuffled[cored.base]))
+        assert cut.vertex_count == n and held(cut) == rechecked(cut)
+        assert held(canonicalize(cut)[0]) == held(canonical)
+    assert renumbered >= 50, renumbered
 
 
 def test_fold_of_fifty_copies_of_one_long_word():

@@ -16,7 +16,10 @@ each side and their code lines (no blank, comment-only or docstring lines),
 each in total and for each module whose count differs, and a SHA-256 of
 those files on each side, which names an uncommitted working tree too.  No
 metric of a workload gets ``gain`` where the change failed a larger share of
-its operations than the parent:
+its operations than the parent.  After a workload's pairs, one
+``--trace 1`` run per side, on the seed after the largest one given and for
+``TRACE_SECONDS``, gives its per-layer metrics (per traced pass) under
+``layers``, with no verdict, since one run has no spread:
 
     python3 tools/bench_record.py --parent d67a651 --tag 6 --seeds 701 702 703
 
@@ -44,6 +47,7 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACE_SECONDS = 8
 
 
 def export(rev: str, dest: Path) -> None:
@@ -152,15 +156,25 @@ def compile_tree(checkout: Path) -> None:
                    cwd=checkout, check=True)
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One benchmark run; its result line plus the context line before it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True).stdout
     context, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return {"context": context["context"], **result}
+
+
+def layers(sides: list[tuple[str, Path]], workload: str, seed: int) -> dict:
+    """One traced run of ``workload`` per side, in the given order: each
+    side's per-layer metric values, keyed by side name."""
+    out = {"seed": seed, "seconds": TRACE_SECONDS}
+    for side, checkout in sides:
+        metrics = run(checkout, workload, seed, TRACE_SECONDS, trace=1)["metrics"]
+        out[side] = {name: m["value"] for name, m in metrics.items()}
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -255,6 +269,8 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"wall_s {pair[side]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
                 pairs.append(pair)
+            traced = layers([("before", parent), ("after", change)], workload,
+                            max(args.seeds) + 1)
             context = pairs[0]["before"]["context"]
             machine = machine or {k: context[k] for k in ("cpu", "nproc", "python")}
             shares = {side: failed_share(pairs, side) for side in ("before", "after")}
@@ -271,11 +287,14 @@ def main(argv=None) -> int:
                           **{key: [pair[side][key] for side in ("before", "after")]
                              for key in ("correct", "attempted", "failed")}}
                          for pair in pairs],
+                "layers": traced,
             }
     record = {
         "parent": args.parent,
         "machine": machine,
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
+        "layers_command": (f"perfbench/run.py --workload W --seed {max(args.seeds) + 1} "
+                           f"--seconds {TRACE_SECONDS} --trace 1"),
         "seeds": args.seeds,
         **counts,
         "src_sha256": src_sha256,
